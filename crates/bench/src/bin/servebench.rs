@@ -89,8 +89,9 @@ struct BurstStats {
     running_after_burst: usize,
     /// Jobs observed `queued` right after the burst.
     queued_after_burst: usize,
-    /// `true` when every job finished in submission order.
-    completed_in_submission_order: bool,
+    /// `true` when no job was ever seen queued behind a later-submitted
+    /// job that had already been admitted.
+    admitted_in_submission_order: bool,
     /// Burst submit → last job finished, seconds.
     total_secs: f64,
 }
@@ -337,9 +338,6 @@ fn run_burst(smoke: bool) -> BurstStats {
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.serve());
 
-    // Later jobs are strictly longer — by enough generations that
-    // adjacent completions are separated by real wall time — so FIFO
-    // completion is observable without timing luck.
     let step = if smoke { 50 } else { 80 };
     let t0 = Instant::now();
     let ids: Vec<u64> = (0..submitted)
@@ -372,35 +370,41 @@ fn run_burst(smoke: bool) -> BurstStats {
         "{running_after_burst} running > {max_running} slots"
     );
 
-    // Poll to completion, recording the order jobs first turn terminal.
-    let mut completion_order: Vec<u64> = Vec::new();
-    while completion_order.len() < ids.len() {
-        for &id in &ids {
-            if completion_order.contains(&id) {
-                continue;
-            }
-            let r = client::request(&addr, "GET", &format!("/v1/jobs/{id}"), None, T)
-                .expect("poll job");
-            let state = r.json().expect("status")["state"]
-                .as_str()
-                .unwrap_or("?")
-                .to_string();
-            assert!(
-                state != "failed" && state != "cancelled",
-                "burst job {id} ended in {state}"
-            );
-            if state == "finished" {
-                completion_order.push(id);
-            }
+    // Poll to completion. FIFO promises admission order, not finishing
+    // order (how fast each run goes is up to the OS), so each round reads
+    // the newest job first and checks that the jobs still queued are a
+    // suffix of submission order: in that reading order, a job seen
+    // queued after a later one was seen admitted really was leapfrogged.
+    let mut admitted_in_submission_order = true;
+    loop {
+        let mut states: Vec<String> = ids
+            .iter()
+            .rev()
+            .map(|&id| {
+                let r = client::request(&addr, "GET", &format!("/v1/jobs/{id}"), None, T)
+                    .expect("poll job");
+                let state = r.json().expect("status")["state"]
+                    .as_str()
+                    .unwrap_or("?")
+                    .to_string();
+                assert!(
+                    state != "failed" && state != "cancelled",
+                    "burst job {id} ended in {state}"
+                );
+                state
+            })
+            .collect();
+        states.reverse();
+        if let Some(first_queued) = states.iter().position(|s| s == "queued") {
+            admitted_in_submission_order &= states[first_queued..].iter().all(|s| s == "queued");
+        }
+        if states.iter().all(|s| s == "finished") {
+            break;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
     let total_secs = t0.elapsed().as_secs_f64();
-    let completed_in_submission_order = completion_order == ids;
-    assert!(
-        completed_in_submission_order,
-        "FIFO violated: {completion_order:?} vs {ids:?}"
-    );
+    assert!(admitted_in_submission_order, "FIFO admission violated");
 
     handle.shutdown();
     server_thread
@@ -412,7 +416,7 @@ fn run_burst(smoke: bool) -> BurstStats {
         max_running_jobs: max_running,
         running_after_burst,
         queued_after_burst,
-        completed_in_submission_order,
+        admitted_in_submission_order,
         total_secs,
     }
 }
@@ -532,7 +536,7 @@ fn main() {
     let burst = run_burst(smoke);
 
     let snapshot = Snapshot {
-        schema: 4,
+        schema: 5,
         serve_version: caffeine_serve::VERSION.to_string(),
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -575,12 +579,12 @@ fn main() {
         snapshot.job.bit_identical,
     );
     println!(
-        "  burst: {} jobs into {} slots → {} running / {} queued after submit, FIFO order {}, drained in {:.2}s",
+        "  burst: {} jobs into {} slots → {} running / {} queued after submit, FIFO admission {}, drained in {:.2}s",
         snapshot.burst.submitted,
         snapshot.burst.max_running_jobs,
         snapshot.burst.running_after_burst,
         snapshot.burst.queued_after_burst,
-        snapshot.burst.completed_in_submission_order,
+        snapshot.burst.admitted_in_submission_order,
         snapshot.burst.total_secs,
     );
     println!(

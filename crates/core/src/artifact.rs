@@ -16,6 +16,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use caffeine_doe::PointMatrix;
+
 use crate::error::CaffeineError;
 use crate::model::Model;
 
@@ -131,17 +133,36 @@ impl ModelArtifact {
     }
 
     /// Predicts a batch of row-major design points with the model at
-    /// `model_index` (default: [`ModelArtifact::best`]).
+    /// `model_index` (default: [`ModelArtifact::best`]); a wrapper over
+    /// [`ModelArtifact::predict_matrix`].
     ///
     /// # Errors
     ///
-    /// [`CaffeineError::InvalidData`] for an empty batch, a ragged batch,
-    /// a row whose width differs from [`ModelArtifact::n_vars`], or an
-    /// out-of-range `model_index`.
+    /// [`CaffeineError::InvalidData`] for a ragged batch and for every
+    /// error of [`ModelArtifact::predict_matrix`].
     pub fn predict(
         &self,
         model_index: Option<usize>,
         points: &[Vec<f64>],
+    ) -> Result<Vec<f64>, CaffeineError> {
+        let pm = PointMatrix::try_from_rows(points)
+            .map_err(|e| CaffeineError::InvalidData(e.to_string()))?;
+        self.predict_matrix(model_index, &pm)
+    }
+
+    /// Predicts a column-major batch with the model at `model_index`
+    /// (default: [`ModelArtifact::best`]) — the one prediction path, used
+    /// directly by the serving daemon's decoder.
+    ///
+    /// # Errors
+    ///
+    /// [`CaffeineError::InvalidData`] for an out-of-range `model_index`,
+    /// an empty batch, or points whose width differs from
+    /// [`ModelArtifact::n_vars`].
+    pub fn predict_matrix(
+        &self,
+        model_index: Option<usize>,
+        points: &PointMatrix,
     ) -> Result<Vec<f64>, CaffeineError> {
         let model = match model_index {
             None => self.best(),
@@ -152,18 +173,19 @@ impl ModelArtifact {
                 ))
             })?,
         };
-        for (t, p) in points.iter().enumerate() {
-            if p.len() != self.n_vars() {
-                return Err(CaffeineError::InvalidData(format!(
-                    "point {t} has {} values but the model takes {} variables",
-                    p.len(),
-                    self.n_vars()
-                )));
-            }
+        if points.n_points() == 0 {
+            return Err(CaffeineError::InvalidData("empty prediction batch".into()));
         }
-        // The exact-width check above subsumes the raggedness check;
-        // predict_checked adds the empty-batch guard and evaluates.
-        model.predict_checked(points)
+        if points.n_vars() != self.n_vars() {
+            return Err(CaffeineError::InvalidData(format!(
+                "points have {} values but the model takes {} variables",
+                points.n_vars(),
+                self.n_vars()
+            )));
+        }
+        // `validate` guarantees every model reads only variables below
+        // `n_vars`, so the exact-width check makes evaluation total.
+        Ok(model.predict_matrix(points))
     }
 
     /// Renders the artifact as compact JSON.
@@ -305,11 +327,33 @@ mod tests {
     #[test]
     fn predict_guards_batch_shape() {
         let a = artifact();
-        assert!(a.predict(None, &[]).is_err());
-        assert!(a.predict(None, &[vec![1.0]]).is_err());
+        let err = a.predict(None, &[]).unwrap_err();
+        assert!(err.to_string().contains("empty"), "{err}");
+        let err = a.predict(None, &[vec![1.0]]).unwrap_err();
+        assert!(err.to_string().contains("takes 2 variables"), "{err}");
         assert!(a.predict(None, &[vec![1.0, 2.0, 3.0]]).is_err());
-        assert!(a.predict(Some(7), &[vec![1.0, 2.0]]).is_err());
+        let err = a.predict(None, &[vec![1.0, 2.0], vec![1.0]]).unwrap_err();
+        assert!(err.to_string().contains("ragged"), "{err}");
+        let err = a.predict(Some(7), &[vec![1.0, 2.0]]).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
         let ys = a.predict(None, &[vec![2.0, 3.0]]).unwrap();
         assert_eq!(ys, a.models[1].predict(&[vec![2.0, 3.0]]));
+    }
+
+    #[test]
+    fn predict_matrix_matches_row_major_predict() {
+        let a = artifact();
+        let rows = vec![vec![1.0, 1.0], vec![2.0, 3.0], vec![-0.5, 4.0]];
+        let pm = PointMatrix::from_rows(&rows);
+        for index in [None, Some(0), Some(1)] {
+            assert_eq!(
+                a.predict_matrix(index, &pm).unwrap(),
+                a.predict(index, &rows).unwrap()
+            );
+        }
+        let empty = PointMatrix::try_from_row_major(0, 2, &[]).unwrap();
+        assert!(a.predict_matrix(None, &empty).is_err());
+        let narrow = PointMatrix::try_from_row_major(1, 1, &[1.0]).unwrap();
+        assert!(a.predict_matrix(None, &narrow).is_err());
     }
 }

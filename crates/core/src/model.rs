@@ -91,38 +91,6 @@ impl Model {
         self.used_variables().last().map_or(0, |&i| i + 1)
     }
 
-    /// Predicts a batch of row-major design points, rejecting malformed
-    /// batches instead of panicking.
-    ///
-    /// This is the guard user-supplied batches go through (the serving
-    /// daemon's predict endpoint reaches it via
-    /// `ModelArtifact::predict`): [`Model::predict`] panics (via
-    /// [`PointMatrix::from_rows`] and column indexing) on ragged rows or
-    /// rows too narrow for the model's variables, which is correct for
-    /// internal callers but not for untrusted input.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::CaffeineError::InvalidData`] for an empty batch, ragged
-    /// rows, or rows narrower than [`Model::min_vars`].
-    pub fn predict_checked(&self, points: &[Vec<f64>]) -> Result<Vec<f64>, crate::CaffeineError> {
-        if points.is_empty() {
-            return Err(crate::CaffeineError::InvalidData(
-                "empty prediction batch".into(),
-            ));
-        }
-        let pm = PointMatrix::try_from_rows(points)
-            .map_err(|e| crate::CaffeineError::InvalidData(e.to_string()))?;
-        if pm.n_vars() < self.min_vars() {
-            return Err(crate::CaffeineError::InvalidData(format!(
-                "points have {} values but the model references variable {}",
-                pm.n_vars(),
-                self.min_vars() - 1
-            )));
-        }
-        Ok(self.predict_matrix(&pm))
-    }
-
     /// Predicts one design point.
     pub fn predict_one(&self, x: &[f64]) -> f64 {
         let ctx = EvalContext::new(self.weight_config);
@@ -395,26 +363,6 @@ mod tests {
         assert_eq!(rational_model().min_vars(), 2);
         let constant = Model::new(vec![], vec![4.0], WeightConfig::default());
         assert_eq!(constant.min_vars(), 0);
-    }
-
-    #[test]
-    fn predict_checked_rejects_malformed_batches() {
-        let m = rational_model();
-        let err = m.predict_checked(&[]).unwrap_err();
-        assert!(err.to_string().contains("empty"), "{err}");
-        let err = m.predict_checked(&[vec![1.0, 2.0], vec![1.0]]).unwrap_err();
-        assert!(err.to_string().contains("ragged"), "{err}");
-        let err = m.predict_checked(&[vec![1.0]]).unwrap_err();
-        assert!(err.to_string().contains("variable"), "{err}");
-    }
-
-    #[test]
-    fn predict_checked_matches_predict_on_valid_batches() {
-        let m = rational_model();
-        let pts = vec![vec![1.0, 1.0], vec![2.0, 3.0]];
-        assert_eq!(m.predict_checked(&pts).unwrap(), m.predict(&pts));
-        // Wider-than-needed points are fine (extra variables unused).
-        assert!(m.predict_checked(&[vec![1.0, 2.0, 9.0]]).is_ok());
     }
 
     #[test]

@@ -53,7 +53,6 @@ impl PointMatrix {
     /// [`crate::DoeError::InvalidParameter`] when the rows have differing
     /// lengths.
     pub fn try_from_rows(points: &[Vec<f64>]) -> Result<PointMatrix, crate::DoeError> {
-        let n_points = points.len();
         let n_vars = points.first().map_or(0, Vec::len);
         for (t, p) in points.iter().enumerate() {
             if p.len() != n_vars {
@@ -63,10 +62,35 @@ impl PointMatrix {
                 )));
             }
         }
-        let mut data = vec![0.0; n_points * n_vars];
-        for (t, p) in points.iter().enumerate() {
-            for (j, &v) in p.iter().enumerate() {
-                data[j * n_points + t] = v;
+        PointMatrix::try_from_row_major(points.len(), n_vars, &points.concat())
+    }
+
+    /// Transposes a flat row-major buffer — `values[t * n_vars + j]` is
+    /// variable `j` of point `t` — into column-major storage. This is the
+    /// layout a streaming decoder appends into without building one `Vec`
+    /// per row. `n_points` is explicit so zero-width points still count.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::DoeError::InvalidParameter`] when `values` does not hold
+    /// exactly `n_points * n_vars` numbers.
+    pub fn try_from_row_major(
+        n_points: usize,
+        n_vars: usize,
+        values: &[f64],
+    ) -> Result<PointMatrix, crate::DoeError> {
+        if n_points.checked_mul(n_vars) != Some(values.len()) {
+            return Err(crate::DoeError::InvalidParameter(format!(
+                "{} values cannot fill {n_points} points of {n_vars} variables",
+                values.len()
+            )));
+        }
+        let mut data = vec![0.0; values.len()];
+        if n_vars > 0 {
+            for (t, row) in values.chunks_exact(n_vars).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    data[j * n_points + t] = v;
+                }
             }
         }
         Ok(PointMatrix {
@@ -153,6 +177,23 @@ mod tests {
             ok,
             PointMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]])
         );
+    }
+
+    #[test]
+    fn row_major_buffer_matches_rows() {
+        let rows = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
+        let pm = PointMatrix::try_from_row_major(2, 3, &rows.concat()).unwrap();
+        assert_eq!(pm, PointMatrix::from_rows(&rows));
+        // Zero-width points keep their count.
+        let empty_rows = PointMatrix::try_from_row_major(4, 0, &[]).unwrap();
+        assert_eq!(empty_rows.n_points(), 4);
+        assert_eq!(
+            empty_rows,
+            PointMatrix::from_rows(&[vec![], vec![], vec![], vec![]])
+        );
+        let err = PointMatrix::try_from_row_major(2, 3, &[1.0; 5]).unwrap_err();
+        assert!(err.to_string().contains("5 values"), "{err}");
+        assert!(PointMatrix::try_from_row_major(usize::MAX, 2, &[]).is_err());
     }
 
     #[test]

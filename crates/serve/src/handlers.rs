@@ -4,14 +4,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::Deserialize;
-
 use caffeine_core::ModelArtifact;
 use caffeine_obs::{CompletedTrace, TraceSpan, TraceSummary};
 
 use crate::error::ApiError;
 use crate::http::{Request, Response};
 use crate::jobs::{JobEntry, JobSpec};
+use crate::predict;
 use crate::router::{route, Route};
 use crate::server::Shared;
 
@@ -84,11 +83,9 @@ pub(crate) fn sanitize(v: serde_json::Value) -> serde_json::Value {
         serde_json::Value::Array(items) => {
             serde_json::Value::Array(items.into_iter().map(sanitize).collect())
         }
-        serde_json::Value::Object(m) => serde_json::Value::Object(
-            m.iter()
-                .map(|(k, val)| (k.to_string(), sanitize(val.clone())))
-                .collect(),
-        ),
+        serde_json::Value::Object(m) => {
+            serde_json::Value::Object(m.into_iter().map(|(k, val)| (k, sanitize(val))).collect())
+        }
         other => other,
     }
 }
@@ -211,10 +208,12 @@ fn dispatch_response(
                 .registry
                 .get(id, request.query_param("version"))
                 .ok_or_else(|| no_such_model(id, request))?;
-            let body = parse_predict_body(&request.body)?;
+            // Decoded only after the lookup, so an unknown model is a 404
+            // whatever the body, and against the artifact's width.
+            let body = predict::parse_predict_body(&request.body, stored.artifact.n_vars())?;
             let predictions = stored
                 .artifact
-                .predict(body.model_index, &body.points)
+                .predict_matrix(body.model_index, &body.points)
                 .map_err(ApiError::from)?;
             shared.logger().debug(
                 "registry.predict",
@@ -222,18 +221,14 @@ fn dispatch_response(
                     ("request_id", request_id.into()),
                     ("model_id", id.as_str().into()),
                     ("version", stored.version.as_str().into()),
-                    ("n_points", body.points.len().into()),
+                    ("n_points", body.points.n_points().into()),
                 ],
             );
-            // Non-finite predictions (poles, overflow) arrive at the
-            // client as `null` via sanitize().
-            Ok(ok_json(serde_json::json!({
-                "model_id": id.clone(),
-                "version": stored.version,
-                "n_points": body.points.len(),
-                "predictions": predictions,
-            }))
-            .with_header("x-model-version", stored.version.clone()))
+            let rendered = predict::render_predictions(id, &stored.version, &predictions);
+            Ok(
+                Response::json(200, rendered)
+                    .with_header("x-model-version", stored.version.clone()),
+            )
         }
         Route::ListJobs => {
             let state = request.query_param("state");
@@ -411,37 +406,6 @@ fn no_such_model(id: &str, request: &Request) -> ApiError {
     }
 }
 
-/// A predict body: `{"points": [[...], ...], "model": optional index}`.
-#[derive(Debug)]
-struct PredictBody {
-    points: Vec<Vec<f64>>,
-    model_index: Option<usize>,
-}
-
-fn parse_predict_body(body: &[u8]) -> Result<PredictBody, ApiError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ApiError::bad_request("predict body is not UTF-8"))?;
-    let v: serde_json::Value = serde_json::from_str(text)
-        .map_err(|e| ApiError::bad_request(format!("predict body is not JSON: {e}")))?;
-    let points_value = v
-        .as_object()
-        .and_then(|m| m.get("points"))
-        .ok_or_else(|| ApiError::bad_request("predict body needs a `points` array"))?;
-    let points: Vec<Vec<f64>> = Deserialize::from_value(points_value)
-        .map_err(|e: serde::Error| ApiError::bad_request(format!("field `points`: {e}")))?;
-    let model_index =
-        match v.as_object().and_then(|m| m.get("model")) {
-            None | Some(serde_json::Value::Null) => None,
-            Some(mv) => Some(mv.as_u64().ok_or_else(|| {
-                ApiError::bad_request("field `model` must be a nonnegative integer")
-            })? as usize),
-        };
-    Ok(PredictBody {
-        points,
-        model_index,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,34 +534,5 @@ mod tests {
         assert!(!body.contains("NaN"), "{body}");
         assert!(body.contains("[1.5,null,null,-2"), "{body}");
         assert!(body.contains("\"e\":null"), "{body}");
-    }
-
-    #[test]
-    fn predict_body_parses_points_and_model_index() {
-        let b = parse_predict_body(br#"{"points": [[1.0, 2.0]], "model": 3}"#).unwrap();
-        assert_eq!(b.points, vec![vec![1.0, 2.0]]);
-        assert_eq!(b.model_index, Some(3));
-        let b = parse_predict_body(br#"{"points": []}"#).unwrap();
-        assert!(b.points.is_empty());
-        assert_eq!(b.model_index, None);
-    }
-
-    #[test]
-    fn predict_body_rejects_malformed_inputs() {
-        assert_eq!(parse_predict_body(b"{").unwrap_err().status, 400);
-        assert_eq!(parse_predict_body(b"{}").unwrap_err().status, 400);
-        assert_eq!(
-            parse_predict_body(br#"{"points": "nope"}"#)
-                .unwrap_err()
-                .status,
-            400
-        );
-        assert_eq!(
-            parse_predict_body(br#"{"points": [[1]], "model": -2}"#)
-                .unwrap_err()
-                .status,
-            400
-        );
-        assert_eq!(parse_predict_body(&[0xff, 0xfe]).unwrap_err().status, 400);
     }
 }

@@ -17,10 +17,11 @@
 //!   fronts as content-hash-addressed JSON artifacts
 //!   ([`caffeine_core::ModelArtifact`]), in memory with optional disk
 //!   persistence, idempotent publication, and per-id version history.
-//! * **Batched prediction**: `POST /v1/models/{id}/predict` deserializes
-//!   row-major point batches and evaluates them through the compiled-tape
-//!   batch path with full shape validation (empty/ragged/mismatched
-//!   batches are structured 400s, never panics).
+//! * **Batched prediction**: `POST /v1/models/{id}/predict` scans the
+//!   body in one pass straight into a column-major batch (no JSON tree),
+//!   evaluates it through the compiled-tape batch path with full shape
+//!   validation (empty/ragged/mismatched batches are structured 400s,
+//!   never panics), and writes the predictions directly.
 //! * **Async modeling jobs** ([`JobManager`]): `POST /v1/jobs` admits a
 //!   GP run through a FIFO **admission scheduler** — at most
 //!   `--max-running-jobs` runs execute concurrently, the rest wait in
@@ -106,6 +107,7 @@ pub mod http;
 mod jobs;
 mod metrics;
 mod pool;
+mod predict;
 mod registry;
 mod router;
 mod server;

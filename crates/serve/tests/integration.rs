@@ -123,6 +123,57 @@ fn predict_round_trip_is_bit_identical_to_in_process() {
     join.join().unwrap().unwrap();
 }
 
+/// The predict decoder takes any valid JSON spelling of a body, not just
+/// the canonical one: here `model` comes first, an unknown nested key
+/// rides along, and the `points` key is escaped.
+#[test]
+fn non_canonical_predict_body_is_bit_identical_to_in_process() {
+    let (addr, handle, join) = boot(ServeConfig::default());
+    let artifact = demo_artifact();
+    let r = client::request(
+        &addr,
+        "POST",
+        "/v1/models/demo",
+        Some(artifact.to_json().as_bytes()),
+        T,
+    )
+    .unwrap();
+    assert_eq!(r.status, 201, "{}", r.text());
+
+    let points = vec![vec![0.25, -1e-3], vec![-0.0, 7.0], vec![1e300, 2.5e-310]];
+    let expected = artifact.predict(Some(1), &points).unwrap();
+    let rows = serde_json::to_string(&points).unwrap();
+    let body = format!(
+        "{{ \"model\" : 1,\n  \"client\": {{\"tags\": [\"a\", {{\"b\": null}}], \"n\": -0}},\n  \
+         \"po\\u0069nts\": {rows} }}"
+    );
+    let r = client::request(
+        &addr,
+        "POST",
+        "/v1/models/demo/predict",
+        Some(body.as_bytes()),
+        T,
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    let json = r.json().unwrap();
+    assert_eq!(json["n_points"].as_u64(), Some(3));
+    let served = json["predictions"].as_array().unwrap();
+    assert_eq!(served.len(), expected.len());
+    for (s, e) in served.iter().zip(&expected) {
+        match s.as_f64() {
+            Some(v) => assert_eq!(v.to_bits(), e.to_bits(), "served {v} != in-process {e}"),
+            None => assert!(
+                matches!(s, serde_json::Value::Null) && !e.is_finite(),
+                "served {s:?}, in-process {e}"
+            ),
+        }
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn malformed_batches_get_structured_4xx_not_panics() {
     let (addr, handle, join) = boot(ServeConfig::default());
