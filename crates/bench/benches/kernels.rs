@@ -51,8 +51,8 @@ fn bench_lstsq(c: &mut Criterion) {
 fn bench_nondominated_sort(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     use rand::Rng;
-    let objs: Vec<Vec<f64>> = (0..400)
-        .map(|_| vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..200.0)])
+    let objs: Vec<[f64; 2]> = (0..400)
+        .map(|_| [rng.gen_range(0.0..1.0), rng.gen_range(0.0..200.0)])
         .collect();
     c.bench_function("nsga2_sort_400", |b| {
         b.iter(|| std::hint::black_box(nsga2::fast_nondominated_sort(&objs)))

@@ -1,9 +1,11 @@
 //! `perfsnap` — a machine-readable snapshot of the hot-path performance
 //! trajectory.
 //!
-//! Measures the three kernels this codebase lives in — basis evaluation,
-//! population fitness per generation, and SAG forward regression — each
-//! as *reference implementation vs. current implementation*, and writes
+//! Measures the kernels this codebase lives in — basis evaluation,
+//! population fitness per generation, SAG forward regression, the
+//! least-squares solve behind every fitness evaluation, and the
+//! nondominated sort behind every selection — each as *reference
+//! implementation vs. current implementation*, and writes
 //! the numbers to `BENCH_eval.json` so the repo carries a recorded,
 //! diffable perf trajectory rather than anecdotes.
 //!
@@ -25,7 +27,8 @@ use caffeine_bench::perf;
 use caffeine_core::expr::{eval_basis_all, EvalContext, Tape, TapeVm, LANE_WIDTH};
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::{simplify_model, SagSettings};
-use caffeine_core::{CaffeineSettings, DatasetEvaluator, Evaluator, GrammarConfig};
+use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, Evaluator, GrammarConfig};
+use caffeine_linalg::{Matrix, Qr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,7 +51,8 @@ struct Comparison {
 struct Snapshot {
     /// Snapshot schema version. Schema 2 added the normalized-throughput
     /// block: `lane_width`, `cores`, `points_per_sec`,
-    /// `points_per_sec_per_core`.
+    /// `points_per_sec_per_core`. Schema 3 added `least_squares` and
+    /// `nondominated_sort`.
     schema: u32,
     /// Unix timestamp (seconds) of the run.
     unix_time: u64,
@@ -77,6 +81,15 @@ struct Snapshot {
     /// candidate vs shared incremental QR. One "op" is one full
     /// `simplify_model`.
     sag_forward_regression: Comparison,
+    /// A 243 × 7 design (intercept plus six bases, the OTA data's mean
+    /// design size) solved by least squares: row-major QR of an assembled
+    /// matrix vs column-major QR refactored in place from the column
+    /// slices. One "op" is one factor + solve.
+    least_squares: Comparison,
+    /// NSGA-II environmental selection's sort of 400 GP-shaped
+    /// (error, complexity) pairs: `O(N²)` count-down vs sort-and-sweep.
+    /// One "op" is one full sort into ordered fronts.
+    nondominated_sort: Comparison,
 }
 
 fn time_per_op(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -217,8 +230,66 @@ fn main() {
         },
     );
 
+    // Kernel 4: the least-squares solve of one fitness evaluation. Both
+    // sides give bit-identical solutions (tests/qr_oracle.rs).
+    let ls_cols: Vec<Vec<f64>> = (0..7)
+        .map(|j| {
+            if j == 0 {
+                vec![1.0; 243]
+            } else {
+                data.points().iter().map(|x| x[j - 1] / x[j + 5]).collect()
+            }
+        })
+        .collect();
+    let ls_design = Matrix::from_columns(&ls_cols);
+    let ls_slices: Vec<&[f64]> = ls_cols.iter().map(Vec::as_slice).collect();
+    let ls_targets = data.targets();
+    let mut qr = Qr::default();
+    let mut rhs = Vec::new();
+    // Enough solves per timed iteration that even a `--smoke` run's single
+    // iteration lasts milliseconds, so its ratio is still meaningful.
+    let ls_ops = 500;
+    let least_squares = comparison(
+        iterations,
+        f64::from(ls_ops),
+        || {
+            for _ in 0..ls_ops {
+                let qr = perf::ReferenceQr::factor(&ls_design).unwrap();
+                std::hint::black_box(qr.solve_lstsq(ls_targets).unwrap());
+            }
+        },
+        || {
+            for _ in 0..ls_ops {
+                qr.factor_columns(&ls_slices).unwrap();
+                rhs.clear();
+                rhs.extend_from_slice(ls_targets);
+                std::hint::black_box(qr.solve_lstsq_in_place(&mut rhs).unwrap());
+            }
+        },
+    );
+
+    // Kernel 5: the nondominated sort of environmental selection (parents
+    // plus offspring at population 200). Identical fronts and order on
+    // both sides (tests/nsga2_oracle.rs).
+    let objectives = perf::gp_objectives(400, 5);
+    let sort_ops = 40;
+    let nondominated_sort = comparison(
+        iterations,
+        f64::from(sort_ops),
+        || {
+            for _ in 0..sort_ops {
+                std::hint::black_box(perf::reference_nondominated_sort(&objectives));
+            }
+        },
+        || {
+            for _ in 0..sort_ops {
+                std::hint::black_box(nsga2::fast_nondominated_sort(&objectives));
+            }
+        },
+    );
+
     let snapshot = Snapshot {
-        schema: 2,
+        schema: 3,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -232,6 +303,8 @@ fn main() {
         eval_basis_column,
         fitness_per_generation,
         sag_forward_regression,
+        least_squares,
+        nondominated_sort,
     };
 
     let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
@@ -250,6 +323,8 @@ fn main() {
     row("eval basis column", &snapshot.eval_basis_column);
     row("fitness / generation", &snapshot.fitness_per_generation);
     row("SAG forward regression", &snapshot.sag_forward_regression);
+    row("least squares 243x7", &snapshot.least_squares);
+    row("nondominated sort 400", &snapshot.nondominated_sort);
     println!(
         "  throughput: {:.3}M points/s over {} core(s) ({:.3}M points/s/core, lane width {})",
         snapshot.points_per_sec / 1e6,

@@ -2,10 +2,13 @@
 //! evaluator benchmarks and the `perfsnap` binary.
 //!
 //! The compiled-tape fitness path and the incremental-QR SAG replaced
-//! slower tree-walk / refactorize-from-scratch implementations; the
-//! originals are preserved here (not in the library) so before/after
-//! numbers stay measurable on any machine — `cargo bench --bench
-//! eval_tape` and `cargo run --bin perfsnap` both compare against them.
+//! slower tree-walk / refactorize-from-scratch implementations, and the
+//! column-major QR and the two-objective sweep replaced a row-major QR
+//! and Deb's `O(N²)` count-down sort. The originals are preserved here
+//! (not in the library) so before/after numbers stay measurable on any
+//! machine — `cargo bench --bench eval_tape` and `cargo run --bin
+//! perfsnap` both compare against them — and so the property tests in
+//! `tests/` can pin the replacements to them bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,9 +18,9 @@ use caffeine_core::fit::{fit_linear_weights, FitOutcome};
 use caffeine_core::gp::{Evaluation, GpOperators, Individual, OperatorSettings};
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::SagSettings;
-use caffeine_core::{CaffeineSettings, GrammarConfig, Model};
+use caffeine_core::{nsga2, CaffeineSettings, GrammarConfig, Model};
 use caffeine_doe::Dataset;
-use caffeine_linalg::{press_statistic, Matrix};
+use caffeine_linalg::{press_statistic, LinalgError, Matrix};
 
 /// 243 points × 13 variables with a rational multi-term target — the
 /// shape (and cost profile) of one OTA performance table.
@@ -196,4 +199,227 @@ pub fn reference_sag(model: &Model, data: &Dataset, settings: &SagSettings) -> M
     pruned.train_error = settings.metric.compute(&predictions, targets);
     pruned.recompute_complexity(&settings.complexity);
     pruned
+}
+
+/// The row-major Householder QR that `caffeine_linalg::Qr` replaced, kept
+/// verbatim as the oracle the column-major kernel is pinned to bit for
+/// bit (`tests/qr_oracle.rs`) and as the `least_squares` baseline of
+/// `perfsnap`.
+#[derive(Debug, Clone)]
+pub struct ReferenceQr {
+    qr: Matrix,
+    betas: Vec<f64>,
+    rows: usize,
+    cols: usize,
+}
+
+impl ReferenceQr {
+    /// Factors `a` (requires `rows ≥ cols`).
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] when `rows < cols`;
+    /// [`LinalgError::NonFiniteInput`] on NaN/infinite entries.
+    pub fn factor(a: &Matrix) -> Result<ReferenceQr, LinalgError> {
+        let (m, n) = (a.rows(), a.cols());
+        if m < n {
+            return Err(LinalgError::DimensionMismatch(format!(
+                "QR least squares requires rows >= cols, got {m}x{n}"
+            )));
+        }
+        if !a.is_finite() {
+            return Err(LinalgError::NonFiniteInput { argument: "a" });
+        }
+        let mut qr = a.clone();
+        let mut betas = vec![0.0; n];
+        for k in 0..n {
+            let mut norm_sq = 0.0;
+            for i in k..m {
+                norm_sq += qr[(i, k)] * qr[(i, k)];
+            }
+            let norm = norm_sq.sqrt();
+            if norm == 0.0 {
+                betas[k] = 0.0;
+                continue;
+            }
+            let alpha = if qr[(k, k)] >= 0.0 { -norm } else { norm };
+            let v0 = qr[(k, k)] - alpha;
+            let mut vtv = v0 * v0;
+            for i in (k + 1)..m {
+                vtv += qr[(i, k)] * qr[(i, k)];
+            }
+            if vtv == 0.0 {
+                betas[k] = 0.0;
+                continue;
+            }
+            let beta = 2.0 / vtv;
+            betas[k] = beta;
+            qr[(k, k)] = alpha;
+            for j in (k + 1)..n {
+                let mut dot = v0 * qr[(k, j)];
+                for i in (k + 1)..m {
+                    dot += qr[(i, k)] * qr[(i, j)];
+                }
+                let s = beta * dot;
+                qr[(k, j)] -= s * v0;
+                for i in (k + 1)..m {
+                    let vik = qr[(i, k)];
+                    qr[(i, j)] -= s * vik;
+                }
+            }
+            if v0 != 0.0 {
+                for i in (k + 1)..m {
+                    qr[(i, k)] /= v0;
+                }
+                betas[k] = beta * v0 * v0;
+            }
+        }
+        Ok(ReferenceQr {
+            qr,
+            betas,
+            rows: m,
+            cols: n,
+        })
+    }
+
+    fn apply_qt(&self, b: &[f64]) -> Vec<f64> {
+        let (m, n) = (self.rows, self.cols);
+        let mut y = b.to_vec();
+        for k in 0..n {
+            let beta = self.betas[k];
+            if beta == 0.0 {
+                continue;
+            }
+            let mut dot = y[k];
+            for i in (k + 1)..m {
+                dot += self.qr[(i, k)] * y[i];
+            }
+            let s = beta * dot;
+            y[k] -= s;
+            for i in (k + 1)..m {
+                y[i] -= s * self.qr[(i, k)];
+            }
+        }
+        y
+    }
+
+    /// The upper-triangular factor `R`.
+    pub fn r(&self) -> Matrix {
+        Matrix::from_fn(self.cols, self.cols, |i, j| {
+            if j >= i {
+                self.qr[(i, j)]
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// Estimated rank of `R` using a relative diagonal threshold.
+    pub fn rank(&self, rel_tol: f64) -> usize {
+        let max_diag = (0..self.cols)
+            .map(|i| self.qr[(i, i)].abs())
+            .fold(0.0, f64::max);
+        if max_diag == 0.0 {
+            return 0;
+        }
+        (0..self.cols)
+            .filter(|&i| self.qr[(i, i)].abs() > rel_tol * max_diag)
+            .count()
+    }
+
+    /// Solves `min ‖A·x − b‖₂`.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`], [`LinalgError::NonFiniteInput`]
+    /// or [`LinalgError::Singular`], as `caffeine_linalg::Qr::solve_lstsq`.
+    pub fn solve_lstsq(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        if b.len() != self.rows {
+            return Err(LinalgError::DimensionMismatch(format!(
+                "rhs length {} does not match row count {}",
+                b.len(),
+                self.rows
+            )));
+        }
+        if b.iter().any(|v| !v.is_finite()) {
+            return Err(LinalgError::NonFiniteInput { argument: "b" });
+        }
+        let y = self.apply_qt(b);
+        let n = self.cols;
+        let max_diag = (0..n).map(|i| self.qr[(i, i)].abs()).fold(0.0, f64::max);
+        let tol = max_diag * (self.rows as f64) * f64::EPSILON;
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut acc = y[i];
+            for j in (i + 1)..n {
+                acc -= self.qr[(i, j)] * x[j];
+            }
+            let d = self.qr[(i, i)];
+            if d.abs() <= tol {
+                return Err(LinalgError::Singular { pivot: i });
+            }
+            x[i] = acc / d;
+        }
+        Ok(x)
+    }
+}
+
+/// The `O(N²)` count-down non-dominated sort (Deb et al.) that
+/// `caffeine_core::nsga2::fast_nondominated_sort` replaced, kept verbatim
+/// as the oracle for its fronts *and* their within-front order
+/// (`tests/nsga2_oracle.rs`) and as the `nondominated_sort` baseline of
+/// `perfsnap`.
+pub fn reference_nondominated_sort(objectives: &[[f64; 2]]) -> Vec<Vec<usize>> {
+    let n = objectives.len();
+    let mut domination_count = vec![0usize; n];
+    let mut dominated: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut fronts: Vec<Vec<usize>> = vec![Vec::new()];
+
+    for p in 0..n {
+        for q in (p + 1)..n {
+            if nsga2::dominates(&objectives[p], &objectives[q]) {
+                dominated[p].push(q);
+                domination_count[q] += 1;
+            } else if nsga2::dominates(&objectives[q], &objectives[p]) {
+                dominated[q].push(p);
+                domination_count[p] += 1;
+            }
+        }
+        if domination_count[p] == 0 {
+            fronts[0].push(p);
+        }
+    }
+
+    let mut i = 0;
+    while !fronts[i].is_empty() {
+        let mut next = Vec::new();
+        for &p in &fronts[i] {
+            for &q in &dominated[p] {
+                domination_count[q] -= 1;
+                if domination_count[q] == 0 {
+                    next.push(q);
+                }
+            }
+        }
+        i += 1;
+        fronts.push(next);
+    }
+    fronts.pop();
+    fronts
+}
+
+/// A GP-shaped selection input: `n` (error, complexity) pairs where the
+/// complexity takes Eq. (1)'s discrete values (10 per basis plus 0.25 per
+/// variable exponent) and errors repeat, so ties and duplicates are as
+/// common as in a real population.
+pub fn gp_objectives(n: usize, seed: u64) -> Vec<[f64; 2]> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let error = f64::from(rng.gen_range(0..(n as u32 / 2).max(1))) / n as f64;
+            let complexity = 10.0 * f64::from(rng.gen_range(1..16u32))
+                + 0.25 * f64::from(rng.gen_range(0..40u32));
+            [error, complexity]
+        })
+        .collect()
 }

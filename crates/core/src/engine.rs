@@ -293,14 +293,6 @@ impl<'a> DatasetEvaluator<'a> {
         ind.eval = Some(eval);
     }
 
-    /// [`DatasetEvaluator::evaluate_one_with`] with a throwaway scratch.
-    /// Prefer the batch APIs in hot loops — a cold scratch means no
-    /// column reuse across individuals.
-    pub fn evaluate_one(&self, ind: &mut Individual) {
-        let mut scratch = FitScratch::new();
-        self.evaluate_one_with(ind, &mut scratch);
-    }
-
     /// Evaluates a batch through one shared scratch: the basis-column
     /// cache spans the whole batch, so bases repeated across individuals
     /// (ubiquitous after crossover) are evaluated once.
@@ -428,11 +420,8 @@ impl EngineState {
         let ops = GpOperators::new(&self.grammar, op_settings(&self.settings));
 
         let variation = acc.as_deref().map(|a| a.span(phases::SELECTION));
-        let objectives: Vec<Vec<f64>> = self
-            .population
-            .iter()
-            .map(|i| i.objectives().to_vec())
-            .collect();
+        let objectives: Vec<[f64; 2]> =
+            self.population.iter().map(Individual::objectives).collect();
         let ranked = nsga2::rank_population(&objectives);
 
         // Offspring via binary tournament + the operator suite.
@@ -452,10 +441,19 @@ impl EngineState {
         // Elitist environmental selection over parents + offspring.
         let mut combined = std::mem::take(&mut self.population);
         combined.append(&mut offspring);
-        let combined_objs: Vec<Vec<f64>> =
-            combined.iter().map(|i| i.objectives().to_vec()).collect();
+        let combined_objs: Vec<[f64; 2]> = combined.iter().map(Individual::objectives).collect();
         let survivors = nsga2::environmental_selection(&combined_objs, self.settings.population);
-        self.population = survivors.into_iter().map(|i| combined[i].clone()).collect();
+        // Survivor indices are distinct: move each one out instead of
+        // cloning it. The placeholders left behind allocate nothing and
+        // are dropped with `combined`.
+        let vacated = || Individual {
+            bases: Vec::new(),
+            eval: None,
+        };
+        self.population = survivors
+            .into_iter()
+            .map(|i| std::mem::replace(&mut combined[i], vacated()))
+            .collect();
 
         if generation.is_multiple_of(self.settings.stats_every)
             || generation + 1 == self.settings.generations
@@ -510,7 +508,7 @@ fn snapshot(generation: usize, population: &[Individual]) -> EvolutionStats {
         .iter()
         .map(|i| i.eval.as_ref().expect("evaluated").complexity)
         .fold(f64::INFINITY, f64::min);
-    let objectives: Vec<Vec<f64>> = population.iter().map(|i| i.objectives().to_vec()).collect();
+    let objectives: Vec<[f64; 2]> = population.iter().map(Individual::objectives).collect();
     let front_size = nsga2::fast_nondominated_sort(&objectives)[0].len();
     EvolutionStats {
         generation,

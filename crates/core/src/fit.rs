@@ -7,7 +7,8 @@
 //! fallback for the collinear bases genetic search constantly produces),
 //! and reports predictions.
 //!
-//! Two implementations share the solving stage:
+//! Two implementations share one solver, the Householder [`Qr`] kernel of
+//! `caffeine-linalg`:
 //!
 //! * [`fit_linear_weights`] — the tree-walk reference path, kept as the
 //!   oracle the compiled path is property-tested against;
@@ -16,17 +17,21 @@
 //!   a [`PointMatrix`], and memoized in a per-generation [`FitScratch`]
 //!   basis-column cache (GP populations are highly redundant after
 //!   crossover, so identical subtrees are evaluated once per generation,
-//!   not once per individual). Both paths produce bit-identical
-//!   [`FitOutcome`]s — the tape's NaN sign/payload latitude (see
-//!   [`crate::expr::TapeVm`]) cannot leak in, because any non-finite
-//!   basis column is rejected as [`FitOutcome::Infeasible`] before it
-//!   can reach the solver.
+//!   not once per individual). The design is factored straight from the
+//!   cached column slices, with no row-major matrix in between.
+//!
+//! Both paths produce bit-identical [`FitOutcome`]s — the tape's NaN
+//! sign/payload latitude (see [`crate::expr::TapeVm`]) cannot leak in,
+//! because any non-finite basis column is rejected as
+//! [`FitOutcome::Infeasible`] before it can reach the solver.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use caffeine_doe::PointMatrix;
-use caffeine_linalg::{lstsq, lstsq_ridge, LinalgError, Matrix};
+use caffeine_linalg::{lstsq, lstsq_ridge, lstsq_ridge_columns, LinalgError, Matrix, Qr};
 use caffeine_obs::PhaseAccumulator;
 
 use crate::expr::{eval_basis_all, BasisFunction, EvalContext, Tape, TapeVm};
@@ -96,12 +101,15 @@ pub fn fit_linear_weights(
     solve_design(&a, targets)
 }
 
-/// The shared least-squares stage of both fitting paths: plain QR with a
-/// small ridge fallback for collinear designs.
+/// Relative ridge of the fallback fit for collinear designs.
+const RIDGE_LAMBDA: f64 = 1e-9;
+
+/// The least-squares stage of the reference path: plain QR with a small
+/// ridge fallback for collinear designs.
 fn solve_design(a: &Matrix, targets: &[f64]) -> FitOutcome {
     let coefficients = match lstsq(a, targets) {
         Ok(c) => c,
-        Err(LinalgError::Singular { .. }) => match lstsq_ridge(a, targets, 1e-9) {
+        Err(LinalgError::Singular { .. }) => match lstsq_ridge(a, targets, RIDGE_LAMBDA) {
             Ok(c) => c,
             Err(_) => return FitOutcome::Infeasible,
         },
@@ -114,6 +122,43 @@ fn solve_design(a: &Matrix, targets: &[f64]) -> FitOutcome {
         Ok(p) => p,
         Err(_) => return FitOutcome::Infeasible,
     };
+    FitOutcome::Fit(LinearFit {
+        coefficients,
+        predictions,
+    })
+}
+
+/// [`solve_design`] on the design given by its columns `[1 | f₁ | … | f_k]`,
+/// reusing `qr` and `rhs` across fits. Bit-identical to [`solve_design`]
+/// on the assembled matrix: the QR kernel is shared, the ridge fallback
+/// accumulates its Gram matrix in the same row order, and predictions
+/// follow [`Matrix::matvec`]'s per-row order (`0.0`, then `+ a_ij·x_j` for
+/// ascending `j`).
+fn solve_columns(cols: &[&[f64]], targets: &[f64], qr: &mut Qr, rhs: &mut Vec<f64>) -> FitOutcome {
+    if qr.factor_columns(cols).is_err() {
+        return FitOutcome::Infeasible;
+    }
+    rhs.clear();
+    rhs.extend_from_slice(targets);
+    let coefficients = match qr.solve_lstsq_in_place(rhs) {
+        Ok(c) => c,
+        Err(LinalgError::Singular { .. }) => {
+            match lstsq_ridge_columns(cols, targets, RIDGE_LAMBDA) {
+                Ok(c) => c,
+                Err(_) => return FitOutcome::Infeasible,
+            }
+        }
+        Err(_) => return FitOutcome::Infeasible,
+    };
+    if coefficients.iter().any(|c| !c.is_finite()) {
+        return FitOutcome::Infeasible;
+    }
+    let mut predictions = vec![0.0; targets.len()];
+    for (col, &c) in cols.iter().zip(coefficients.iter()) {
+        for (p, &a) in predictions.iter_mut().zip(col.iter()) {
+            *p += a * c;
+        }
+    }
     FitOutcome::Fit(LinearFit {
         coefficients,
         predictions,
@@ -191,13 +236,23 @@ enum Lookup {
 pub struct FitScratch {
     vm: TapeVm,
     spare_tapes: Vec<Tape>,
-    cache: HashMap<u64, CacheEntry>,
+    /// Fixed-key hashing (the keys are already structural hashes): the
+    /// drain order of [`FitScratch::clear_cache`] then repeats run to run,
+    /// so which recycled tape or buffer a later column reuses — and hence
+    /// the allocation count `tests/alloc_growth.rs` pins — does too.
+    cache: HashMap<u64, CacheEntry, BuildHasherDefault<DefaultHasher>>,
     /// Fingerprint of the [`PointMatrix`] the cached columns were
     /// evaluated on; a fit against a different point set resets the cache
     /// instead of serving stale columns.
     bound_to: Option<u64>,
     temp_cols: Vec<Vec<f64>>,
     slots: Vec<Slot>,
+    /// The intercept column (all ones), as long as the last point set.
+    ones: Vec<f64>,
+    /// The least-squares factorization, refactored in place per fit.
+    qr: Qr,
+    /// Right-hand-side buffer the solve overwrites with `Qᵀy`.
+    rhs: Vec<f64>,
     hits: u64,
     misses: u64,
     /// When attached, the fit path records gather/solve wall time into
@@ -313,7 +368,9 @@ impl FitScratch {
 /// are produced by the compiled tapes, which the oracle property test
 /// pins to the interpreter (bit for bit on non-NaN values; non-finite
 /// columns never reach the solver — they are [`FitOutcome::Infeasible`]
-/// in both paths), and the solving stage is shared code.
+/// in both paths), and both solving stages run the same QR kernel in the
+/// same arithmetic order — the design is factored straight from the
+/// cached column slices, never assembled into a matrix.
 pub fn fit_linear_weights_cached(
     bases: &[BasisFunction],
     pm: &PointMatrix,
@@ -354,16 +411,14 @@ pub fn fit_linear_weights_cached(
     }
     let outcome = {
         let _solve = telemetry.as_deref().map(|t| t.span(phases::LINEAR_SOLVE));
-        let cols: Vec<&[f64]> = scratch
-            .slots
-            .iter()
-            .map(|s| match s {
-                Slot::Cached(h) => scratch.cache[h].column.as_slice(),
-                Slot::Temp(i) => scratch.temp_cols[*i].as_slice(),
-            })
-            .collect();
-        let a = Matrix::from_fn(n, k + 1, |i, j| if j == 0 { 1.0 } else { cols[j - 1][i] });
-        solve_design(&a, targets)
+        scratch.ones.resize(n, 1.0);
+        let mut cols: Vec<&[f64]> = Vec::with_capacity(k + 1);
+        cols.push(&scratch.ones);
+        cols.extend(scratch.slots.iter().map(|s| match s {
+            Slot::Cached(h) => scratch.cache[h].column.as_slice(),
+            Slot::Temp(i) => scratch.temp_cols[*i].as_slice(),
+        }));
+        solve_columns(&cols, targets, &mut scratch.qr, &mut scratch.rhs)
     };
     scratch.finish_fit();
     outcome

@@ -3,11 +3,35 @@
 //!
 //! CAFFEINE minimizes two objectives — normalized error and expression
 //! complexity — and returns the whole non-dominated set, which is what
-//! gives the designer the error/complexity tradeoff of Fig. 3. The
-//! implementation here is generic over the number of objectives and is
-//! reused by the Pareto filtering utilities.
+//! gives the designer the error/complexity tradeoff of Fig. 3. Every
+//! ranking entry point here takes exactly those two objectives as
+//! `[error, complexity]` pairs ([`crate::gp::Individual::objectives`]).
+//!
+//! # Objectives are NaN-free
+//!
+//! The sort relies on a total order of the objective values, so they must
+//! never be NaN (±∞ is fine). The engine guarantees it: a non-finite error
+//! is replaced by the settings' `infeasible_error`, which
+//! [`crate::CaffeineSettings::check`] rejects when NaN, and complexity is
+//! always finite. Debug builds assert it.
+//!
+//! # Exact front order
+//!
+//! [`fast_nondominated_sort`] runs in `O(N log N)` but returns the same
+//! fronts, each in the same order, as Deb's `O(N²)` count-down (whose
+//! order feeds crowding-distance ties and so the run itself):
+//!
+//! * front 0 lists its members in ascending index order;
+//! * front `i + 1` lists its members by the position in front `i` of
+//!   their *last* dominator there, then by index. The count-down releases
+//!   a point exactly when it reaches that dominator, and each dominator's
+//!   list is in ascending index order.
+//!
+//! `caffeine_bench::perf` keeps the count-down as the reference the
+//! property tests compare against.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 /// `true` when `a` Pareto-dominates `b` (all objectives ≤, at least one <;
 /// minimization).
@@ -29,51 +53,107 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     strictly_better
 }
 
+/// Lexicographic order on `[error, complexity]`. `partial_cmp`, not
+/// `total_cmp`: `-0.0` and `+0.0` must tie, or a point could sort after
+/// one it dominates.
+fn lex_cmp(a: &[f64; 2], b: &[f64; 2]) -> Ordering {
+    a[0].partial_cmp(&b[0])
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a[1].partial_cmp(&b[1]).unwrap_or(Ordering::Equal))
+}
+
 /// Fast non-dominated sort: partitions indices into fronts; front 0 is the
 /// non-dominated set, front 1 is non-dominated once front 0 is removed,
-/// and so on.
-pub fn fast_nondominated_sort(objectives: &[Vec<f64>]) -> Vec<Vec<usize>> {
-    let n = objectives.len();
-    let mut domination_count = vec![0usize; n];
-    let mut dominated: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut fronts: Vec<Vec<usize>> = vec![Vec::new()];
+/// and so on. See the module docs for the order within each front.
+///
+/// A sort-and-sweep: in lexicographic order every dominator of a point
+/// comes before it, and a front dominates the point iff its tail — the
+/// least complexity seen so far, with the error at which it was first
+/// reached — does. Front membership is monotone (a point dominated by
+/// front `i + 1` is dominated by front `i`), so each point finds its front
+/// by binary search over the tails.
+pub fn fast_nondominated_sort(objectives: &[[f64; 2]]) -> Vec<Vec<usize>> {
+    debug_assert!(
+        objectives.iter().flatten().all(|v| !v.is_nan()),
+        "NaN objective"
+    );
+    let mut lex: Vec<usize> = (0..objectives.len()).collect();
+    lex.sort_by(|&a, &b| lex_cmp(&objectives[a], &objectives[b]));
 
-    for p in 0..n {
-        for q in (p + 1)..n {
-            if dominates(&objectives[p], &objectives[q]) {
-                dominated[p].push(q);
-                domination_count[q] += 1;
-            } else if dominates(&objectives[q], &objectives[p]) {
-                dominated[q].push(p);
-                domination_count[p] += 1;
+    // Members of each front in lexicographic order, and each front's tail
+    // `(least complexity, error where it was first reached)`.
+    let mut by_lex: Vec<Vec<usize>> = Vec::new();
+    let mut tails: Vec<(f64, f64)> = Vec::new();
+    for &p in &lex {
+        let [error, cx] = objectives[p];
+        let f = tails.partition_point(|&(t_cx, t_err)| t_cx < cx || (t_cx == cx && t_err < error));
+        if f == tails.len() {
+            tails.push((cx, error));
+            by_lex.push(vec![p]);
+        } else {
+            if cx < tails[f].0 {
+                tails[f] = (cx, error);
             }
-        }
-        if domination_count[p] == 0 {
-            fronts[0].push(p);
+            by_lex[f].push(p);
         }
     }
 
-    let mut i = 0;
-    while !fronts[i].is_empty() {
-        let mut next = Vec::new();
-        for &p in &fronts[i] {
-            for &q in &dominated[p] {
-                domination_count[q] -= 1;
-                if domination_count[q] == 0 {
-                    next.push(q);
+    let mut fronts: Vec<Vec<usize>> = Vec::with_capacity(by_lex.len());
+    let Some(first) = by_lex.first() else {
+        return fronts;
+    };
+    let mut front0 = first.clone();
+    front0.sort_unstable();
+    fronts.push(front0);
+
+    // Within a front, lexicographic order has error non-decreasing and
+    // complexity non-increasing, so the members of front i dominating a
+    // point q of front i+1 are one contiguous run of `by_lex[i]`: those
+    // with error ≤ q's (a prefix) and complexity ≤ q's (a suffix). Along
+    // `by_lex[i + 1]` both ends only advance, so a sliding-window maximum
+    // gives each q its last dominator in O(1) amortized.
+    let mut position = vec![0usize; objectives.len()];
+    let mut window: VecDeque<usize> = VecDeque::new();
+    for i in 0..by_lex.len() - 1 {
+        for (pos, &p) in fronts[i].iter().enumerate() {
+            position[p] = pos;
+        }
+        let prev = &by_lex[i];
+        let (mut lo, mut hi) = (0, 0);
+        window.clear();
+        let mut keyed: Vec<(usize, usize)> = Vec::with_capacity(by_lex[i + 1].len());
+        for &q in &by_lex[i + 1] {
+            let [error, cx] = objectives[q];
+            while hi < prev.len() && objectives[prev[hi]][0] <= error {
+                while window
+                    .back()
+                    .is_some_and(|&b| position[prev[b]] <= position[prev[hi]])
+                {
+                    window.pop_back();
                 }
+                window.push_back(hi);
+                hi += 1;
             }
+            while lo < hi && objectives[prev[lo]][1] > cx {
+                lo += 1;
+            }
+            while window.front().is_some_and(|&f| f < lo) {
+                window.pop_front();
+            }
+            let last = window
+                .front()
+                .expect("a point in front i+1 has a dominator in front i");
+            keyed.push((position[prev[*last]], q));
         }
-        i += 1;
-        fronts.push(next);
+        keyed.sort_unstable();
+        fronts.push(keyed.into_iter().map(|(_, q)| q).collect());
     }
-    fronts.pop(); // last front is empty
     fronts
 }
 
 /// Crowding distance of each member of one front (aligned with `front`).
 /// Boundary solutions get `f64::INFINITY`.
-pub fn crowding_distances(objectives: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
+pub fn crowding_distances(objectives: &[[f64; 2]], front: &[usize]) -> Vec<f64> {
     let m = front.len();
     if m == 0 {
         return Vec::new();
@@ -81,10 +161,9 @@ pub fn crowding_distances(objectives: &[Vec<f64>], front: &[usize]) -> Vec<f64> 
     if m <= 2 {
         return vec![f64::INFINITY; m];
     }
-    let n_obj = objectives[front[0]].len();
     let mut distance = vec![0.0f64; m];
     let mut order: Vec<usize> = (0..m).collect();
-    for k in 0..n_obj {
+    for k in 0..2 {
         order.sort_by(|&a, &b| {
             objectives[front[a]][k]
                 .partial_cmp(&objectives[front[b]][k])
@@ -119,7 +198,7 @@ pub struct RankedPopulation {
 }
 
 /// Ranks a population: non-dominated sort plus per-front crowding.
-pub fn rank_population(objectives: &[Vec<f64>]) -> RankedPopulation {
+pub fn rank_population(objectives: &[[f64; 2]]) -> RankedPopulation {
     let fronts = fast_nondominated_sort(objectives);
     let mut rank = vec![0usize; objectives.len()];
     let mut crowding = vec![0.0f64; objectives.len()];
@@ -164,7 +243,7 @@ impl RankedPopulation {
 /// NSGA-II environmental selection: picks `n` survivors from the combined
 /// parent+offspring population, filling whole fronts and truncating the
 /// last one by crowding distance.
-pub fn environmental_selection(objectives: &[Vec<f64>], n: usize) -> Vec<usize> {
+pub fn environmental_selection(objectives: &[[f64; 2]], n: usize) -> Vec<usize> {
     let fronts = fast_nondominated_sort(objectives);
     let mut survivors = Vec::with_capacity(n);
     for front in fronts {
@@ -200,11 +279,11 @@ mod tests {
     #[test]
     fn sort_recovers_known_fronts() {
         let objs = vec![
-            vec![1.0, 4.0], // front 0
-            vec![2.0, 3.0], // front 0
-            vec![4.0, 1.0], // front 0
-            vec![3.0, 4.0], // dominated by 0 and 1
-            vec![5.0, 5.0], // dominated by everything
+            [1.0, 4.0], // front 0
+            [2.0, 3.0], // front 0
+            [4.0, 1.0], // front 0
+            [3.0, 4.0], // dominated by 0 and 1
+            [5.0, 5.0], // dominated by everything
         ];
         let fronts = fast_nondominated_sort(&objs);
         assert_eq!(fronts[0], vec![0, 1, 2]);
@@ -216,8 +295,8 @@ mod tests {
     fn sort_matches_bruteforce_on_random_population() {
         let mut rng = StdRng::seed_from_u64(13);
         use rand::Rng;
-        let objs: Vec<Vec<f64>> = (0..60)
-            .map(|_| vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)])
+        let objs: Vec<[f64; 2]> = (0..60)
+            .map(|_| [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)])
             .collect();
         let fronts = fast_nondominated_sort(&objs);
         // Brute force front 0.
@@ -235,11 +314,11 @@ mod tests {
     #[test]
     fn crowding_prefers_spread() {
         let objs = vec![
-            vec![0.0, 1.0],
-            vec![0.45, 0.55], // crowded middle
-            vec![0.5, 0.5],
-            vec![0.55, 0.45],
-            vec![1.0, 0.0],
+            [0.0, 1.0],
+            [0.45, 0.55], // crowded middle
+            [0.5, 0.5],
+            [0.55, 0.45],
+            [1.0, 0.0],
         ];
         let front: Vec<usize> = (0..5).collect();
         let d = crowding_distances(&objs, &front);
@@ -250,7 +329,7 @@ mod tests {
 
     #[test]
     fn crowding_small_fronts_are_infinite() {
-        let objs = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
+        let objs = vec![[1.0, 2.0], [2.0, 1.0]];
         let d = crowding_distances(&objs, &[0, 1]);
         assert!(d.iter().all(|v| v.is_infinite()));
         assert!(crowding_distances(&objs, &[]).is_empty());
@@ -259,12 +338,12 @@ mod tests {
     #[test]
     fn environmental_selection_keeps_best_front_whole() {
         let objs = vec![
-            vec![1.0, 4.0],
-            vec![2.0, 3.0],
-            vec![4.0, 1.0],
-            vec![3.0, 4.0],
-            vec![5.0, 5.0],
-            vec![6.0, 6.0],
+            [1.0, 4.0],
+            [2.0, 3.0],
+            [4.0, 1.0],
+            [3.0, 4.0],
+            [5.0, 5.0],
+            [6.0, 6.0],
         ];
         let survivors = environmental_selection(&objs, 4);
         assert_eq!(survivors.len(), 4);
@@ -277,11 +356,11 @@ mod tests {
     fn environmental_selection_truncates_by_crowding() {
         // One big front; selection must prefer the extremes.
         let objs = vec![
-            vec![0.0, 1.0],
-            vec![0.26, 0.74],
-            vec![0.25, 0.75],
-            vec![0.24, 0.76],
-            vec![1.0, 0.0],
+            [0.0, 1.0],
+            [0.26, 0.74],
+            [0.25, 0.75],
+            [0.24, 0.76],
+            [1.0, 0.0],
         ];
         let survivors = environmental_selection(&objs, 3);
         assert!(survivors.contains(&0));
@@ -291,9 +370,9 @@ mod tests {
     #[test]
     fn crowded_comparison_and_tournament() {
         let objs = vec![
-            vec![1.0, 1.0], // rank 0
-            vec![2.0, 2.0], // rank 1
-            vec![3.0, 3.0], // rank 2
+            [1.0, 1.0], // rank 0
+            [2.0, 2.0], // rank 1
+            [3.0, 3.0], // rank 2
         ];
         let ranked = rank_population(&objs);
         assert!(ranked.crowded_less(0, 1));
@@ -309,9 +388,9 @@ mod tests {
     #[test]
     fn infeasible_sentinels_rank_last() {
         let objs = vec![
-            vec![0.1, 10.0],
-            vec![1e30, 5.0], // infeasible sentinel
-            vec![0.2, 8.0],
+            [0.1, 10.0],
+            [1e30, 5.0], // infeasible sentinel
+            [0.2, 8.0],
         ];
         let ranked = rank_population(&objs);
         assert_eq!(ranked.rank[0], 0);

@@ -103,6 +103,7 @@ proptest! {
         objs in proptest::collection::vec(
             proptest::collection::vec(0.0f64..1.0, 2), 1..40),
     ) {
+        let objs: Vec<[f64; 2]> = objs.iter().map(|o| [o[0], o[1]]).collect();
         let fronts = nsga2::fast_nondominated_sort(&objs);
         let total: usize = fronts.iter().map(Vec::len).sum();
         prop_assert_eq!(total, objs.len());

@@ -465,16 +465,13 @@ impl IslandRunner {
 /// [`IslandRunner::FRONT_POINT_CAP`]. Read-only telemetry — no RNG, no
 /// mutation — so carrying it on progress events cannot perturb the run.
 fn live_front(population: &[Individual]) -> Vec<FrontPoint> {
-    let objectives: Vec<Vec<f64>> = population.iter().map(|i| i.objectives().to_vec()).collect();
+    let objectives: Vec<[f64; 2]> = population.iter().map(Individual::objectives).collect();
     let ranked = nsga2::rank_population(&objectives);
     let mut points: Vec<FrontPoint> = objectives
         .iter()
         .enumerate()
-        .filter(|(i, o)| ranked.rank[*i] == 0 && o.len() >= 2 && o.iter().all(|v| v.is_finite()))
-        .map(|(_, o)| FrontPoint {
-            error: o[0],
-            complexity: o[1],
-        })
+        .filter(|(i, o)| ranked.rank[*i] == 0 && o.iter().all(|v| v.is_finite()))
+        .map(|(_, &[error, complexity])| FrontPoint { error, complexity })
         .collect();
     points.sort_by(|a, b| {
         a.error
@@ -494,7 +491,7 @@ fn live_front(population: &[Individual]) -> Vec<FrontPoint> {
 /// Indices sorted best-to-worst under the NSGA-II crowded comparison
 /// (rank ascending, crowding distance descending, index ascending).
 fn crowded_order(population: &[Individual]) -> Vec<usize> {
-    let objectives: Vec<Vec<f64>> = population.iter().map(|i| i.objectives().to_vec()).collect();
+    let objectives: Vec<[f64; 2]> = population.iter().map(Individual::objectives).collect();
     let ranked = nsga2::rank_population(&objectives);
     let mut order: Vec<usize> = (0..population.len()).collect();
     order.sort_by(|&a, &b| {

@@ -1078,12 +1078,14 @@ fn spawn_admitted(
                 && thread_entry
                     .preserve_files
                     .load(std::sync::atomic::Ordering::Relaxed);
-            *thread_entry.outcome.plock() = outcome;
             // Terminal: the spec/checkpoint pair has served its
             // purpose (publication happened or was deliberately
             // abandoned); removing it keeps restarts from re-running
             // finished work. The one exception is a drain-cancelled
-            // job — that interruption must stay re-adoptable.
+            // job — that interruption must stay re-adoptable. Files go
+            // before the outcome is recorded, so a client that sees the
+            // terminal state never finds them still on disk (unlinking
+            // a freshly synced checkpoint can take tens of ms).
             if !interrupted {
                 if let Some(path) = spec_path {
                     let _ = std::fs::remove_file(path);
@@ -1092,6 +1094,7 @@ fn spawn_admitted(
                     remove_checkpoint_files(&path);
                 }
             }
+            *thread_entry.outcome.plock() = outcome;
             // The pump (not this thread) completes the trace: it drains
             // the event channel strictly after this thread drops the
             // runner, so every phase/checkpoint span lands first.
@@ -1320,11 +1323,13 @@ impl JobManager {
                 .preserve_files
                 .load(std::sync::atomic::Ordering::Relaxed);
         let (trace_state, trace_error) = trace_terminal(&outcome);
-        *entry.outcome.plock() = outcome;
-        entry.queue_position.store(0, Ordering::Relaxed);
+        // Files first, as on the driver path: the terminal state implies
+        // they are gone.
         if !interrupted {
             self.remove_job_files(entry.id);
         }
+        *entry.outcome.plock() = outcome;
+        entry.queue_position.store(0, Ordering::Relaxed);
         entry.events.publish(frame("done", entry.status_json()));
         entry.events.close();
         // No driver or pump ever existed; the settle path completes the
