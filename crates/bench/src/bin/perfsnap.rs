@@ -3,8 +3,9 @@
 //!
 //! Measures the kernels this codebase lives in — basis evaluation,
 //! population fitness per generation, SAG forward regression, the
-//! least-squares solve behind every fitness evaluation, and the
-//! nondominated sort behind every selection — each as *reference
+//! least-squares solve behind every fitness evaluation, the
+//! nondominated sort behind every selection, and the checkpoint save
+//! between generations — each as *reference
 //! implementation vs. current implementation*, and writes
 //! the numbers to `BENCH_eval.json` so the repo carries a recorded,
 //! diffable perf trajectory rather than anecdotes.
@@ -18,6 +19,10 @@
 //! `--smoke` runs one timed iteration per kernel — enough to prove the
 //! harness works end to end (CI runs it on every push); timings from a
 //! smoke run are not meaningful and are flagged as such in the output.
+//!
+//! The checkpoint saves write to `.perfsnap-work/` in the working
+//! directory (not the system temp dir, which may be a tmpfs), removed
+//! again at the end.
 
 use std::time::Instant;
 
@@ -52,7 +57,7 @@ struct Snapshot {
     /// Snapshot schema version. Schema 2 added the normalized-throughput
     /// block: `lane_width`, `cores`, `points_per_sec`,
     /// `points_per_sec_per_core`. Schema 3 added `least_squares` and
-    /// `nondominated_sort`.
+    /// `nondominated_sort`. Schema 4 added `checkpoint_save`.
     schema: u32,
     /// Unix timestamp (seconds) of the run.
     unix_time: u64,
@@ -90,6 +95,12 @@ struct Snapshot {
     /// (error, complexity) pairs: `O(N²)` count-down vs sort-and-sweep.
     /// One "op" is one full sort into ordered fronts.
     nondominated_sort: Comparison,
+    /// A Standard-profile snapshot (pop 200 at generation 100) saved over
+    /// the previous one: a fresh file renamed over it, which frees the
+    /// old blocks, vs `RuntimeCheckpoint::save`, which reuses the old
+    /// inode. Both serialize and fsync. The ratio depends on the
+    /// filesystem. One "op" is one save.
+    checkpoint_save: Comparison,
 }
 
 fn time_per_op(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -288,8 +299,24 @@ fn main() {
         },
     );
 
+    // Kernel 6: the checkpoint save, under the working directory so it
+    // hits the disk that real checkpoints do.
+    let checkpoint = perf::standard_checkpoint();
+    let work_dir = std::path::PathBuf::from(".perfsnap-work");
+    std::fs::create_dir_all(&work_dir).expect("create the checkpoint work dir");
+    let reference_path = work_dir.join("reference.ckpt");
+    let current_path = work_dir.join("current.ckpt");
+    let checkpoint_save = comparison(
+        iterations,
+        1.0,
+        || perf::reference_checkpoint_save(&checkpoint, &reference_path).unwrap(),
+        || checkpoint.save(&current_path).unwrap(),
+    );
+    let checkpoint_kb = std::fs::metadata(&current_path).map_or(0, |m| m.len() / 1024);
+    std::fs::remove_dir_all(&work_dir).ok();
+
     let snapshot = Snapshot {
-        schema: 3,
+        schema: 4,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -305,6 +332,7 @@ fn main() {
         sag_forward_regression,
         least_squares,
         nondominated_sort,
+        checkpoint_save,
     };
 
     let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
@@ -325,6 +353,10 @@ fn main() {
     row("SAG forward regression", &snapshot.sag_forward_regression);
     row("least squares 243x7", &snapshot.least_squares);
     row("nondominated sort 400", &snapshot.nondominated_sort);
+    row(
+        &format!("checkpoint save {checkpoint_kb} KB"),
+        &snapshot.checkpoint_save,
+    );
     println!(
         "  throughput: {:.3}M points/s over {} core(s) ({:.3}M points/s/core, lane width {})",
         snapshot.points_per_sec / 1e6,

@@ -8,7 +8,12 @@
 //! (not in the library) so before/after numbers stay measurable on any
 //! machine — `cargo bench --bench eval_tape` and `cargo run --bin
 //! perfsnap` both compare against them — and so the property tests in
-//! `tests/` can pin the replacements to them bit for bit.
+//! `tests/` can pin the replacements to them bit for bit. The checkpoint
+//! save that renamed a fresh file over the old snapshot is kept the same
+//! way.
+
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,9 +23,10 @@ use caffeine_core::fit::{fit_linear_weights, FitOutcome};
 use caffeine_core::gp::{Evaluation, GpOperators, Individual, OperatorSettings};
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::SagSettings;
-use caffeine_core::{nsga2, CaffeineSettings, GrammarConfig, Model};
+use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, EngineState, GrammarConfig, Model};
 use caffeine_doe::Dataset;
 use caffeine_linalg::{press_statistic, LinalgError, Matrix};
+use caffeine_runtime::{RuntimeCheckpoint, RuntimeConfig, RuntimeError};
 
 /// 243 points × 13 variables with a rational multi-term target — the
 /// shape (and cost profile) of one OTA performance table.
@@ -422,4 +428,58 @@ pub fn gp_objectives(n: usize, seed: u64) -> Vec<[f64; 2]> {
             [error, complexity]
         })
         .collect()
+}
+
+/// The snapshot a Standard-profile Table I search (pop 200, up to 15
+/// bases, the paper grammar over 13 variables) saves at its first
+/// checkpoint, generation 100, here over [`ota_shaped_dataset`].
+pub fn standard_checkpoint() -> RuntimeCheckpoint {
+    let data = ota_shaped_dataset();
+    let mut settings = CaffeineSettings::paper();
+    settings.population = 200;
+    settings.generations = 100;
+    settings.max_bases = 15;
+    let grammar = GrammarConfig::paper_full(data.n_vars());
+    let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
+    let mut state = EngineState::new(settings.clone(), grammar.clone(), &evaluator).unwrap();
+    while !state.is_done() {
+        state.step(&evaluator);
+    }
+    RuntimeCheckpoint {
+        version: RuntimeCheckpoint::VERSION,
+        master: settings,
+        grammar,
+        config: RuntimeConfig::default(),
+        completed: state.generation,
+        islands: vec![state],
+        n_vars: data.n_vars(),
+        n_samples: data.n_samples(),
+    }
+}
+
+/// The checkpoint save that [`RuntimeCheckpoint::save`] replaced: a fresh
+/// `<path>.partial`, written and fsynced, renamed over `path`. The rename
+/// frees the superseded snapshot's blocks, which costs tens of
+/// milliseconds on ext4 mounted with `discard`. Kept verbatim as the
+/// `checkpoint_save` baseline of `perfsnap`.
+///
+/// # Errors
+///
+/// Propagates filesystem failures.
+pub fn reference_checkpoint_save(
+    checkpoint: &RuntimeCheckpoint,
+    path: &Path,
+) -> Result<(), RuntimeError> {
+    let json =
+        serde_json::to_string(checkpoint).map_err(|e| RuntimeError::Corrupt(e.to_string()))?;
+    let mut staged = path.as_os_str().to_owned();
+    staged.push(".partial");
+    let tmp = PathBuf::from(staged);
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(json.as_bytes())?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }

@@ -1,7 +1,6 @@
 //! Checkpoint snapshots: the full runner state as JSON on disk.
 
 use std::fmt;
-use std::io::Write;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -9,6 +8,7 @@ use serde::{Deserialize, Serialize};
 use caffeine_core::{CaffeineError, CaffeineSettings, EngineState, GrammarConfig};
 
 use crate::config::RuntimeConfig;
+use crate::durable::{remove_durable, write_durable};
 
 /// Runtime error: the engine's own failures plus checkpoint IO/decode.
 #[derive(Debug)]
@@ -83,27 +83,35 @@ impl RuntimeCheckpoint {
     /// Current checkpoint format version.
     pub const VERSION: u32 = 1;
 
-    /// Writes the checkpoint as JSON, atomically (temp file + rename), so
-    /// an interruption mid-write never corrupts the previous snapshot.
+    /// Writes the checkpoint as JSON through [`write_durable`]: when this
+    /// returns `Ok`, `path` holds the complete, fsynced snapshot, and an
+    /// interruption at any point leaves `path` as the previous or the new
+    /// complete snapshot.
+    ///
+    /// The superseded snapshot is never deleted, because freeing its
+    /// blocks costs far more than the write itself on some filesystems
+    /// (tens of milliseconds on ext4 with `discard`). It stays on disk as
+    /// `<path>.partial` and the next save overwrites it in place; when it
+    /// is longer than the new snapshot, the tail is padded with spaces,
+    /// which JSON ignores. So a reader holding `path` open across two
+    /// saves can see its inode rewritten under it; [`RuntimeCheckpoint::load`]
+    /// reads the file in one call. [`RuntimeCheckpoint::remove`] deletes
+    /// the checkpoint with its staging files.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), RuntimeError> {
         let json = serde_json::to_string(self).map_err(|e| RuntimeError::Corrupt(e.to_string()))?;
-        // Append (never replace) a suffix: `with_extension` would map both
-        // `a.json` and `a.ckpt` — or `state.tmp` and the staging file
-        // itself — onto the same path, truncating the good snapshot.
-        let mut staged = path.as_os_str().to_owned();
-        staged.push(".partial");
-        let tmp = std::path::PathBuf::from(staged);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
+        write_durable(path, json.as_bytes())?;
         Ok(())
+    }
+
+    /// Removes the checkpoint at `path` and the staging files its saves
+    /// keep beside it (`<path>.partial`, and `<path>.prev` after a crash
+    /// mid-save). Missing files are not an error.
+    pub fn remove(path: &Path) {
+        remove_durable(path);
     }
 
     /// Reads a checkpoint back from disk.

@@ -18,7 +18,9 @@
 //! * [`RuntimeCheckpoint`]: serde snapshots of the full runner state
 //!   (every island's population *and* RNG position) written as JSON, with
 //!   [`IslandRunner::from_checkpoint`] resuming a run bit-exactly — a
-//!   5000-generation reference run survives interruption.
+//!   5000-generation reference run survives interruption. Saves go
+//!   through [`write_durable`], which fsyncs and renames without ever
+//!   freeing a disk block.
 //! * [`RunEvent`]: a live statistics channel; attach any
 //!   `std::sync::mpsc::Sender<RunEvent>` to watch progress while a run is
 //!   executing.
@@ -54,6 +56,7 @@
 mod checkpoint;
 mod config;
 mod control;
+mod durable;
 mod island;
 mod pool;
 mod stats;
@@ -61,6 +64,7 @@ mod stats;
 pub use checkpoint::{RuntimeCheckpoint, RuntimeError};
 pub use config::RuntimeConfig;
 pub use control::{ProgressSnapshot, RunController, RunPhase};
+pub use durable::write_durable;
 pub use island::{derive_island_seed, IslandRunner};
 pub use pool::ParallelEvaluator;
 pub use stats::{FrontPoint, PhaseBreakdown, RunEvent};

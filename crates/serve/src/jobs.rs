@@ -25,11 +25,12 @@
 //! final `done` event and closes the hub.
 //!
 //! A daemon killed mid-job leaves `job-{id}.spec.json` and
-//! `job-{id}.ckpt` behind; [`JobManager::adopt_orphans`] re-creates those
-//! jobs on the next start — resuming from the checkpoint when one
-//! exists, restarting from generation zero when the crash predated the
-//! first checkpoint write, and surfacing an unusable spec/checkpoint as
-//! a failed job rather than silently discarding it.
+//! `job-{id}.ckpt` (with the staging files of
+//! [`RuntimeCheckpoint::save`]) behind; [`JobManager::adopt_orphans`]
+//! re-creates those jobs on the next start — resuming from the
+//! checkpoint when one exists, restarting from generation zero when the
+//! crash predated the first checkpoint write, and surfacing an unusable
+//! spec/checkpoint as a failed job rather than silently discarding it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -784,15 +785,6 @@ enum AdoptFailure {
     Transient(String),
 }
 
-/// Removes a checkpoint together with its atomic-write staging file —
-/// a daemon killed mid-write leaves `<name>.partial` behind.
-fn remove_checkpoint_files(path: &std::path::Path) {
-    let _ = std::fs::remove_file(path);
-    let mut staged = path.as_os_str().to_owned();
-    staged.push(".partial");
-    let _ = std::fs::remove_file(PathBuf::from(staged));
-}
-
 /// Everything a queued job needs to run once a slot frees: the prepared
 /// (validated) runner, its data, and where to publish/persist. Held by
 /// the scheduler while the job waits so admission commits no resources
@@ -1091,7 +1083,7 @@ fn spawn_admitted(
                     let _ = std::fs::remove_file(path);
                 }
                 if let Some(path) = ckpt_path {
-                    remove_checkpoint_files(&path);
+                    RuntimeCheckpoint::remove(&path);
                 }
             }
             *thread_entry.outcome.plock() = outcome;
@@ -1308,7 +1300,7 @@ impl JobManager {
             let _ = std::fs::remove_file(path);
         }
         if let Some(path) = self.ckpt_path(id) {
-            remove_checkpoint_files(&path);
+            RuntimeCheckpoint::remove(&path);
         }
     }
 

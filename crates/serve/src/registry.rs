@@ -4,9 +4,14 @@
 //! Layout on disk (when a model directory is configured):
 //!
 //! ```text
-//! <dir>/<id>/<hash>.json   one artifact per content hash
-//! <dir>/<id>/latest        the hash the id currently points at
+//! <dir>/<id>/<hash>.json     one artifact per content hash
+//! <dir>/<id>/latest          the hash the id currently points at
+//! <dir>/<id>/latest.partial  the superseded pointer, which the next
+//!                            publish overwrites in place
 //! ```
+//!
+//! Every file is written through [`caffeine_runtime::write_durable`], so
+//! readers accept (and trim) trailing whitespace.
 //!
 //! Publishing is idempotent: re-publishing byte-identical content under
 //! the same id is a no-op that returns the existing version (and counts
@@ -14,12 +19,12 @@
 //! reads, so serving never touches the filesystem on the hot path.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use caffeine_core::ModelArtifact;
+use caffeine_runtime::write_durable;
 
 use crate::error::ApiError;
 use crate::router::valid_model_id;
@@ -258,27 +263,13 @@ fn load_shelf(id_dir: &Path) -> Option<Shelf> {
 fn persist_version(id_dir: &Path, version: &str, artifact: &ModelArtifact) -> std::io::Result<()> {
     std::fs::create_dir_all(id_dir)?;
     let path = id_dir.join(format!("{version}.json"));
-    write_atomic(&path, artifact.to_json().as_bytes())?;
+    write_durable(&path, artifact.to_json().as_bytes())?;
     persist_latest(id_dir, version)
 }
 
 fn persist_latest(id_dir: &Path, version: &str) -> std::io::Result<()> {
     std::fs::create_dir_all(id_dir)?;
-    write_atomic(&id_dir.join("latest"), version.as_bytes())
-}
-
-/// Temp-file + rename write, so a crash mid-write never corrupts an
-/// existing artifact.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut staged = path.as_os_str().to_owned();
-    staged.push(".partial");
-    let tmp = PathBuf::from(staged);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    write_durable(&id_dir.join("latest"), version.as_bytes())
 }
 
 #[cfg(test)]

@@ -171,9 +171,20 @@ fn killed_daemon_readopts_checkpointed_job_and_publishes() {
     let artifact = caffeine_core::ModelArtifact::from_json(&r.text()).unwrap();
     assert_eq!(artifact.content_hash(), version);
 
-    // Terminal cleanup: nothing left to re-adopt on the next restart.
+    // Terminal cleanup: nothing left to re-adopt on the next restart —
+    // neither the checkpoint nor the staging files its saves keep.
     assert!(!jobs_dir.join(format!("job-{id}.spec.json")).exists());
     assert!(!jobs_dir.join(format!("job-{id}.ckpt")).exists());
+    let ckpt_prefix = format!("job-{id}.ckpt");
+    let leftovers: Vec<String> = std::fs::read_dir(&jobs_dir)
+        .expect("jobs dir readable")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&ckpt_prefix))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "leftover checkpoint files: {leftovers:?}"
+    );
 
     let r = client::request(&addr, "POST", "/v1/admin/shutdown", None, T).unwrap();
     assert_eq!(r.status, 202, "{}", r.text());
