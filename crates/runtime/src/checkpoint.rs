@@ -95,8 +95,11 @@ impl RuntimeCheckpoint {
     /// is longer than the new snapshot, the tail is padded with spaces,
     /// which JSON ignores. So a reader holding `path` open across two
     /// saves can see its inode rewritten under it; [`RuntimeCheckpoint::load`]
-    /// reads the file in one call. [`RuntimeCheckpoint::remove`] deletes
-    /// the checkpoint with its staging files.
+    /// reads the file in one call. Each save also fsyncs the directory,
+    /// so the renames are on disk before the next save overwrites the
+    /// superseded inode in place. Saves to one `path` must not run
+    /// concurrently. [`RuntimeCheckpoint::remove`] deletes the checkpoint
+    /// with its staging files.
     ///
     /// # Errors
     ///

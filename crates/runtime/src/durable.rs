@@ -39,14 +39,23 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 ///    linked as `<path>.prev`, so nothing is freed.
 /// 4. `<path>.prev` is renamed to `<path>.partial`, ready for the next
 ///    write.
+/// 5. The directory is fsynced. Until it is, the directory on disk may
+///    still name the inode that is now `<path>.partial` as `path`, and
+///    the next write overwrites that inode in place; a crash then would
+///    tear the only complete copy.
 ///
 /// When `Ok` is returned, `path` holds exactly `bytes` plus any trailing
-/// spaces, fsynced. A crash at any step leaves `path` as the old or the
-/// new complete content; the next call recovers from whatever staging
-/// files the crash left. On a filesystem without hard links the write
-/// falls back to a plain rename over `path`. Readers must therefore
-/// accept trailing whitespace, and must read the file in one go: a reader
-/// that keeps `path` open across two writes can see its inode rewritten.
+/// spaces, and both the file and its directory entry are fsynced. A
+/// crash at any step leaves `path` as the old or the new complete
+/// content; the next call recovers from whatever staging files the crash
+/// left. On a filesystem without hard links the write falls back to a
+/// plain rename over `path`.
+///
+/// Readers must accept trailing whitespace, and must read the file in
+/// one go: a reader that keeps `path` open across two writes can see its
+/// inode rewritten. Writes to one `path` must not run concurrently: two
+/// interleaved calls can leave `path` and `<path>.partial` naming one
+/// inode, after which every write lands on `path` in place.
 ///
 /// # Errors
 ///
@@ -79,6 +88,23 @@ pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if linked {
         fs::rename(&previous, &staging)?;
     }
+    sync_parent(path)
+}
+
+/// Fsyncs the directory holding `path`, making its renames durable.
+#[cfg(unix)]
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for fsync here; the renames are left to
+/// the filesystem.
+#[cfg(not(unix))]
+fn sync_parent(_path: &Path) -> io::Result<()> {
     Ok(())
 }
 

@@ -21,14 +21,14 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use caffeine_core::ModelArtifact;
 use caffeine_runtime::write_durable;
 
 use crate::error::ApiError;
 use crate::router::valid_model_id;
-use crate::sync::PoisonlessRwLock;
+use crate::sync::{PoisonlessMutex, PoisonlessRwLock};
 
 /// One stored artifact version.
 #[derive(Debug, Clone)]
@@ -50,6 +50,8 @@ struct Shelf {
 pub struct ModelRegistry {
     dir: Option<PathBuf>,
     inner: RwLock<BTreeMap<String, Shelf>>,
+    /// Serializes publishes (taken before `inner`). Reads never take it.
+    publishing: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -60,6 +62,7 @@ impl ModelRegistry {
         ModelRegistry {
             dir: None,
             inner: RwLock::new(BTreeMap::new()),
+            publishing: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -95,6 +98,7 @@ impl ModelRegistry {
         Ok(ModelRegistry {
             dir: Some(dir),
             inner: RwLock::new(map),
+            publishing: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
@@ -113,11 +117,13 @@ impl ModelRegistry {
         }
         let version = artifact.content_hash();
 
-        // The fsync'd artifact write happens *before* taking the write
-        // lock, so concurrent predict/get traffic (read locks) never
-        // stalls behind disk. The filename is the content hash, so a
-        // racing identical publish rewrites the same bytes — harmless —
-        // and a racing different publish touches a different file.
+        // One publish at a time: `write_durable` must not race itself on
+        // one path (two identical publishes share a version file, every
+        // publish to an id rewrites its `latest`), and serial publishes
+        // leave `latest` on disk in the same order as in memory. The
+        // fsync'd writes happen outside the map's write lock, so
+        // predict/get traffic (read locks) never stalls behind disk.
+        let _publishing = self.publishing.plock();
         let already_present = {
             let map = self.inner.pread();
             map.get(id)
@@ -150,10 +156,8 @@ impl ModelRegistry {
         };
         drop(map);
 
-        // The latest pointer is advisory (load_shelf falls back to a
-        // deterministic order without it), so it is written outside the
-        // lock too; last-writer-wins matches the in-memory ordering
-        // closely enough for crash recovery.
+        // The latest pointer is advisory: load_shelf falls back to a
+        // deterministic order without it.
         if let Some(dir) = &self.dir {
             persist_latest(&dir.join(id), &version)
                 .map_err(|e| ApiError::internal(format!("cannot update latest: {e}")))?;
@@ -263,8 +267,7 @@ fn load_shelf(id_dir: &Path) -> Option<Shelf> {
 fn persist_version(id_dir: &Path, version: &str, artifact: &ModelArtifact) -> std::io::Result<()> {
     std::fs::create_dir_all(id_dir)?;
     let path = id_dir.join(format!("{version}.json"));
-    write_durable(&path, artifact.to_json().as_bytes())?;
-    persist_latest(id_dir, version)
+    write_durable(&path, artifact.to_json().as_bytes())
 }
 
 fn persist_latest(id_dir: &Path, version: &str) -> std::io::Result<()> {
@@ -365,6 +368,53 @@ mod tests {
         std::fs::write(dir.join("ota-pm").join("garbage.json"), "{nope").unwrap();
         let reg = ModelRegistry::open(&dir).unwrap();
         assert_eq!(reg.total_versions(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_publishes_to_one_id_leave_a_consistent_latest() {
+        let dir = std::env::temp_dir().join(format!(
+            "caffeine-registry-race-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let reg = ModelRegistry::open(&dir).unwrap();
+        // Threads 2k and 2k+1 publish identical content, so they also
+        // race on one version file.
+        let published: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..6)
+                .map(|t| {
+                    let reg = &reg;
+                    s.spawn(move || {
+                        (0..5)
+                            .map(|round| {
+                                let coefficient = (t / 2 * 10 + round) as f64;
+                                reg.publish("race", artifact(coefficient)).unwrap().0
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let id_dir = dir.join("race");
+        let on_disk = std::fs::read_to_string(id_dir.join("latest")).unwrap();
+        let in_memory = reg.get("race", None).unwrap().version;
+        assert_eq!(on_disk.trim(), in_memory);
+        assert!(published.contains(&in_memory));
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt;
+            let ino = |name: &str| std::fs::metadata(id_dir.join(name)).unwrap().ino();
+            assert_ne!(ino("latest"), ino("latest.partial"));
+        }
+        let reopened = ModelRegistry::open(&dir).unwrap();
+        assert_eq!(reopened.total_versions(), 15);
+        assert_eq!(reopened.get("race", None).unwrap().version, in_memory);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
