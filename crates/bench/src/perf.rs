@@ -1,16 +1,15 @@
 //! Shared performance workloads and *reference implementations* for the
-//! evaluator benchmarks and the `perfsnap` binary.
+//! `perfsnap` binary.
 //!
 //! The compiled-tape fitness path and the incremental-QR SAG replaced
 //! slower tree-walk / refactorize-from-scratch implementations, and the
 //! column-major QR and the two-objective sweep replaced a row-major QR
 //! and Deb's `O(N²)` count-down sort. The originals are preserved here
 //! (not in the library) so before/after numbers stay measurable on any
-//! machine — `cargo bench --bench eval_tape` and `cargo run --bin
-//! perfsnap` both compare against them — and so the property tests in
-//! `tests/` can pin the replacements to them bit for bit. The checkpoint
-//! save that renamed a fresh file over the old snapshot is kept the same
-//! way.
+//! machine — `cargo run --bin perfsnap` compares against them — and so
+//! the property tests in `tests/` can pin the replacements to them bit
+//! for bit. The checkpoint save that renamed a fresh file over the old
+//! snapshot is kept the same way.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -11,7 +11,8 @@
 //! [`HttpError::Io`]).
 //!
 //! [`parse_head`] is a pure function over bytes, which is what the
-//! property tests hammer; [`read_request`] layers the socket loop on top.
+//! property tests hammer; [`read_request_buffered`] layers the socket
+//! loop on top.
 
 use std::io::{Read, Write};
 
@@ -237,34 +238,17 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
-/// Reads one full request from a stream, enforcing all bounds.
+/// Reads one full request from `carry` + the stream, enforcing all
+/// bounds. Bytes beyond it — a pipelined successor request on a
+/// kept-alive connection — stay in `carry` for the next call.
 ///
 /// # Errors
 ///
 /// Every [`HttpError`] variant: malformed/oversized/unsupported input,
-/// transport failures (including read timeouts), and [`HttpError::Closed`]
-/// when the peer disconnects before sending a byte.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
-    let mut carry = Vec::with_capacity(1024);
-    let request = read_request_buffered(&mut carry, stream, max_body)?;
-    if !carry.is_empty() {
-        // One-shot semantics: this connection serves a single request, so
-        // trailing bytes can only be body overrun.
-        return Err(HttpError::Malformed(
-            "more body bytes than Content-Length declares".into(),
-        ));
-    }
-    Ok(request)
-}
-
-/// [`read_request`] for a kept-alive connection: consumes exactly one
-/// request from `carry` + the stream, leaving any bytes beyond it — a
-/// pipelined successor request — in `carry` for the next call.
-///
-/// # Errors
-///
-/// As [`read_request`], plus [`HttpError::Idle`] when a read times out
-/// before the first byte of a request arrives.
+/// transport failures (including mid-request read timeouts),
+/// [`HttpError::Closed`] when the peer disconnects before sending a byte,
+/// and [`HttpError::Idle`] when a read times out before the first byte of
+/// a request arrives.
 pub fn read_request_buffered(
     carry: &mut Vec<u8>,
     stream: &mut impl Read,
@@ -426,17 +410,14 @@ impl Response {
     /// Writes only the head of this response with
     /// `Transfer-Encoding: chunked` instead of a `Content-Length`, for
     /// endpoints that stream an open-ended body (the SSE job-event
-    /// stream). The body field is ignored; stream chunks through the
-    /// returned [`ChunkedWriter`]. Streamed responses always close the
-    /// connection when done.
+    /// stream). The body field is ignored; frame the body with
+    /// [`encode_chunk`] and end it with [`CHUNKED_BODY_END`]. Streamed
+    /// responses always close the connection when done.
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
-    pub fn write_chunked_head<'a, W: Write>(
-        &self,
-        w: &'a mut W,
-    ) -> std::io::Result<ChunkedWriter<'a, W>> {
+    pub fn write_chunked_head(&self, w: &mut impl Write) -> std::io::Result<()> {
         write!(w, "HTTP/1.1 {} {}\r\n", self.status, self.reason())?;
         write!(w, "content-type: {}\r\n", self.content_type)?;
         write!(w, "transfer-encoding: chunked\r\n")?;
@@ -445,20 +426,16 @@ impl Response {
             write!(w, "{name}: {value}\r\n")?;
         }
         write!(w, "\r\n")?;
-        w.flush()?;
-        Ok(ChunkedWriter { w })
+        w.flush()
     }
 }
 
-/// The terminating zero-length chunk ending a chunked body — what
-/// [`ChunkedWriter::finish`] writes, as bytes for buffer-building
-/// callers (the SSE streamer's outbox).
+/// The terminating zero-length chunk ending a chunked body.
 pub const CHUNKED_BODY_END: &[u8] = b"0\r\n\r\n";
 
-/// Appends one `<hex len>\r\n<bytes>\r\n` chunk frame to a byte buffer —
-/// the buffered twin of [`ChunkedWriter::chunk`], for writers that build
-/// an outbox and flush it nonblockingly. Empty input is skipped (a
-/// zero-length chunk would terminate the body).
+/// Appends one `<hex len>\r\n<bytes>\r\n` chunk frame to a byte buffer,
+/// for writers that build an outbox and flush it nonblockingly. Empty
+/// input is skipped (a zero-length chunk would terminate the body).
 pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
     if data.is_empty() {
         return;
@@ -468,50 +445,14 @@ pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(b"\r\n");
 }
 
-/// Writes an HTTP/1.1 chunked body: each [`ChunkedWriter::chunk`] call
-/// becomes one `<hex len>\r\n<bytes>\r\n` frame, and
-/// [`ChunkedWriter::finish`] sends the terminating zero-length chunk.
-#[derive(Debug)]
-pub struct ChunkedWriter<'a, W: Write> {
-    w: &'a mut W,
-}
-
-impl<W: Write> ChunkedWriter<'_, W> {
-    /// Sends one non-empty chunk and flushes it (streaming consumers must
-    /// see frames as they happen, not when a buffer fills). Empty input is
-    /// skipped — a zero-length chunk would terminate the body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (the peer hanging up mid-stream).
-    pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
-        self.w.flush()
-    }
-
-    /// Terminates the chunked body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.w.write_all(CHUNKED_BODY_END)?;
-        self.w.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
 
     fn parse_str(s: &str) -> Result<Request, HttpError> {
-        read_request(
+        read_request_buffered(
+            &mut Vec::new(),
             &mut Cursor::new(s.as_bytes().to_vec()),
             DEFAULT_MAX_BODY_BYTES,
         )
@@ -563,7 +504,8 @@ mod tests {
         let huge_head = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
         let e = parse_str(&huge_head).unwrap_err();
         assert_eq!(e.status(), Some(413));
-        let e = read_request(
+        let e = read_request_buffered(
+            &mut Vec::new(),
             &mut Cursor::new(b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n".to_vec()),
             10,
         )
@@ -599,9 +541,6 @@ mod tests {
             read_request_buffered(&mut carry, &mut cursor, 1024).unwrap_err(),
             HttpError::Closed
         ));
-        // The one-shot reader still rejects trailing bytes outright.
-        let e = parse_str(wire).unwrap_err();
-        assert_eq!(e.status(), Some(400));
     }
 
     #[test]
@@ -662,7 +601,7 @@ mod tests {
                 Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
             }
         }
-        let e = read_request(&mut TimesOut, 1024).unwrap_err();
+        let e = read_request_buffered(&mut Vec::new(), &mut TimesOut, 1024).unwrap_err();
         assert!(matches!(e, HttpError::Idle), "{e:?}");
         assert_eq!(e.status(), None);
 
@@ -679,29 +618,9 @@ mod tests {
                 Ok(4)
             }
         }
-        let e = read_request(&mut PartialThenTimeout(false), 1024).unwrap_err();
+        let e = read_request_buffered(&mut Vec::new(), &mut PartialThenTimeout(false), 1024)
+            .unwrap_err();
         assert!(matches!(e, HttpError::Io(_)), "{e:?}");
-    }
-
-    #[test]
-    fn encode_chunk_matches_the_streaming_writer() {
-        // The buffered encoder and ChunkedWriter must stay wire-identical:
-        // the SSE streamer builds outboxes with one, tests and the
-        // blocking path use the other.
-        let mut streamed = Vec::new();
-        {
-            let mut w = ChunkedWriter { w: &mut streamed };
-            w.chunk(b"event: x\n\n").unwrap();
-            w.chunk(b"").unwrap();
-            w.chunk(b"hi").unwrap();
-        }
-        streamed.extend_from_slice(CHUNKED_BODY_END);
-        let mut buffered = Vec::new();
-        encode_chunk(&mut buffered, b"event: x\n\n");
-        encode_chunk(&mut buffered, b"");
-        encode_chunk(&mut buffered, b"hi");
-        buffered.extend_from_slice(CHUNKED_BODY_END);
-        assert_eq!(streamed, buffered);
     }
 
     #[test]
@@ -715,11 +634,11 @@ mod tests {
         };
         sse.headers
             .push(("cache-control".into(), "no-cache".into()));
-        let mut w = sse.write_chunked_head(&mut out).unwrap();
-        w.chunk(b"event: progress\ndata: {}\n\n").unwrap();
-        w.chunk(b"").unwrap(); // skipped, must not terminate the stream
-        w.chunk(b"xy").unwrap();
-        w.finish().unwrap();
+        sse.write_chunked_head(&mut out).unwrap();
+        encode_chunk(&mut out, b"event: progress\ndata: {}\n\n");
+        encode_chunk(&mut out, b""); // skipped, must not terminate the stream
+        encode_chunk(&mut out, b"xy");
+        out.extend_from_slice(CHUNKED_BODY_END);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("transfer-encoding: chunked"), "{text}");
         assert!(text.contains("cache-control: no-cache"), "{text}");

@@ -228,9 +228,7 @@ impl SseStreamer {
             content_type: "text/event-stream",
         };
         let mut outbox = Vec::with_capacity(1024);
-        // Writing the head into a Vec cannot fail; the returned writer is
-        // dropped unfinished — frames go through `encode_chunk`, which is
-        // wire-identical to `ChunkedWriter::chunk`.
+        // Writing the head into a Vec cannot fail.
         let _ = head.write_chunked_head(&mut outbox);
         // Unsequenced (`seq: 0`): the snapshot is per-subscription state,
         // not part of the job's replayable stream, so it carries no SSE
