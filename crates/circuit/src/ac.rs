@@ -36,15 +36,6 @@ impl AcSweep {
             .map(|h| 20.0 * h.abs().log10())
             .collect()
     }
-
-    /// Phase in degrees at `node` across the sweep (unwrapped naively
-    /// per-point in `(-180, 180]`).
-    pub fn phase_deg(&self, node: NodeId) -> Vec<f64> {
-        self.response_at(node)
-            .iter()
-            .map(|h| h.arg().to_degrees())
-            .collect()
-    }
 }
 
 /// Generates `points` logarithmically spaced frequencies over

@@ -956,14 +956,34 @@ fn saturated_pool_503_never_blocks_the_acceptor() {
 }
 
 /// Tentpole regression: open SSE streams are owned by the dedicated
-/// streamer thread, so fan-out beyond the worker count leaves the pool
-/// fully available for plain requests.
+/// streamer thread, so fan-out far beyond the worker count leaves the
+/// pool fully available for plain requests and kept-alive predicts.
 #[test]
 fn sse_watchers_do_not_occupy_pool_workers() {
+    const WATCHERS: u64 = 25;
     let (addr, handle, join) = boot(ServeConfig {
         workers: 2,
         ..ServeConfig::default()
     });
+    let artifact = demo_artifact();
+    let r = client::request(
+        &addr,
+        "POST",
+        "/v1/models/demo",
+        Some(artifact.to_json().as_bytes()),
+        T,
+    )
+    .unwrap();
+    assert_eq!(r.status, 201, "{}", r.text());
+    let sse_active = || -> u64 {
+        let r = client::request(&addr, "GET", "/metrics", None, T).unwrap();
+        r.text()
+            .lines()
+            .find_map(|l| l.strip_prefix("caffeine_serve_sse_active "))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap()
+    };
+
     let points: Vec<Vec<f64>> = (1..=16).map(|i| vec![f64::from(i) * 0.5]).collect();
     let targets: Vec<f64> = points.iter().map(|p| 3.0 / p[0]).collect();
     let spec = serde_json::json!({
@@ -985,9 +1005,9 @@ fn sse_watchers_do_not_occupy_pool_workers() {
     assert_eq!(r.status, 201, "{}", r.text());
     let id = r.json().unwrap()["id"].as_u64().unwrap();
 
-    // Six watchers on a two-worker pool: before the streamer, the third
+    // 25 watchers on a two-worker pool: before the streamer, the third
     // watcher alone would have starved every other request.
-    let watchers: Vec<std::thread::JoinHandle<(usize, bool)>> = (0..6)
+    let watchers: Vec<std::thread::JoinHandle<(usize, bool)>> = (0..WATCHERS)
         .map(|_| {
             let addr = addr.clone();
             std::thread::spawn(move || {
@@ -1009,23 +1029,55 @@ fn sse_watchers_do_not_occupy_pool_workers() {
             })
         })
         .collect();
-    // Let every watcher attach (6 streams > 2 workers).
-    std::thread::sleep(Duration::from_millis(500));
+    // Wait until every watcher is attached.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let active = sse_active();
+        if active == WATCHERS {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "only {active}/{WATCHERS} watchers attached"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
-    // The pool must still answer plain requests while all six streams
-    // are open.
+    // The pool must still answer plain requests and kept-alive predicts
+    // while all the streams are open.
     for _ in 0..5 {
         let r = client::request(&addr, "GET", "/healthz", None, T).unwrap();
         assert_eq!(r.status, 200);
     }
-    let r = client::request(&addr, "GET", "/metrics", None, T).unwrap();
-    let active: u64 = r
-        .text()
-        .lines()
-        .find_map(|l| l.strip_prefix("caffeine_serve_sse_active "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap();
-    assert_eq!(active, 6, "all six streams owned by the streamer");
+    let batch: Vec<Vec<f64>> = (1..=16).map(|i| vec![f64::from(i), 0.5]).collect();
+    let expected: Vec<u64> = artifact
+        .predict(None, &batch)
+        .unwrap()
+        .iter()
+        .map(|e| e.to_bits())
+        .collect();
+    let body = serde_json::to_string(&serde_json::json!({ "points": batch })).unwrap();
+    let mut conn = client::Connection::new(&addr, T);
+    for _ in 0..5 {
+        let r = conn
+            .request("POST", "/v1/models/demo/predict", Some(body.as_bytes()))
+            .unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        let served: Vec<u64> = r.json().unwrap()["predictions"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_f64().unwrap().to_bits())
+            .collect();
+        assert_eq!(served, expected, "served predictions diverged");
+    }
+    // An open kept-alive connection would hold shutdown for its idle timeout.
+    drop(conn);
+    assert_eq!(
+        sse_active(),
+        WATCHERS,
+        "all {WATCHERS} streams owned by the streamer"
+    );
 
     // Ending the job ends every stream with a `done` frame.
     let r = client::request(&addr, "DELETE", &format!("/v1/jobs/{id}"), None, T).unwrap();
@@ -1039,13 +1091,7 @@ fn sse_watchers_do_not_occupy_pool_workers() {
     // The gauge returns to zero once the streams close.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let r = client::request(&addr, "GET", "/metrics", None, T).unwrap();
-        let active: u64 = r
-            .text()
-            .lines()
-            .find_map(|l| l.strip_prefix("caffeine_serve_sse_active "))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap();
+        let active = sse_active();
         if active == 0 {
             break;
         }

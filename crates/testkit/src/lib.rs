@@ -125,11 +125,6 @@ impl DirFaults {
             cut_after: None,
         }
     }
-
-    /// `true` when this direction forwards bytes unmodified and untimed.
-    pub fn is_clean(&self) -> bool {
-        *self == DirFaults::clean()
-    }
 }
 
 /// The full fault profile of one proxied connection.
