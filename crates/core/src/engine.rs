@@ -23,6 +23,7 @@
 //! [`CaffeineEngine::run`] remains the one-call serial entry point and is
 //! exactly `init → step × generations → harvest`.
 
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -176,7 +177,7 @@ impl CaffeineResult {
 /// Implementations must fill `ind.eval` for every individual whose cached
 /// evaluation is `None`, and must be *pure per individual*: the outcome for
 /// one individual may not depend on the others or on evaluation order.
-/// That contract is what lets `caffeine-runtime` chunk a batch across
+/// That contract is what lets `caffeine-runtime` spread a batch over
 /// worker threads while reproducing the serial run bit for bit.
 pub trait Evaluator {
     /// Evaluates every not-yet-evaluated individual in the slice.
@@ -190,19 +191,105 @@ pub trait Evaluator {
     }
 }
 
-/// The reference serial [`Evaluator`]: least-squares weight learning plus
-/// the complexity measure against one training [`Dataset`].
+/// Everything one fit reads, owned: the column-major training points, a
+/// copy of the targets, the error metric, the complexity weights and the
+/// optional phase accumulator.
+///
+/// It borrows nothing, so threads that outlive a single batch (the
+/// runtime's parked evaluator workers) share it through an `Arc`; a
+/// [`DatasetEvaluator`] is this plus the borrowed [`Dataset`].
 #[derive(Debug, Clone)]
-pub struct DatasetEvaluator<'a> {
-    data: &'a Dataset,
+pub struct FitProblem {
     /// Column-major transpose of the training points, built once — the
     /// layout the compiled tape evaluator streams over.
     pm: PointMatrix,
+    targets: Vec<f64>,
     metric: ErrorMetric,
     complexity: ComplexityWeights,
     infeasible_error: f64,
     ctx: EvalContext,
     phases: Option<Arc<PhaseAccumulator>>,
+}
+
+impl FitProblem {
+    /// The attached phase accumulator, if any.
+    pub fn phases(&self) -> Option<&Arc<PhaseAccumulator>> {
+        self.phases.as_ref()
+    }
+
+    /// Fits the linear weights and fills the cached evaluation of one
+    /// individual (no-op when already evaluated). Pure: depends only on
+    /// the individual and this problem — the scratch is memoization only
+    /// and never changes outcomes.
+    fn evaluate(&self, ind: &mut Individual, scratch: &mut FitScratch) {
+        if ind.eval.is_some() {
+            return;
+        }
+        let cx = complexity(&ind.bases, &self.complexity);
+        let eval = match fit_linear_weights_cached(
+            &ind.bases,
+            &self.pm,
+            &self.targets,
+            &self.ctx,
+            scratch,
+        ) {
+            FitOutcome::Fit(fit) => {
+                let err = self.metric.compute(&fit.predictions, &self.targets);
+                let feasible = err.is_finite();
+                Evaluation {
+                    coefficients: fit.coefficients,
+                    train_error: if feasible { err } else { self.infeasible_error },
+                    complexity: cx,
+                    feasible,
+                }
+            }
+            FitOutcome::Infeasible => Evaluation {
+                coefficients: vec![0.0; ind.bases.len() + 1],
+                train_error: self.infeasible_error,
+                complexity: cx,
+                feasible: false,
+            },
+        };
+        ind.eval = Some(eval);
+    }
+
+    /// Evaluates every individual the iterator yields through one
+    /// scratch, so bases repeated across them (ubiquitous after
+    /// crossover) are evaluated once while the scratch's cache lasts.
+    /// The items may be plain `&mut Individual`s or guards of individuals
+    /// claimed one at a time from a shared batch. Cache traffic is counted
+    /// into the phase accumulator when one is attached.
+    pub fn evaluate_each<I>(&self, individuals: I, scratch: &mut FitScratch)
+    where
+        I: IntoIterator,
+        I::Item: DerefMut<Target = Individual>,
+    {
+        if let (Some(phases), None) = (&self.phases, scratch.telemetry()) {
+            scratch.set_telemetry(Arc::clone(phases));
+        }
+        let (hits_before, misses_before) = (scratch.cache_hits(), scratch.cache_misses());
+        for mut ind in individuals {
+            self.evaluate(&mut ind, scratch);
+        }
+        if let Some(phases) = scratch.telemetry() {
+            phases.incr(
+                phases::CACHE_HITS,
+                scratch.cache_hits().saturating_sub(hits_before),
+            );
+            phases.incr(
+                phases::CACHE_MISSES,
+                scratch.cache_misses().saturating_sub(misses_before),
+            );
+        }
+    }
+}
+
+/// The reference serial [`Evaluator`]: least-squares weight learning plus
+/// the complexity measure against one training [`Dataset`].
+#[derive(Debug, Clone)]
+pub struct DatasetEvaluator<'a> {
+    data: &'a Dataset,
+    problem: Arc<FitProblem>,
 }
 
 impl<'a> DatasetEvaluator<'a> {
@@ -234,14 +321,18 @@ impl<'a> DatasetEvaluator<'a> {
                 "targets contain non-finite values (drop them first)".into(),
             ));
         }
-        Ok(DatasetEvaluator {
-            data,
+        let problem = FitProblem {
             pm: data.point_matrix(),
+            targets: data.targets().to_vec(),
             metric: settings.metric,
             complexity: settings.complexity,
             infeasible_error: settings.infeasible_error,
             ctx: EvalContext::new(grammar.weights),
             phases: None,
+        };
+        Ok(DatasetEvaluator {
+            data,
+            problem: Arc::new(problem),
         })
     }
 
@@ -250,77 +341,33 @@ impl<'a> DatasetEvaluator<'a> {
         self.data
     }
 
+    /// The owned fit inputs, shareable with threads that outlive a batch.
+    pub fn problem(&self) -> &Arc<FitProblem> {
+        &self.problem
+    }
+
     /// Attaches a phase accumulator: batch evaluations through this
     /// evaluator time their gather/solve stages and count basis-cache
     /// hits and misses into it. Telemetry never changes outcomes.
     pub fn set_phases(&mut self, phases: Arc<PhaseAccumulator>) {
-        self.phases = Some(phases);
-    }
-
-    /// Fits the linear weights and fills the cached evaluation of one
-    /// individual (no-op when already evaluated). Pure: depends only on
-    /// the individual and this evaluator's immutable configuration —
-    /// the scratch is memoization only and never changes outcomes.
-    pub fn evaluate_one_with(&self, ind: &mut Individual, scratch: &mut FitScratch) {
-        if ind.eval.is_some() {
-            return;
-        }
-        let cx = complexity(&ind.bases, &self.complexity);
-        let eval = match fit_linear_weights_cached(
-            &ind.bases,
-            &self.pm,
-            self.data.targets(),
-            &self.ctx,
-            scratch,
-        ) {
-            FitOutcome::Fit(fit) => {
-                let err = self.metric.compute(&fit.predictions, self.data.targets());
-                let feasible = err.is_finite();
-                Evaluation {
-                    coefficients: fit.coefficients,
-                    train_error: if feasible { err } else { self.infeasible_error },
-                    complexity: cx,
-                    feasible,
-                }
-            }
-            FitOutcome::Infeasible => Evaluation {
-                coefficients: vec![0.0; ind.bases.len() + 1],
-                train_error: self.infeasible_error,
-                complexity: cx,
-                feasible: false,
-            },
-        };
-        ind.eval = Some(eval);
+        Arc::make_mut(&mut self.problem).phases = Some(phases);
     }
 
     /// Evaluates a batch through one shared scratch: the basis-column
     /// cache spans the whole batch, so bases repeated across individuals
     /// (ubiquitous after crossover) are evaluated once.
     pub fn evaluate_batch(&self, population: &mut [Individual], scratch: &mut FitScratch) {
-        if let (Some(phases), None) = (&self.phases, scratch.telemetry()) {
-            scratch.set_telemetry(Arc::clone(phases));
-        }
-        let (hits_before, misses_before) = (scratch.cache_hits(), scratch.cache_misses());
-        for ind in population {
-            self.evaluate_one_with(ind, scratch);
-        }
-        if let Some(phases) = scratch.telemetry() {
-            phases.incr(
-                phases::CACHE_HITS,
-                scratch.cache_hits().saturating_sub(hits_before),
-            );
-            phases.incr(
-                phases::CACHE_MISSES,
-                scratch.cache_misses().saturating_sub(misses_before),
-            );
-        }
+        self.problem.evaluate_each(population.iter_mut(), scratch);
     }
 
     /// The zero-complexity anchor: intercept-only least squares.
     pub fn constant_model(&self, weights: crate::expr::WeightConfig) -> Model {
         let mean = self.data.targets().iter().sum::<f64>() / self.data.n_samples().max(1) as f64;
         let predictions = vec![mean; self.data.n_samples()];
-        let err = self.metric.compute(&predictions, self.data.targets());
+        let err = self
+            .problem
+            .metric
+            .compute(&predictions, self.data.targets());
         Model::new(vec![], vec![mean], weights).with_metrics(err, 0.0)
     }
 }
@@ -334,7 +381,7 @@ impl Evaluator for DatasetEvaluator<'_> {
     }
 
     fn phases(&self) -> Option<&Arc<PhaseAccumulator>> {
-        self.phases.as_ref()
+        self.problem.phases()
     }
 }
 

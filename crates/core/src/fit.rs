@@ -226,10 +226,11 @@ enum Lookup {
 /// per-generation basis-column cache.
 ///
 /// One scratch serves one thread; [`crate::DatasetEvaluator`] creates one
-/// per batch (so the cache naturally spans exactly one generation) and the
-/// parallel evaluator checks one out of its shared pool per worker per
-/// batch, clearing the cache at checkout so memoization stays scoped to a
-/// generation while the VM's chunk stack and buffer pool stay warm.
+/// per batch (so the cache naturally spans exactly one generation), while
+/// each thread of the runtime's parallel evaluator keeps one for its
+/// whole life and clears the cache at the start of every batch, so
+/// memoization stays scoped to a generation while the VM's chunk stack
+/// and buffer pool stay warm.
 /// Steady-state evaluation through a warm scratch performs no allocation
 /// beyond the solver's — `tests/alloc_growth.rs` pins that down.
 #[derive(Debug, Default)]

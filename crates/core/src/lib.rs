@@ -90,7 +90,7 @@ pub mod sag;
 pub use artifact::{ModelArtifact, MODEL_SCHEMA_VERSION};
 pub use engine::{
     assemble_result, CaffeineEngine, CaffeineResult, CaffeineSettings, DatasetEvaluator,
-    EngineState, Evaluator, EvolutionStats,
+    EngineState, Evaluator, EvolutionStats, FitProblem,
 };
 pub use error::CaffeineError;
 pub use fit::{fit_linear_weights, fit_linear_weights_cached, FitOutcome, FitScratch, LinearFit};

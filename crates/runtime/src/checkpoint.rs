@@ -1,14 +1,14 @@
 //! Checkpoint snapshots: the full runner state as JSON on disk.
 
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
 use caffeine_core::{CaffeineError, CaffeineSettings, EngineState, GrammarConfig};
 
 use crate::config::RuntimeConfig;
-use crate::durable::{remove_durable, write_durable};
+use crate::durable::{durable_files, write_durable};
 
 /// Runtime error: the engine's own failures plus checkpoint IO/decode.
 #[derive(Debug)]
@@ -98,7 +98,7 @@ impl RuntimeCheckpoint {
     /// reads the file in one call. Each save also fsyncs the directory,
     /// so the renames are on disk before the next save overwrites the
     /// superseded inode in place. Saves to one `path` must not run
-    /// concurrently. [`RuntimeCheckpoint::remove`] deletes the checkpoint
+    /// concurrently. [`RuntimeCheckpoint::files`] names the checkpoint
     /// with its staging files.
     ///
     /// # Errors
@@ -110,11 +110,12 @@ impl RuntimeCheckpoint {
         Ok(())
     }
 
-    /// Removes the checkpoint at `path` and the staging files its saves
-    /// keep beside it (`<path>.partial`, and `<path>.prev` after a crash
-    /// mid-save). Missing files are not an error.
-    pub fn remove(path: &Path) {
-        remove_durable(path);
+    /// The checkpoint at `path` and the staging files its saves keep
+    /// beside it (`<path>.partial`, and `<path>.prev` after a crash
+    /// mid-save), whether or not they exist: removing all of them
+    /// removes every file a save leaves.
+    pub fn files(path: &Path) -> [PathBuf; 3] {
+        durable_files(path)
     }
 
     /// Reads a checkpoint back from disk.

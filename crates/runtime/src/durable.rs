@@ -108,14 +108,11 @@ fn sync_parent(_path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Removes `path` together with the staging files [`write_durable`]
-/// keeps beside it. Missing files are not an error.
-pub(crate) fn remove_durable(path: &Path) {
-    for file in [
+/// `path` and the staging files [`write_durable`] keeps beside it.
+pub(crate) fn durable_files(path: &Path) -> [PathBuf; 3] {
+    [
         path.to_path_buf(),
         sibling(path, STAGING),
         sibling(path, PREVIOUS),
-    ] {
-        let _ = fs::remove_file(file);
-    }
+    ]
 }

@@ -5,8 +5,9 @@
 //! evaluator* ([`caffeine_core::EngineState`], [`caffeine_core::Evaluator`]);
 //! this crate supplies the execution policy around that surface:
 //!
-//! * [`ParallelEvaluator`]: evaluates a population in contiguous chunks on
-//!   scoped worker threads. Fitness evaluation is pure per individual, so
+//! * [`ParallelEvaluator`]: evaluates a population on a persistent pool
+//!   of parked workers plus the calling thread, each claiming one
+//!   individual at a time. Fitness evaluation is pure per individual, so
 //!   the result is **bit-identical** for 1 or N threads — parallelism is
 //!   an execution detail, never an algorithmic one.
 //! * [`IslandRunner`]: the island model. The population is split over K

@@ -20,8 +20,9 @@
 //! runner one generation at a time) and the *pump*, which fans the
 //! runner's [`caffeine_runtime::RunEvent`]s out to SSE subscribers via
 //! the job's [`EventHub`]. On a terminal outcome the driver publishes
-//! (or not), removes the job's on-disk spec + checkpoint, frees its
-//! running slot (admitting the next queued job), and the pump emits a
+//! (or not), renames the job's on-disk spec + checkpoint to `.trash-…`
+//! names, records the outcome, frees its running slot (admitting the
+//! next queued job) and only then unlinks the trash; the pump emits a
 //! final `done` event and closes the hub.
 //!
 //! A daemon killed mid-job leaves `job-{id}.spec.json` and
@@ -33,7 +34,7 @@
 //! spec/checkpoint as a failed job rather than silently discarding it.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1074,18 +1075,17 @@ fn spawn_admitted(
             // purpose (publication happened or was deliberately
             // abandoned); removing it keeps restarts from re-running
             // finished work. The one exception is a drain-cancelled
-            // job — that interruption must stay re-adoptable. Files go
-            // before the outcome is recorded, so a client that sees the
-            // terminal state never finds them still on disk (unlinking
-            // a freshly synced checkpoint can take tens of ms).
-            if !interrupted {
-                if let Some(path) = spec_path {
-                    let _ = std::fs::remove_file(path);
-                }
-                if let Some(path) = ckpt_path {
-                    RuntimeCheckpoint::remove(&path);
-                }
-            }
+            // job — that interruption must stay re-adoptable. The files
+            // leave their `job-{id}` names before the outcome is
+            // recorded, so a client that sees the terminal state never
+            // finds them; they are unlinked only once this thread is
+            // otherwise done (unlinking a freshly synced checkpoint can
+            // take tens of ms).
+            let trash = if interrupted {
+                Vec::new()
+            } else {
+                trash_job_files(spec_path.as_deref(), ckpt_path.as_deref())
+            };
             *thread_entry.outcome.plock() = outcome;
             // The pump (not this thread) completes the trace: it drains
             // the event channel strictly after this thread drops the
@@ -1094,10 +1094,41 @@ fn spawn_admitted(
             // This job's slot frees; the queue head (if any) starts now.
             scheduler.release_slot();
             drop(runner); // last event sender: ends the pump thread
+            empty_trash(trash);
         })
         .map_err(|e| ApiError::internal(format!("cannot spawn job thread: {e}")))?;
     *entry.handle.plock() = Some(handle);
     Ok(())
+}
+
+/// Name prefix of job files on their way out; see [`trash_job_files`].
+const TRASH_PREFIX: &str = ".trash-";
+
+/// Renames a job's spec, checkpoint and checkpoint staging files to
+/// `.trash-{name}` and returns the new paths; files that do not exist are
+/// skipped. A rename frees no disk block, so this is quick even where an
+/// unlink of a freshly synced file takes tens of ms (ext4 mounted with
+/// `discard`), and the job's `job-{id}` names are gone once it returns.
+/// [`empty_trash`] does the unlinking later;
+/// [`JobManager::adopt_orphans`] sweeps trash a stopped daemon left.
+fn trash_job_files(spec: Option<&Path>, ckpt: Option<&Path>) -> Vec<PathBuf> {
+    let ckpt_files = ckpt.into_iter().flat_map(RuntimeCheckpoint::files);
+    spec.map(Path::to_path_buf)
+        .into_iter()
+        .chain(ckpt_files)
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?;
+            let trash = path.with_file_name(format!("{TRASH_PREFIX}{name}"));
+            std::fs::rename(&path, &trash).ok().map(|()| trash)
+        })
+        .collect()
+}
+
+/// Unlinks the files [`trash_job_files`] moved aside.
+fn empty_trash(trash: Vec<PathBuf>) {
+    for path in trash {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// Spawns, tracks, evicts, and re-adopts jobs. The store is bounded:
@@ -1295,13 +1326,12 @@ impl JobManager {
         Ok(())
     }
 
+    fn trash_job_files(&self, id: u64) -> Vec<PathBuf> {
+        trash_job_files(self.spec_path(id).as_deref(), self.ckpt_path(id).as_deref())
+    }
+
     fn remove_job_files(&self, id: u64) {
-        if let Some(path) = self.spec_path(id) {
-            let _ = std::fs::remove_file(path);
-        }
-        if let Some(path) = self.ckpt_path(id) {
-            RuntimeCheckpoint::remove(&path);
-        }
+        empty_trash(self.trash_job_files(id));
     }
 
     /// Settles a job that never got a driver thread (cancelled while
@@ -1316,10 +1346,12 @@ impl JobManager {
                 .load(std::sync::atomic::Ordering::Relaxed);
         let (trace_state, trace_error) = trace_terminal(&outcome);
         // Files first, as on the driver path: the terminal state implies
-        // they are gone.
-        if !interrupted {
-            self.remove_job_files(entry.id);
-        }
+        // they are gone. Only the unlinking waits until after.
+        let trash = if interrupted {
+            Vec::new()
+        } else {
+            self.trash_job_files(entry.id)
+        };
         *entry.outcome.plock() = outcome;
         entry.queue_position.store(0, Ordering::Relaxed);
         entry.events.publish(frame("done", entry.status_json()));
@@ -1331,6 +1363,7 @@ impl JobManager {
             tracer.finish(trace_state, trace_error);
         }
         job.run.metrics.observe_job_finished();
+        empty_trash(trash);
     }
 
     /// Scans the checkpoint directory for jobs a previous daemon left
@@ -1347,15 +1380,23 @@ impl JobManager {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             return 0;
         };
-        let mut ids: Vec<u64> = entries
-            .filter_map(|e| {
-                let name = e.ok()?.file_name().into_string().ok()?;
-                name.strip_prefix("job-")?
-                    .strip_suffix(".spec.json")?
-                    .parse()
-                    .ok()
-            })
-            .collect();
+        let mut ids: Vec<u64> = Vec::new();
+        for entry in entries.flatten() {
+            let Ok(name) = entry.file_name().into_string() else {
+                continue;
+            };
+            if name.starts_with(TRASH_PREFIX) {
+                // A previous daemon stopped between trashing a finished
+                // job's files and unlinking them.
+                let _ = std::fs::remove_file(entry.path());
+            } else if let Some(id) = name
+                .strip_prefix("job-")
+                .and_then(|n| n.strip_suffix(".spec.json"))
+                .and_then(|n| n.parse().ok())
+            {
+                ids.push(id);
+            }
+        }
         ids.sort_unstable();
         let mut adopted = 0;
         for id in ids {
@@ -2181,6 +2222,45 @@ mod tests {
             .filter(|n| n.starts_with(&format!("job-{}", entry.id)))
             .collect();
         assert!(leftovers.is_empty(), "leftover job files: {leftovers:?}");
+        // The driver unlinks the trashed files before its thread exits,
+        // which `join` waited for.
+        let trash: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with(TRASH_PREFIX))
+            .collect();
+        assert!(trash.is_empty(), "leftover trash files: {trash:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn startup_sweeps_trash_a_stopped_daemon_left() {
+        let dir = std::env::temp_dir().join(format!(
+            "caffeine-trash-sweep-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        // Trashed but never unlinked: the daemon stopped in between.
+        for name in [
+            ".trash-job-7.spec.json",
+            ".trash-job-7.ckpt",
+            ".trash-job-7.ckpt.partial",
+        ] {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
+        std::fs::write(dir.join("notes.txt"), "not ours").unwrap();
+        let manager = JobManager::new(Some(dir.clone()), 8, 2);
+        let registry = Arc::new(ModelRegistry::in_memory());
+        let metrics = Arc::new(Metrics::new());
+        assert_eq!(manager.adopt_orphans(&registry, &metrics), 0);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["notes.txt"], "only the trash is swept");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
