@@ -15,8 +15,9 @@
 use caffeine_bench::{paper_metric, pct, write_artifact, OtaExperiment, Profile};
 use caffeine_circuit::ota::PerfId;
 use caffeine_core::sag::{simplify_front, SagSettings};
-use caffeine_core::{pareto, CaffeineEngine, CaffeineSettings, GrammarConfig, Model};
+use caffeine_core::{pareto, CaffeineSettings, GrammarConfig, Model};
 use caffeine_doe::SplitDataset;
+use caffeine_runtime::{IslandRunner, RuntimeConfig};
 
 struct Outcome {
     label: String,
@@ -46,8 +47,14 @@ fn run_variant(
     grammar: GrammarConfig,
     apply_sag: bool,
 ) -> Outcome {
-    let engine = CaffeineEngine::new(settings.clone(), grammar);
-    let result = engine.run(&split.train).expect("engine run");
+    let result = IslandRunner::new(
+        settings.clone(),
+        grammar,
+        RuntimeConfig::default(),
+        &split.train,
+    )
+    .and_then(|mut runner| runner.run(&split.train))
+    .expect("engine run");
     let models: Vec<Model> = if apply_sag {
         let sag = SagSettings {
             metric: settings.metric,

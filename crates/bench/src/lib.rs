@@ -26,10 +26,9 @@ use std::collections::BTreeMap;
 use caffeine_circuit::ota::{OtaDesign, OtaPerformance, OtaTestbench, PerfId, OTA_VAR_NAMES};
 use caffeine_core::expr::FormatOptions;
 use caffeine_core::sag::{simplify_front, SagSettings};
-use caffeine_core::{
-    CaffeineEngine, CaffeineResult, CaffeineSettings, ErrorMetric, GrammarConfig, Model,
-};
+use caffeine_core::{CaffeineResult, CaffeineSettings, ErrorMetric, GrammarConfig, Model};
 use caffeine_doe::{Dataset, OrthogonalArray, ScaledHypercube, SplitDataset};
+use caffeine_runtime::{IslandRunner, RuntimeConfig};
 
 /// A run profile: evolutionary budget preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,8 +225,14 @@ pub fn run_performance(exp: &OtaExperiment, perf: PerfId, profile: Profile) -> P
     let split = exp.split(perf);
     let settings = profile.settings(seed_for(perf));
     let grammar = GrammarConfig::paper_full(13);
-    let engine = CaffeineEngine::new(settings.clone(), grammar);
-    let result = engine.run(&split.train).expect("engine run");
+    let result = IslandRunner::new(
+        settings.clone(),
+        grammar,
+        RuntimeConfig::default(),
+        &split.train,
+    )
+    .and_then(|mut runner| runner.run(&split.train))
+    .expect("engine run");
 
     let sag = SagSettings {
         min_improvement: 1.0,

@@ -22,10 +22,10 @@ use caffeine_core::fit::{fit_linear_weights, FitOutcome};
 use caffeine_core::gp::{Evaluation, GpOperators, Individual, OperatorSettings};
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::SagSettings;
-use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, EngineState, GrammarConfig, Model};
+use caffeine_core::{nsga2, CaffeineSettings, GrammarConfig, Model};
 use caffeine_doe::Dataset;
 use caffeine_linalg::{press_statistic, LinalgError, Matrix};
-use caffeine_runtime::{RuntimeCheckpoint, RuntimeConfig, RuntimeError};
+use caffeine_runtime::{IslandRunner, RuntimeCheckpoint, RuntimeConfig, RuntimeError};
 
 /// 243 points × 13 variables with a rational multi-term target — the
 /// shape (and cost profile) of one OTA performance table.
@@ -439,21 +439,9 @@ pub fn standard_checkpoint() -> RuntimeCheckpoint {
     settings.generations = 100;
     settings.max_bases = 15;
     let grammar = GrammarConfig::paper_full(data.n_vars());
-    let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
-    let mut state = EngineState::new(settings.clone(), grammar.clone(), &evaluator).unwrap();
-    while !state.is_done() {
-        state.step(&evaluator);
-    }
-    RuntimeCheckpoint {
-        version: RuntimeCheckpoint::VERSION,
-        master: settings,
-        grammar,
-        config: RuntimeConfig::default(),
-        completed: state.generation,
-        islands: vec![state],
-        n_vars: data.n_vars(),
-        n_samples: data.n_samples(),
-    }
+    let mut runner = IslandRunner::new(settings, grammar, RuntimeConfig::default(), &data).unwrap();
+    runner.run_generations(&data, 100).unwrap();
+    runner.checkpoint(&data)
 }
 
 /// The checkpoint save that [`RuntimeCheckpoint::save`] replaced: a fresh

@@ -20,8 +20,9 @@
 //!   is pluggable. Evaluation is pure per individual, so any scheduling
 //!   of the batch yields bit-identical populations.
 //!
-//! [`CaffeineEngine::run`] remains the one-call serial entry point and is
-//! exactly `init → step × generations → harvest`.
+//! A whole search is `EngineState::new → step × generations → harvest →
+//! `[`assemble_result`]. `caffeine-runtime`'s `IslandRunner` is the one
+//! driver that runs it; with one island it is exactly that loop.
 
 use std::ops::DerefMut;
 use std::sync::Arc;
@@ -161,14 +162,6 @@ impl CaffeineResult {
         self.models
             .iter()
             .min_by(|a, b| a.train_error.partial_cmp(&b.train_error).unwrap())
-    }
-
-    /// The simplest model within `tolerance` of a target training error.
-    pub fn simplest_within(&self, error_target: f64) -> Option<&Model> {
-        self.models
-            .iter()
-            .filter(|m| m.train_error <= error_target)
-            .min_by(|a, b| a.complexity.partial_cmp(&b.complexity).unwrap())
     }
 }
 
@@ -590,52 +583,6 @@ pub fn assemble_result(
     })
 }
 
-/// The CAFFEINE engine.
-#[derive(Debug, Clone)]
-pub struct CaffeineEngine {
-    settings: CaffeineSettings,
-    grammar: GrammarConfig,
-}
-
-impl CaffeineEngine {
-    /// Creates an engine from settings and a grammar.
-    pub fn new(settings: CaffeineSettings, grammar: GrammarConfig) -> CaffeineEngine {
-        CaffeineEngine { settings, grammar }
-    }
-
-    /// The run settings.
-    pub fn settings(&self) -> &CaffeineSettings {
-        &self.settings
-    }
-
-    /// The grammar.
-    pub fn grammar(&self) -> &GrammarConfig {
-        &self.grammar
-    }
-
-    /// Runs the evolutionary search on a training dataset (serial
-    /// reference driver: `init → step × generations → harvest`).
-    ///
-    /// # Errors
-    ///
-    /// * [`CaffeineError::InvalidSettings`] / [`CaffeineError::InvalidGrammar`]
-    ///   for bad configuration.
-    /// * [`CaffeineError::InvalidData`] for an empty dataset, a variable
-    ///   count mismatching the grammar, or non-finite targets.
-    /// * [`CaffeineError::NoFeasibleModel`] when nothing evaluable evolved
-    ///   (pathological data).
-    pub fn run(&self, data: &Dataset) -> Result<CaffeineResult, CaffeineError> {
-        let evaluator = DatasetEvaluator::new(&self.settings, &self.grammar, data)?;
-        let mut state = EngineState::new(self.settings.clone(), self.grammar.clone(), &evaluator)?;
-        while !state.is_done() {
-            state.step(&evaluator);
-        }
-        let anchor = evaluator.constant_model(state.grammar.weights);
-        let stats = std::mem::take(&mut state.stats);
-        assemble_result(state.harvest(), anchor, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,96 +601,14 @@ mod tests {
     }
 
     #[test]
-    fn recovers_simple_rational_law() {
-        let data = dataset(|x| 2.0 + 4.0 / x[0], 30, 1);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.seed = 3;
-        let engine = CaffeineEngine::new(settings, GrammarConfig::rational(1));
-        let result = engine.run(&data).unwrap();
-        let best = result.best_by_error().unwrap();
-        assert!(best.train_error < 1e-6, "error = {}", best.train_error);
-    }
-
-    #[test]
-    fn result_contains_constant_anchor() {
-        let data = dataset(|x| x[0] * 3.0, 20, 1);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.generations = 10;
-        let engine = CaffeineEngine::new(settings, GrammarConfig::rational(1));
-        let result = engine.run(&data).unwrap();
-        let min_cx = result
-            .models
-            .iter()
-            .map(|m| m.complexity)
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(min_cx, 0.0, "constant anchor missing");
-    }
-
-    #[test]
-    fn front_is_nondominated_and_sorted() {
-        let data = dataset(|x| x[0] + 1.0 / x[1], 25, 2);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.seed = 5;
-        let engine = CaffeineEngine::new(settings, GrammarConfig::rational(2));
-        let result = engine.run(&data).unwrap();
-        let ms = &result.models;
-        assert!(!ms.is_empty());
-        for w in ms.windows(2) {
-            assert!(w[0].complexity <= w[1].complexity);
-        }
-        for i in 0..ms.len() {
-            for j in 0..ms.len() {
-                if i != j {
-                    assert!(
-                        !(ms[j].train_error <= ms[i].train_error
-                            && ms[j].complexity <= ms[i].complexity
-                            && (ms[j].train_error < ms[i].train_error
-                                || ms[j].complexity < ms[i].complexity)),
-                        "model {i} dominated by {j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn same_seed_reproduces_same_front() {
-        let data = dataset(|x| 1.0 / x[0] + x[0], 20, 1);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.generations = 8;
-        settings.seed = 11;
-        let engine = CaffeineEngine::new(settings.clone(), GrammarConfig::rational(1));
-        let r1 = engine.run(&data).unwrap();
-        let engine2 = CaffeineEngine::new(settings, GrammarConfig::rational(1));
-        let r2 = engine2.run(&data).unwrap();
-        let errs1: Vec<f64> = r1.models.iter().map(|m| m.train_error).collect();
-        let errs2: Vec<f64> = r2.models.iter().map(|m| m.train_error).collect();
-        assert_eq!(errs1, errs2);
-    }
-
-    #[test]
-    fn stats_are_recorded_and_monotone_in_generation() {
-        let data = dataset(|x| x[0], 15, 1);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.generations = 21;
-        settings.stats_every = 5;
-        let engine = CaffeineEngine::new(settings, GrammarConfig::rational(1));
-        let result = engine.run(&data).unwrap();
-        assert!(result.stats.len() >= 4);
-        for w in result.stats.windows(2) {
-            assert!(w[0].generation < w[1].generation);
-        }
-    }
-
-    #[test]
     fn dimension_mismatch_is_rejected() {
         let data = dataset(|x| x[0], 10, 2);
-        let engine =
-            CaffeineEngine::new(CaffeineSettings::quick_test(), GrammarConfig::rational(1));
-        assert!(matches!(
-            engine.run(&data),
-            Err(CaffeineError::InvalidData(_))
-        ));
+        let evaluator = DatasetEvaluator::new(
+            &CaffeineSettings::quick_test(),
+            &GrammarConfig::rational(1),
+            &data,
+        );
+        assert!(matches!(evaluator, Err(CaffeineError::InvalidData(_))));
     }
 
     #[test]
@@ -754,12 +619,12 @@ mod tests {
             vec![1.0, f64::NAN, 3.0],
         )
         .unwrap();
-        let engine =
-            CaffeineEngine::new(CaffeineSettings::quick_test(), GrammarConfig::rational(1));
-        assert!(matches!(
-            engine.run(&data),
-            Err(CaffeineError::InvalidData(_))
-        ));
+        let evaluator = DatasetEvaluator::new(
+            &CaffeineSettings::quick_test(),
+            &GrammarConfig::rational(1),
+            &data,
+        );
+        assert!(matches!(evaluator, Err(CaffeineError::InvalidData(_))));
     }
 
     #[test]
@@ -773,46 +638,6 @@ mod tests {
         let mut s = CaffeineSettings::quick_test();
         s.stats_every = 0;
         assert!(s.check().is_err());
-    }
-
-    #[test]
-    fn simplest_within_returns_low_complexity_model() {
-        let data = dataset(|x| 5.0 * x[0], 20, 1);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.seed = 2;
-        let engine = CaffeineEngine::new(settings, GrammarConfig::rational(1));
-        let result = engine.run(&data).unwrap();
-        let best = result.best_by_error().unwrap();
-        let simplest = result.simplest_within(best.train_error.max(1e-9) * 2.0);
-        assert!(simplest.is_some());
-        assert!(simplest.unwrap().complexity <= best.complexity + 1e-12);
-    }
-
-    #[test]
-    fn manual_stepping_matches_run() {
-        let data = dataset(|x| 2.0 * x[0] + 1.0 / x[0], 24, 1);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.generations = 12;
-        settings.seed = 17;
-        let grammar = GrammarConfig::rational(1);
-
-        let engine = CaffeineEngine::new(settings.clone(), grammar.clone());
-        let reference = engine.run(&data).unwrap();
-
-        let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
-        let mut state = EngineState::new(settings, grammar, &evaluator).unwrap();
-        for _ in 0..12 {
-            assert!(!state.is_done());
-            state.step(&evaluator);
-        }
-        assert!(state.is_done());
-        let anchor = evaluator.constant_model(state.grammar.weights);
-        let manual = assemble_result(state.harvest(), anchor, state.stats.clone()).unwrap();
-
-        let e1: Vec<f64> = reference.models.iter().map(|m| m.train_error).collect();
-        let e2: Vec<f64> = manual.models.iter().map(|m| m.train_error).collect();
-        assert_eq!(e1, e2);
-        assert_eq!(reference.stats, manual.stats);
     }
 
     #[test]
@@ -845,19 +670,6 @@ mod tests {
             restored.step(&evaluator);
         }
         assert_eq!(original.population, restored.population);
-    }
-
-    #[test]
-    fn result_front_serde_round_trip() {
-        let data = dataset(|x| 1.0 + 2.0 * x[0], 20, 1);
-        let mut settings = CaffeineSettings::quick_test();
-        settings.generations = 6;
-        let engine = CaffeineEngine::new(settings, GrammarConfig::rational(1));
-        let result = engine.run(&data).unwrap();
-        let v = serde::Serialize::to_value(&result);
-        let back: CaffeineResult = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(result.models, back.models);
-        assert_eq!(result.stats, back.stats);
     }
 
     #[test]

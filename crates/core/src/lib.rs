@@ -29,8 +29,8 @@
 //!
 //! # Runtime integration: the step / evaluator split
 //!
-//! [`CaffeineEngine::run`] is only a convenience driver. The algorithm's
-//! real surface is the pair [`EngineState`] + [`Evaluator`]:
+//! This crate has no run driver. The algorithm's surface is the pair
+//! [`EngineState`] + [`Evaluator`]:
 //!
 //! * [`EngineState`] is the *complete* evolving state (population, RNG,
 //!   generation counter, statistics). It serializes, so a snapshot is a
@@ -49,26 +49,11 @@
 //!
 //! # Quickstart
 //!
-//! ```
-//! use caffeine_core::{CaffeineEngine, CaffeineSettings, GrammarConfig};
-//! use caffeine_doe::Dataset;
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // y = 3/x0 on a few samples.
-//! let xs: Vec<Vec<f64>> = (1..=24).map(|i| vec![i as f64 * 0.25]).collect();
-//! let ys: Vec<f64> = xs.iter().map(|x| 3.0 / x[0]).collect();
-//! let data = Dataset::new(vec!["x0".into()], xs, ys)?;
-//!
-//! let grammar = GrammarConfig::rational(1);
-//! let mut settings = CaffeineSettings::quick_test();
-//! settings.seed = 7;
-//! let engine = CaffeineEngine::new(settings, grammar);
-//! let result = engine.run(&data)?;
-//! let best = result.best_by_error().expect("nonempty front");
-//! assert!(best.train_error < 0.05, "error = {}", best.train_error);
-//! # Ok(())
-//! # }
-//! ```
+//! Searches run through `caffeine_runtime::IslandRunner`; the quickstart
+//! in the `caffeine-runtime` crate docs fits `y = 3/x0` end to end. With
+//! one island the runner is exactly the loop [`EngineState::new`] →
+//! [`EngineState::step`] × generations → [`EngineState::harvest`] →
+//! [`assemble_result`], evaluated by a [`DatasetEvaluator`].
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -89,8 +74,8 @@ pub mod sag;
 
 pub use artifact::{ModelArtifact, MODEL_SCHEMA_VERSION};
 pub use engine::{
-    assemble_result, CaffeineEngine, CaffeineResult, CaffeineSettings, DatasetEvaluator,
-    EngineState, Evaluator, EvolutionStats, FitProblem,
+    assemble_result, CaffeineResult, CaffeineSettings, DatasetEvaluator, EngineState, Evaluator,
+    EvolutionStats, FitProblem,
 };
 pub use error::CaffeineError;
 pub use fit::{fit_linear_weights, fit_linear_weights_cached, FitOutcome, FitScratch, LinearFit};

@@ -4,8 +4,8 @@
 //! into progress frames and `/metrics` series.
 //!
 //! All instrumentation is opt-in: an evaluator without an attached
-//! [`PhaseAccumulator`] never reads the clock, so the serial engine path
-//! stays exactly as fast as before.
+//! [`PhaseAccumulator`] never reads the clock, so a step loop over it
+//! runs uninstrumented.
 //!
 //! [`EngineState::step`]: crate::EngineState::step
 

@@ -19,6 +19,10 @@ pub enum RuntimeError {
     Io(std::io::Error),
     /// A checkpoint file was unreadable or inconsistent with the run.
     Corrupt(String),
+    /// The attached [`crate::RunController`] cancelled the run before it
+    /// finished. Not a failure of the run: no final checkpoint was
+    /// written, so it can resume from its last scheduled one.
+    Cancelled,
 }
 
 impl fmt::Display for RuntimeError {
@@ -27,6 +31,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Engine(e) => write!(f, "{e}"),
             RuntimeError::Io(e) => write!(f, "checkpoint IO failure: {e}"),
             RuntimeError::Corrupt(msg) => write!(f, "checkpoint unusable: {msg}"),
+            RuntimeError::Cancelled => write!(f, "run cancelled"),
         }
     }
 }
@@ -36,7 +41,7 @@ impl std::error::Error for RuntimeError {
         match self {
             RuntimeError::Engine(e) => Some(e),
             RuntimeError::Io(e) => Some(e),
-            RuntimeError::Corrupt(_) => None,
+            RuntimeError::Corrupt(_) | RuntimeError::Cancelled => None,
         }
     }
 }

@@ -1,21 +1,20 @@
 //! Job control: a cloneable handle to pause, resume, cancel, and observe
 //! a run while it executes on another thread.
 //!
-//! [`IslandRunner::run`] drives a run to completion in one call; a
-//! long-running service needs to own the loop instead — check for a
-//! cancel request between generations, expose live progress to pollers,
-//! and stop cleanly halfway. [`RunController`] packages that policy:
-//! hand a clone to the thread calling [`RunController::drive`] and keep a
-//! clone wherever status queries or cancellation come from.
+//! A long-running service must be able to stop a run cleanly halfway
+//! and show live progress to pollers. Attach a [`RunController`] to the
+//! runner with [`IslandRunner::set_controller`] and keep a clone wherever
+//! status queries or cancellation come from. [`IslandRunner::run`] then
+//! checks the controller before each generation and once more before
+//! finishing, publishes a [`ProgressSnapshot`] after every generation,
+//! and returns [`crate::RuntimeError::Cancelled`] when cancelled.
 
 use std::sync::{Arc, Condvar, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use caffeine_core::{CaffeineResult, EvolutionStats};
-use caffeine_doe::Dataset;
+use caffeine_core::EvolutionStats;
 
-use crate::checkpoint::RuntimeError;
 use crate::island::IslandRunner;
 use crate::stats::PhaseBreakdown;
 
@@ -73,9 +72,9 @@ struct ControlState {
     progress: ProgressSnapshot,
 }
 
-/// Shared pause/cancel/progress handle for a run driven by
-/// [`RunController::drive`]. Clones share state; every method is safe to
-/// call from any thread at any time.
+/// Shared pause/cancel/progress handle for a run it is attached to with
+/// [`IslandRunner::set_controller`]. Clones share state; every method is
+/// safe to call from any thread at any time.
 #[derive(Debug, Clone)]
 pub struct RunController {
     inner: Arc<(Mutex<ControlState>, Condvar)>,
@@ -136,11 +135,6 @@ impl RunController {
         cvar.notify_all();
     }
 
-    /// `true` once [`RunController::cancel`] was called.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.0.lock().expect("controller lock").desired == Desired::Cancel
-    }
-
     /// The current progress snapshot.
     pub fn snapshot(&self) -> ProgressSnapshot {
         self.inner
@@ -151,13 +145,9 @@ impl RunController {
             .clone()
     }
 
-    fn set_progress(&self, progress: ProgressSnapshot) {
-        self.inner.0.lock().expect("controller lock").progress = progress;
-    }
-
     /// Blocks while paused; returns `false` when cancellation was
     /// requested.
-    fn wait_for_go(&self) -> bool {
+    pub(crate) fn wait_for_go(&self) -> bool {
         let (lock, cvar) = &*self.inner;
         let mut st = lock.lock().expect("controller lock");
         while st.desired == Desired::Pause {
@@ -174,57 +164,19 @@ impl RunController {
         }
     }
 
-    /// Drives `runner` to completion one generation at a time, honoring
-    /// pause/cancel requests between generations and publishing progress
-    /// after every generation.
-    ///
-    /// Returns `Ok(Some(result))` on completion and `Ok(None)` when the
-    /// run was cancelled — a cancelled run is not an error, it just has
-    /// no harvest. Checkpoints and live events attached to the runner
-    /// keep their usual schedules, so a cancelled job can later resume
-    /// from its last checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the runner's validation/IO failures.
-    pub fn drive(
-        &self,
-        runner: &mut IslandRunner,
-        data: &Dataset,
-    ) -> Result<Option<CaffeineResult>, RuntimeError> {
-        self.publish(runner, RunPhase::Running);
-        // One evaluator for the whole drive: building it copies the
-        // dataset into column-major form, which must not be paid per
-        // generation.
-        let evaluator = runner.evaluator(data)?;
-        loop {
-            if !self.wait_for_go() {
-                self.publish(runner, RunPhase::Cancelled);
-                return Ok(None);
-            }
-            if runner.is_done() {
-                break;
-            }
-            runner.run_generations_with(&evaluator, data, 1)?;
-            self.publish(runner, RunPhase::Running);
-        }
-        let result = runner.run(data)?; // finishes checkpoint + events, harvests
-        self.publish(runner, RunPhase::Finished);
-        Ok(Some(result))
-    }
-
-    fn publish(&self, runner: &IslandRunner, phase: RunPhase) {
+    /// Records `runner`'s current progress under `phase`.
+    pub(crate) fn publish(&self, runner: &IslandRunner, phase: RunPhase) {
         let latest = runner
             .islands()
             .first()
             .and_then(|i| i.stats.last().cloned());
-        self.set_progress(ProgressSnapshot {
+        self.inner.0.lock().expect("controller lock").progress = ProgressSnapshot {
             phase,
             completed_generations: runner.completed_generations(),
             total_generations: runner.total_generations(),
             latest,
             phases: runner.last_phases().cloned(),
-        });
+        };
     }
 }
 
@@ -234,6 +186,7 @@ mod tests {
     use caffeine_core::{CaffeineSettings, GrammarConfig};
     use caffeine_doe::Dataset;
 
+    use crate::checkpoint::RuntimeError;
     use crate::config::RuntimeConfig;
 
     fn tiny_dataset() -> Dataset {
@@ -256,13 +209,22 @@ mod tests {
         .unwrap()
     }
 
+    /// Spins until the run reports `phase` — a real synchronization point
+    /// for `Paused`, which only the run's own pause check sets.
+    fn await_phase(ctl: &RunController, phase: RunPhase) {
+        while ctl.snapshot().phase != phase {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn drive_completes_and_matches_uncontrolled_run() {
+    fn controlled_run_matches_uncontrolled_run() {
         let data = tiny_dataset();
         let mut controlled = tiny_runner(6, &data);
         let mut plain = tiny_runner(6, &data);
         let ctl = RunController::new();
-        let result = ctl.drive(&mut controlled, &data).unwrap().unwrap();
+        controlled.set_controller(ctl.clone());
+        let result = controlled.run(&data).unwrap();
         let reference = plain.run(&data).unwrap();
         assert_eq!(result.models, reference.models);
         let snap = ctl.snapshot();
@@ -276,6 +238,7 @@ mod tests {
         let data = tiny_dataset();
         let mut runner = tiny_runner(5000, &data);
         let ctl = RunController::new();
+        runner.set_controller(ctl.clone());
         let observer = ctl.clone();
         let handle = std::thread::spawn(move || {
             // Let a few generations pass, then cancel.
@@ -288,9 +251,9 @@ mod tests {
                 std::thread::yield_now();
             }
         });
-        let outcome = ctl.drive(&mut runner, &data).unwrap();
+        let outcome = runner.run(&data);
         handle.join().unwrap();
-        assert!(outcome.is_none());
+        assert!(matches!(outcome, Err(RuntimeError::Cancelled)));
         let snap = ctl.snapshot();
         assert_eq!(snap.phase, RunPhase::Cancelled);
         assert!(snap.completed_generations < 5000);
@@ -302,16 +265,13 @@ mod tests {
         let mut runner = tiny_runner(4, &data);
         let ctl = RunController::new();
         ctl.pause();
-        let driver = ctl.clone();
-        let handle = std::thread::spawn(move || {
-            // The drive blocks immediately (paused before generation 0).
-            driver.drive(&mut runner, &data).map(|r| r.is_some())
-        });
-        // While paused, progress stays at zero completed generations.
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        runner.set_controller(ctl.clone());
+        // The run blocks immediately (paused before generation 0).
+        let handle = std::thread::spawn(move || runner.run(&data).is_ok());
+        await_phase(&ctl, RunPhase::Paused);
         assert_eq!(ctl.snapshot().completed_generations, 0);
         ctl.resume();
-        assert!(handle.join().unwrap().unwrap());
+        assert!(handle.join().unwrap());
         assert_eq!(ctl.snapshot().phase, RunPhase::Finished);
     }
 
@@ -321,13 +281,17 @@ mod tests {
         let mut runner = tiny_runner(50, &data);
         let ctl = RunController::new();
         ctl.pause();
-        let driver = ctl.clone();
-        let handle =
-            std::thread::spawn(move || driver.drive(&mut runner, &data).map(|r| r.is_none()));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        runner.set_controller(ctl.clone());
+        let handle = std::thread::spawn(move || runner.run(&data));
+        await_phase(&ctl, RunPhase::Paused);
         ctl.cancel();
-        assert!(handle.join().unwrap().unwrap());
-        assert!(ctl.is_cancelled());
+        assert!(matches!(
+            handle.join().unwrap(),
+            Err(RuntimeError::Cancelled)
+        ));
+        let snap = ctl.snapshot();
+        assert_eq!(snap.phase, RunPhase::Cancelled);
+        assert_eq!(snap.completed_generations, 0);
     }
 
     #[test]

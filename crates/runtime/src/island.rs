@@ -19,14 +19,17 @@ use caffeine_obs::PhaseAccumulator;
 
 use crate::checkpoint::{RuntimeCheckpoint, RuntimeError};
 use crate::config::RuntimeConfig;
+use crate::control::{RunController, RunPhase};
 use crate::pool::ParallelEvaluator;
 use crate::stats::{FrontPoint, PhaseBreakdown, RunEvent};
 
 /// Derives the RNG seed of island `island` from the master seed.
 ///
 /// Island 0 keeps the master seed unchanged, so a 1-island run is
-/// bit-identical to [`caffeine_core::CaffeineEngine::run`] with the same
-/// settings; higher islands get independent SplitMix64-derived streams.
+/// bit-identical to the plain loop [`EngineState::new`] →
+/// [`EngineState::step`] × generations → [`EngineState::harvest`] →
+/// [`assemble_result`] with the same settings; higher islands get
+/// independent SplitMix64-derived streams.
 pub fn derive_island_seed(master_seed: u64, island: usize) -> u64 {
     if island == 0 {
         master_seed
@@ -46,8 +49,10 @@ fn split_population(total: usize, islands: usize) -> Vec<usize> {
 }
 
 /// Drives K [`EngineState`] islands to completion with parallel fitness
-/// evaluation, ring migration, optional checkpointing, and live progress
-/// events. See the crate docs for the determinism guarantees.
+/// evaluation, ring migration, optional checkpointing, live progress
+/// events and optional pause/cancel control. It is the one generation
+/// loop every search runs through; see the crate docs for the
+/// determinism guarantees.
 #[derive(Debug)]
 pub struct IslandRunner {
     master: CaffeineSettings,
@@ -57,6 +62,7 @@ pub struct IslandRunner {
     completed: usize,
     checkpoint_path: Option<PathBuf>,
     events: Option<Sender<RunEvent>>,
+    controller: Option<RunController>,
     /// Telemetry side channel: never serialized into checkpoints and
     /// never compared, so instrumentation cannot perturb determinism.
     phases: Arc<PhaseAccumulator>,
@@ -116,6 +122,7 @@ impl IslandRunner {
             completed: 0,
             checkpoint_path: None,
             events: None,
+            controller: None,
             phases: Arc::new(phases::engine_accumulator()),
             last_phases: None,
         })
@@ -150,6 +157,7 @@ impl IslandRunner {
             completed: checkpoint.completed,
             checkpoint_path: None,
             events: None,
+            controller: None,
             phases: Arc::new(phases::engine_accumulator()),
             last_phases: None,
         })
@@ -191,6 +199,15 @@ impl IslandRunner {
         self.events = Some(sender);
     }
 
+    /// Attaches a pause/cancel handle. The run then holds before each
+    /// generation (and once more before finishing) while the controller
+    /// is paused, stops with [`RuntimeError::Cancelled`] once it is
+    /// cancelled, and publishes a [`crate::ProgressSnapshot`] after every
+    /// generation.
+    pub fn set_controller(&mut self, controller: RunController) {
+        self.controller = Some(controller);
+    }
+
     /// Number of completed generations.
     pub fn completed_generations(&self) -> usize {
         self.completed
@@ -199,11 +216,6 @@ impl IslandRunner {
     /// Total generations the run targets.
     pub fn total_generations(&self) -> usize {
         self.master.generations
-    }
-
-    /// `true` once every generation has run.
-    pub fn is_done(&self) -> bool {
-        self.completed >= self.master.generations
     }
 
     /// The runner's execution configuration.
@@ -278,16 +290,13 @@ impl IslandRunner {
         }
     }
 
-    /// Builds the parallel evaluator this runner's loops use. Creation
-    /// copies the dataset into column-major form, so drivers stepping one
-    /// generation at a time (e.g. [`crate::RunController::drive`])
-    /// should build it once and reuse it via
-    /// [`IslandRunner::run_generations_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates dataset validation failures.
-    pub fn evaluator<'a>(&self, data: &'a Dataset) -> Result<ParallelEvaluator<'a>, RuntimeError> {
+    /// Builds the parallel evaluator for one call of
+    /// [`IslandRunner::run_generations`] or [`IslandRunner::run`];
+    /// creation copies the dataset into column-major form.
+    fn build_evaluator<'a>(
+        &self,
+        data: &'a Dataset,
+    ) -> Result<ParallelEvaluator<'a>, RuntimeError> {
         let mut evaluator = ParallelEvaluator::new(
             DatasetEvaluator::new(&self.master, &self.grammar, data)?,
             self.config.threads,
@@ -302,27 +311,25 @@ impl IslandRunner {
     ///
     /// # Errors
     ///
-    /// Propagates dataset validation and checkpoint-write failures.
+    /// Propagates dataset validation and checkpoint-write failures;
+    /// [`RuntimeError::Cancelled`] when the attached controller cancels.
     pub fn run_generations(&mut self, data: &Dataset, n: usize) -> Result<(), RuntimeError> {
-        let evaluator = self.evaluator(data)?;
-        self.run_generations_with(&evaluator, data, n)
+        let evaluator = self.build_evaluator(data)?;
+        self.advance(&evaluator, data, n)
     }
 
-    /// [`IslandRunner::run_generations`] with a caller-owned evaluator
-    /// (built by [`IslandRunner::evaluator`]), for drivers that step
-    /// repeatedly without paying the per-call dataset copy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates checkpoint-write failures.
-    pub fn run_generations_with(
+    /// The generation loop: steps every island once per generation,
+    /// checking the controller before each one.
+    fn advance(
         &mut self,
         evaluator: &ParallelEvaluator,
         data: &Dataset,
         n: usize,
     ) -> Result<(), RuntimeError> {
+        self.publish(RunPhase::Running);
         let target = self.master.generations.min(self.completed + n);
         while self.completed < target {
+            self.proceed()?;
             let cells_before = self.phases.snapshot();
             // lint: allow(determinism) — telemetry side channel: wall time flows only into PhaseBreakdown events, never into evolution state
             let wall_start = Instant::now();
@@ -372,6 +379,7 @@ impl IslandRunner {
             if checkpoint_due {
                 self.write_checkpoint(data)?;
             }
+            self.publish(RunPhase::Running);
         }
         Ok(())
     }
@@ -379,41 +387,55 @@ impl IslandRunner {
     /// Runs to completion and harvests the combined result: every island's
     /// feasible individuals pooled, plus the constant anchor, filtered to
     /// the (train-error, complexity) front. Statistics come from island 0
-    /// (the master-seed stream).
+    /// (the master-seed stream). A checkpoint path gets a final snapshot,
+    /// and the events channel a [`RunEvent::Finished`].
     ///
     /// # Errors
     ///
     /// Propagates validation/IO failures and
     /// [`caffeine_core::CaffeineError::NoFeasibleModel`] when nothing
-    /// evaluable evolved.
+    /// evaluable evolved. [`RuntimeError::Cancelled`] when the attached
+    /// controller cancels; a cancelled run writes no final checkpoint and
+    /// emits no `Finished` event.
     pub fn run(&mut self, data: &Dataset) -> Result<CaffeineResult, RuntimeError> {
-        let remaining = self.master.generations - self.completed.min(self.master.generations);
-        self.run_generations(data, remaining)?;
+        let evaluator = self.build_evaluator(data)?;
+        let remaining = self.master.generations.saturating_sub(self.completed);
+        self.advance(&evaluator, data, remaining)?;
+        self.proceed()?;
         if self.checkpoint_path.is_some() {
             self.write_checkpoint(data)?;
         }
         self.emit(RunEvent::Finished {
             generation: self.completed,
         });
-        self.finish(data)
-    }
-
-    /// Harvests the current populations without running further (used for
-    /// the final result and by tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dataset validation failures and
-    /// [`caffeine_core::CaffeineError::NoFeasibleModel`].
-    pub fn finish(&self, data: &Dataset) -> Result<CaffeineResult, RuntimeError> {
-        let evaluator = DatasetEvaluator::new(&self.master, &self.grammar, data)?;
         let mut models = Vec::new();
         for island in &self.islands {
             models.extend(island.harvest());
         }
-        let anchor = evaluator.constant_model(self.grammar.weights);
+        let anchor = evaluator.inner().constant_model(self.grammar.weights);
         let stats = self.islands[0].stats.clone();
-        Ok(assemble_result(models, anchor, stats)?)
+        let result = assemble_result(models, anchor, stats)?;
+        self.publish(RunPhase::Finished);
+        Ok(result)
+    }
+
+    /// Holds while the attached controller is paused; a cancel publishes
+    /// the cancelled phase and ends the run.
+    fn proceed(&self) -> Result<(), RuntimeError> {
+        match &self.controller {
+            Some(ctl) if !ctl.wait_for_go() => {
+                self.publish(RunPhase::Cancelled);
+                Err(RuntimeError::Cancelled)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Publishes the current progress to the attached controller, if any.
+    fn publish(&self, phase: RunPhase) {
+        if let Some(ctl) = &self.controller {
+            ctl.publish(self, phase);
+        }
     }
 
     fn write_checkpoint(&self, data: &Dataset) -> Result<(), RuntimeError> {

@@ -14,8 +14,13 @@
 //!   islands, each evolving under its own RNG stream derived from the
 //!   master seed; every `migrate_every` generations each island's best
 //!   nondominated individuals are cloned to its ring neighbor, replacing
-//!   the neighbor's worst. With K = 1 the runner reduces exactly to
-//!   [`caffeine_core::CaffeineEngine::run`].
+//!   the neighbor's worst. With K = 1 the runner reduces exactly to the
+//!   plain loop [`caffeine_core::EngineState::new`] →
+//!   [`caffeine_core::EngineState::step`] × generations →
+//!   [`caffeine_core::EngineState::harvest`] →
+//!   [`caffeine_core::assemble_result`]. It is the one generation loop
+//!   every search in the workspace runs through: the CLI, the daemon's
+//!   jobs, the paper binaries and the examples.
 //! * [`RuntimeCheckpoint`]: serde snapshots of the full runner state
 //!   (every island's population *and* RNG position) written as JSON, with
 //!   [`IslandRunner::from_checkpoint`] resuming a run bit-exactly — a
@@ -26,8 +31,9 @@
 //!   `std::sync::mpsc::Sender<RunEvent>` to watch progress while a run is
 //!   executing.
 //! * [`RunController`]: a cloneable pause/resume/cancel handle with live
-//!   [`ProgressSnapshot`]s for runs driven on a background thread — the
-//!   job-control surface the `caffeine-serve` daemon builds on.
+//!   [`ProgressSnapshot`]s, attached with [`IslandRunner::set_controller`]
+//!   to a run on a background thread — the job-control surface the
+//!   `caffeine-serve` daemon builds on.
 //!
 //! # Quickstart
 //!

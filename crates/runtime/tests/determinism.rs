@@ -1,8 +1,10 @@
 //! Determinism guarantees of the runtime: thread count must never change
-//! a result, islands must reduce to the serial engine at K = 1, and a
-//! resumed checkpoint must match the uninterrupted run.
+//! a result, islands must reduce to the plain serial step loop at K = 1,
+//! and a resumed checkpoint must match the uninterrupted run.
 
-use caffeine_core::{CaffeineEngine, CaffeineSettings, GrammarConfig};
+use caffeine_core::{
+    assemble_result, CaffeineSettings, DatasetEvaluator, EngineState, GrammarConfig,
+};
 use caffeine_doe::Dataset;
 use caffeine_runtime::{IslandRunner, RuntimeCheckpoint, RuntimeConfig};
 
@@ -87,9 +89,15 @@ fn one_island_matches_the_serial_engine_exactly() {
     let data = ota_like_dataset();
     let grammar = GrammarConfig::rational(3);
 
-    let reference = CaffeineEngine::new(settings(), grammar.clone())
-        .run(&data)
-        .unwrap();
+    // The reference is the engine's own surface, driven by hand:
+    // init → step × generations → harvest → assemble.
+    let evaluator = DatasetEvaluator::new(&settings(), &grammar, &data).unwrap();
+    let mut state = EngineState::new(settings(), grammar.clone(), &evaluator).unwrap();
+    while !state.is_done() {
+        state.step(&evaluator);
+    }
+    let anchor = evaluator.constant_model(grammar.weights);
+    let reference = assemble_result(state.harvest(), anchor, state.stats.clone()).unwrap();
 
     let config = RuntimeConfig {
         threads: 4,
@@ -225,4 +233,80 @@ fn events_are_emitted_in_order() {
         "missing final event: {:?}",
         events.last()
     );
+}
+
+#[test]
+fn cancelled_run_resumes_to_the_uninterrupted_result() {
+    use caffeine_runtime::{RunController, RunEvent, RuntimeError};
+
+    let data = ota_like_dataset();
+    let grammar = GrammarConfig::rational(3);
+    let config = RuntimeConfig {
+        checkpoint_every: 1,
+        ..RuntimeConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("caffeine-cancel-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.ckpt");
+    for file in RuntimeCheckpoint::files(&path) {
+        std::fs::remove_file(file).ok();
+    }
+
+    // A total the run cannot reach before the cancel lands; the cancel
+    // waits for one completed generation, so a checkpoint exists.
+    let mut long = settings();
+    long.generations = 100_000;
+    let mut runner = IslandRunner::new(long, grammar.clone(), config.clone(), &data).unwrap();
+    runner.set_checkpoint_path(&path);
+    let (tx, rx) = std::sync::mpsc::channel();
+    runner.set_events(tx);
+    let ctl = RunController::new();
+    runner.set_controller(ctl.clone());
+    let canceller = std::thread::spawn(move || {
+        while ctl.snapshot().completed_generations == 0 {
+            std::thread::yield_now();
+        }
+        ctl.cancel();
+    });
+    let outcome = runner.run(&data);
+    canceller.join().unwrap();
+    assert!(
+        matches!(outcome, Err(RuntimeError::Cancelled)),
+        "{outcome:?}"
+    );
+    let events: Vec<RunEvent> = rx.try_iter().collect();
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, RunEvent::Finished { .. })),
+        "a cancelled run emitted Finished"
+    );
+
+    // Wherever the cancel landed, the last scheduled checkpoint holds
+    // exactly the generations the runner completed.
+    let cancelled_at = runner.completed_generations();
+    let checkpoint = RuntimeCheckpoint::load(&path).unwrap();
+    assert_eq!(checkpoint.completed, cancelled_at);
+    assert!(cancelled_at >= 1 && cancelled_at < runner.total_generations());
+    drop(runner);
+
+    // Resuming and finishing a few generations past the cancel point
+    // equals one uninterrupted run of that length.
+    let total = cancelled_at + 5;
+    let mut resumed = IslandRunner::from_checkpoint(checkpoint, &data).unwrap();
+    resumed.set_total_generations(total);
+    let result = resumed.run(&data).unwrap();
+
+    let mut full_settings = settings();
+    full_settings.generations = total;
+    let mut full = IslandRunner::new(full_settings, grammar, config, &data).unwrap();
+    let reference = full.run(&data).unwrap();
+
+    assert_eq!(
+        front_errors(&reference.models),
+        front_errors(&result.models)
+    );
+    assert_eq!(reference.models, result.models);
+    assert_eq!(reference.stats, result.stats);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -126,10 +126,11 @@ fn controller_snapshot_exposes_last_breakdown() {
     let data = dataset();
     let mut runner = runner(1, 1, 3, &data);
     let ctl = RunController::new();
-    assert!(ctl.snapshot().phases.is_none(), "no phases before driving");
-    ctl.drive(&mut runner, &data).unwrap().unwrap();
+    assert!(ctl.snapshot().phases.is_none(), "no phases before running");
+    runner.set_controller(ctl.clone());
+    runner.run(&data).unwrap();
     let snap = ctl.snapshot();
-    let phases = snap.phases.expect("breakdown after a driven run");
+    let phases = snap.phases.expect("breakdown after a controlled run");
     assert_eq!(phases.generation, 3);
     assert!(phases.wall > 0.0);
 

@@ -124,7 +124,9 @@ impl From<RuntimeError> for ApiError {
     fn from(e: RuntimeError) -> ApiError {
         match &e {
             RuntimeError::Engine(inner) => ApiError::from(inner.clone()),
-            RuntimeError::Io(_) | RuntimeError::Corrupt(_) => ApiError::internal(e.to_string()),
+            RuntimeError::Io(_) | RuntimeError::Corrupt(_) | RuntimeError::Cancelled => {
+                ApiError::internal(e.to_string())
+            }
         }
     }
 }

@@ -15,9 +15,9 @@
 //! committed at *admission* time, not accept time. 429 fires only when
 //! the whole bounded store is full of live (queued or running) jobs.
 //!
-//! Admission spawns two threads: the *driver*
-//! ([`caffeine_runtime::RunController::drive`] stepping the island
-//! runner one generation at a time) and the *pump*, which fans the
+//! Admission spawns two threads: the *driver* (running the island runner
+//! with the job's [`RunController`] attached, so pause and cancel take
+//! effect between generations) and the *pump*, which fans the
 //! runner's [`caffeine_runtime::RunEvent`]s out to SSE subscribers via
 //! the job's [`EventHub`]. On a terminal outcome the driver publishes
 //! (or not), renames the job's on-disk spec + checkpoint to `.trash-…`
@@ -48,6 +48,7 @@ use caffeine_doe::Dataset;
 use caffeine_obs::{trace::fresh_span_id, SpanKind, SpanRecord, TraceContext, TraceStore};
 use caffeine_runtime::{
     IslandRunner, PhaseBreakdown, RunController, RunEvent, RuntimeCheckpoint, RuntimeConfig,
+    RuntimeError,
 };
 
 use crate::error::ApiError;
@@ -980,6 +981,7 @@ fn spawn_admitted(
     }
     let (tx, rx) = std::sync::mpsc::channel();
     runner.set_events(tx);
+    runner.set_controller(entry.controller.clone());
     let pump_entry = Arc::clone(entry);
     let pump_metrics = Arc::clone(&metrics);
     let pump_tracer = entry.tracer.get().cloned();
@@ -1030,14 +1032,13 @@ fn spawn_admitted(
 
     let id = entry.id;
     let model_id = entry.model_id.clone();
-    let controller = entry.controller.clone();
     let thread_entry = Arc::clone(entry);
     let scheduler = Arc::clone(scheduler);
     let handle = std::thread::Builder::new()
         .name(format!("serve-job-{id}"))
         .spawn(move || {
-            let outcome = match controller.drive(&mut runner, &data) {
-                Ok(Some(result)) => {
+            let outcome = match runner.run(&data) {
+                Ok(result) => {
                     let n_models = result.models.len();
                     let publish_started = Instant::now();
                     match ModelArtifact::new(var_names, result.models)
@@ -1062,7 +1063,7 @@ fn spawn_admitted(
                         Err(e) => JobOutcome::Failed { message: e.message },
                     }
                 }
-                Ok(None) => JobOutcome::Cancelled,
+                Err(RuntimeError::Cancelled) => JobOutcome::Cancelled,
                 Err(e) => JobOutcome::Failed {
                     message: e.to_string(),
                 },

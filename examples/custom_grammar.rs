@@ -9,8 +9,9 @@
 
 use caffeine::core::expr::FormatOptions;
 use caffeine::core::grammar::parse_grammar;
-use caffeine::core::{CaffeineEngine, CaffeineSettings, GrammarConfig};
+use caffeine::core::{CaffeineSettings, GrammarConfig};
 use caffeine::doe::Dataset;
+use caffeine::runtime::{IslandRunner, RuntimeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The target has a genuine logarithmic term: rationals can only
@@ -46,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         settings.population = 120;
         settings.generations = 150;
         settings.seed = 9;
-        let engine = CaffeineEngine::new(settings, grammar);
-        let result = engine.run(&data)?;
+        let mut runner = IslandRunner::new(settings, grammar, RuntimeConfig::default(), &data)?;
+        let result = runner.run(&data)?;
         let best = result.best_by_error().expect("front");
         println!(
             "{label:<22} error {:>9.4}%  model: {}",

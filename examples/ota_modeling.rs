@@ -10,8 +10,9 @@
 use caffeine::circuit::ota::{OtaDesign, OtaTestbench, PerfId, OTA_VAR_NAMES};
 use caffeine::core::expr::FormatOptions;
 use caffeine::core::sag::{simplify_front, SagSettings};
-use caffeine::core::{pareto, CaffeineEngine, CaffeineSettings, GrammarConfig};
+use caffeine::core::{pareto, CaffeineSettings, GrammarConfig};
 use caffeine::doe::{Dataset, OrthogonalArray, ScaledHypercube};
+use caffeine::runtime::{IslandRunner, RuntimeConfig};
 
 fn simulate_table(
     tb: &OtaTestbench,
@@ -58,8 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     settings.population = 100;
     settings.generations = 120;
     settings.seed = 7;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::paper_full(13));
-    let result = engine.run(&train)?;
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::paper_full(13),
+        RuntimeConfig::default(),
+        &train,
+    )?;
+    let result = runner.run(&train)?;
 
     // SAG + test filtering, as in the paper's post-processing.
     let simplified = simplify_front(&result.models, &train, &test, &SagSettings::default());

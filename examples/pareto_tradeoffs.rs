@@ -5,8 +5,9 @@
 
 use caffeine::core::expr::FormatOptions;
 use caffeine::core::sag::{simplify_front, SagSettings};
-use caffeine::core::{pareto, CaffeineEngine, CaffeineSettings, GrammarConfig};
+use caffeine::core::{pareto, CaffeineSettings, GrammarConfig};
 use caffeine::doe::Dataset;
+use caffeine::runtime::{IslandRunner, RuntimeConfig};
 
 fn sample(n: usize, offset: f64) -> Dataset {
     let xs: Vec<Vec<f64>> = (0..n)
@@ -34,8 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     settings.generations = 150;
     settings.max_bases = 10;
     settings.seed = 4;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::rational(2));
-    let result = engine.run(&train)?;
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::rational(2),
+        RuntimeConfig::default(),
+        &train,
+    )?;
+    let result = runner.run(&train)?;
 
     println!("evolved front: {} models", result.models.len());
     let simplified = simplify_front(&result.models, &train, &test, &SagSettings::default());

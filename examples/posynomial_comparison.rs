@@ -6,9 +6,10 @@
 //! Run with `cargo run --release --example posynomial_comparison`.
 
 use caffeine::core::sag::{simplify_front, SagSettings};
-use caffeine::core::{CaffeineEngine, CaffeineSettings, GrammarConfig};
+use caffeine::core::{CaffeineSettings, GrammarConfig};
 use caffeine::doe::Dataset;
 use caffeine::posynomial::{fit_posynomial, TemplateSpec};
+use caffeine::runtime::{IslandRunner, RuntimeConfig};
 
 fn sample(n: usize, spread: f64) -> Dataset {
     let xs: Vec<Vec<f64>> = (0..n)
@@ -49,8 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     settings.population = 150;
     settings.generations = 200;
     settings.seed = 21;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::no_trig(2));
-    let result = engine.run(&train)?;
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::no_trig(2),
+        RuntimeConfig::default(),
+        &train,
+    )?;
+    let result = runner.run(&train)?;
     let simplified = simplify_front(&result.models, &train, &test, &SagSettings::default());
     let best = simplified
         .iter()

@@ -7,8 +7,9 @@
 //! Run with `cargo run --example quickstart`.
 
 use caffeine::core::expr::FormatOptions;
-use caffeine::core::{CaffeineEngine, CaffeineSettings, GrammarConfig};
+use caffeine::core::{CaffeineSettings, GrammarConfig};
 use caffeine::doe::Dataset;
+use caffeine::runtime::{IslandRunner, RuntimeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Sample the unknown response (kept away from zero so the
@@ -24,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     settings.generations = 80;
 
     // 3. Evolve.
-    let engine = CaffeineEngine::new(settings, grammar);
-    let result = engine.run(&data)?;
+    let mut runner = IslandRunner::new(settings, grammar, RuntimeConfig::default(), &data)?;
+    let result = runner.run(&data)?;
 
     // 4. Inspect the error/complexity tradeoff.
     let opts = FormatOptions::with_names(vec!["x".into()]);

@@ -3,8 +3,9 @@
 
 use caffeine::core::expr::FormatOptions;
 use caffeine::core::sag::{simplify_front, SagSettings};
-use caffeine::core::{pareto, CaffeineEngine, CaffeineSettings, GrammarConfig, Model};
+use caffeine::core::{pareto, CaffeineSettings, GrammarConfig, Model};
 use caffeine::doe::Dataset;
+use caffeine::runtime::{IslandRunner, RuntimeConfig};
 
 fn grid(n: usize, jitter: f64, f: impl Fn(&[f64]) -> f64) -> Dataset {
     let xs: Vec<Vec<f64>> = (0..n)
@@ -29,8 +30,14 @@ fn recovers_rational_ground_truth_through_full_pipeline() {
     settings.population = 120;
     settings.generations = 120;
     settings.seed = 31;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::rational(2));
-    let result = engine.run(&train).unwrap();
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::rational(2),
+        RuntimeConfig::default(),
+        &train,
+    )
+    .unwrap();
+    let result = runner.run(&train).unwrap();
 
     let simplified = simplify_front(&result.models, &train, &test, &SagSettings::default());
     let front = pareto::test_tradeoff(&simplified);
@@ -58,8 +65,14 @@ fn front_quality_improves_with_complexity() {
     let mut settings = CaffeineSettings::quick_test();
     settings.seed = 8;
     settings.generations = 80;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::rational(2));
-    let result = engine.run(&train).unwrap();
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::rational(2),
+        RuntimeConfig::default(),
+        &train,
+    )
+    .unwrap();
+    let result = runner.run(&train).unwrap();
 
     // Along the sorted front, training error must be non-increasing.
     for w in result.models.windows(2) {
@@ -81,8 +94,14 @@ fn models_serialize_and_round_trip_predictions() {
     let train = grid(40, 0.0, law);
     let mut settings = CaffeineSettings::quick_test();
     settings.seed = 12;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::rational(2));
-    let result = engine.run(&train).unwrap();
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::rational(2),
+        RuntimeConfig::default(),
+        &train,
+    )
+    .unwrap();
+    let result = runner.run(&train).unwrap();
     let best = result.best_by_error().unwrap();
 
     let json = serde_json::to_string(best).unwrap();
@@ -103,8 +122,14 @@ fn sag_prunes_overfitted_fronts_without_hurting_error_much() {
     settings.seed = 77;
     settings.max_bases = 10;
     settings.generations = 80;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::rational(2));
-    let result = engine.run(&train).unwrap();
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::rational(2),
+        RuntimeConfig::default(),
+        &train,
+    )
+    .unwrap();
+    let result = runner.run(&train).unwrap();
 
     let simplified = simplify_front(&result.models, &train, &test, &SagSettings::default());
     // SAG output models never use more bases than their input models had

@@ -5,8 +5,9 @@
 
 use caffeine::circuit::ota::{OtaDesign, OtaTestbench, PerfId, OTA_VAR_NAMES};
 use caffeine::core::sag::{simplify_front, SagSettings};
-use caffeine::core::{pareto, CaffeineEngine, CaffeineSettings, GrammarConfig};
+use caffeine::core::{pareto, CaffeineSettings, GrammarConfig};
 use caffeine::doe::{Dataset, OrthogonalArray, ScaledHypercube, SplitDataset};
+use caffeine::runtime::{IslandRunner, RuntimeConfig};
 
 fn build_split(perf: PerfId) -> SplitDataset {
     let tb = OtaTestbench::default_07um();
@@ -45,8 +46,14 @@ fn pm_pipeline_produces_interpretable_tradeoff() {
     settings.population = 80;
     settings.generations = 60;
     settings.seed = 303;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::paper_full(13));
-    let result = engine.run(&split.train).unwrap();
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::paper_full(13),
+        RuntimeConfig::default(),
+        &split.train,
+    )
+    .unwrap();
+    let result = runner.run(&split.train).unwrap();
     assert!(result.models.len() >= 2, "front too small");
 
     let simplified = simplify_front(
@@ -92,8 +99,14 @@ fn interpolative_split_keeps_test_error_moderate() {
     settings.population = 60;
     settings.generations = 40;
     settings.seed = 505;
-    let engine = CaffeineEngine::new(settings, GrammarConfig::rational(13));
-    let result = engine.run(&split.train).unwrap();
+    let mut runner = IslandRunner::new(
+        settings,
+        GrammarConfig::rational(13),
+        RuntimeConfig::default(),
+        &split.train,
+    )
+    .unwrap();
+    let result = runner.run(&split.train).unwrap();
     let simplified = simplify_front(
         &result.models,
         &split.train,
