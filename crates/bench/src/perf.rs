@@ -8,8 +8,9 @@
 //! (not in the library) so before/after numbers stay measurable on any
 //! machine — `cargo run --bin perfsnap` compares against them — and so
 //! the property tests in `tests/` can pin the replacements to them bit
-//! for bit. The checkpoint save that renamed a fresh file over the old
-//! snapshot is kept the same way.
+//! for bit. The row-major walk that built the ridge fallback's normal
+//! equations, and the checkpoint save that renamed a fresh file over the
+//! old snapshot, are kept the same way.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -24,7 +25,7 @@ use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::SagSettings;
 use caffeine_core::{nsga2, CaffeineSettings, GrammarConfig, Model};
 use caffeine_doe::Dataset;
-use caffeine_linalg::{press_statistic, LinalgError, Matrix};
+use caffeine_linalg::{press_statistic, solve_square, LinalgError, Matrix};
 use caffeine_runtime::{IslandRunner, RuntimeCheckpoint, RuntimeConfig, RuntimeError};
 
 /// 243 points × 13 variables with a rational multi-term target — the
@@ -367,6 +368,63 @@ impl ReferenceQr {
         }
         Ok(x)
     }
+}
+
+/// The row-major walk `caffeine_linalg::lstsq_ridge_columns` built its
+/// normal equations with before it switched to one dot per Gram entry:
+/// every row is gathered out of the columns, then added into `AᵀA` (rows
+/// with a zero entry skipped, as `Matrix::gram` does) and into `Aᵀb`.
+/// Kept verbatim, with the ridge shift and LU solve the library applies
+/// afterwards, as the oracle the column-dot version is pinned to bit for
+/// bit (`tests/qr_oracle.rs`).
+///
+/// # Errors
+///
+/// As `caffeine_linalg::lstsq_ridge_columns`.
+pub fn reference_lstsq_ridge_columns(
+    columns: &[&[f64]],
+    b: &[f64],
+    lambda: f64,
+) -> Result<Vec<f64>, LinalgError> {
+    if let Some(c) = columns.iter().find(|c| c.len() != b.len()) {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "rhs length {} does not match row count {}",
+            b.len(),
+            c.len()
+        )));
+    }
+    if columns.iter().any(|c| c.iter().any(|v| !v.is_finite())) {
+        return Err(LinalgError::NonFiniteInput { argument: "a" });
+    }
+    if b.iter().any(|v| !v.is_finite()) {
+        return Err(LinalgError::NonFiniteInput { argument: "b" });
+    }
+    let n = columns.len();
+    let mut g = Matrix::zeros(n, n);
+    let mut atb = vec![0.0; n];
+    let mut row = vec![0.0; n];
+    for (i, &bi) in b.iter().enumerate() {
+        for (r, c) in row.iter_mut().zip(columns.iter()) {
+            *r = c[i];
+        }
+        for (j, &aij) in row.iter().enumerate() {
+            if aij == 0.0 {
+                continue;
+            }
+            for (gjk, &aik) in g.row_mut(j).iter_mut().zip(row.iter()) {
+                *gjk += aij * aik;
+            }
+        }
+        for (y, &aij) in atb.iter_mut().zip(row.iter()) {
+            *y += aij * bi;
+        }
+    }
+    let mean_diag = (0..n).map(|i| g[(i, i)]).sum::<f64>() / n.max(1) as f64;
+    let shift = lambda * mean_diag.max(f64::MIN_POSITIVE);
+    for i in 0..n {
+        g[(i, i)] += shift;
+    }
+    solve_square(&g, &atb)
 }
 
 /// The `O(N²)` count-down non-dominated sort (Deb et al.) that

@@ -3,13 +3,15 @@
 //! the factor `R`, the rank estimate, and every least-squares solution —
 //! including errors — agree exactly, through both the matrix entry point
 //! and the in-place column entry point. The ridge fallback built from
-//! columns is pinned to the one built from the assembled matrix.
+//! columns is pinned to the one built from the assembled matrix and to
+//! the row-major walk it used to build its normal equations with
+//! (`caffeine_bench::perf::reference_lstsq_ridge_columns`).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use caffeine_bench::perf::ReferenceQr;
+use caffeine_bench::perf::{reference_lstsq_ridge_columns, ReferenceQr};
 use caffeine_linalg::{lstsq_ridge, lstsq_ridge_columns, LinalgError, Matrix, Qr};
 
 /// A column of one of the shapes least-squares designs take in practice,
@@ -31,6 +33,19 @@ fn column(rng: &mut StdRng, m: usize, earlier: &[Vec<f64>]) -> Vec<f64> {
         6 => (0..m).map(|_| rng.gen_range(-1.0..1.0) * 1e120).collect(),
         _ => (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect(),
     }
+}
+
+/// A column whose entries are often exact zeros of either sign — the
+/// entries the row-major Gram walk skips — mixed with generic values.
+fn signed_zero_column(rng: &mut StdRng, m: usize) -> Vec<f64> {
+    (0..m)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from(rng.gen_range(-3..4i32)),
+            _ => rng.gen_range(-2.0..2.0),
+        })
+        .collect()
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -100,6 +115,34 @@ proptest! {
             outcome(lstsq_ridge_columns(&slices, &noise, 1e-9)),
             outcome(lstsq_ridge(&a, &noise, 1e-9))
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn column_dot_ridge_matches_row_major_walk_bitwise(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=16usize);
+        let m = rng.gen_range(1..=300usize);
+        let mut cols: Vec<Vec<f64>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let c = if rng.gen_range(0..2u32) == 0 {
+                signed_zero_column(&mut rng, m)
+            } else {
+                column(&mut rng, m, &cols)
+            };
+            cols.push(c);
+        }
+        let slices: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        let b = signed_zero_column(&mut rng, m);
+        for lambda in [1e-9, 0.0] {
+            prop_assert_eq!(
+                outcome(lstsq_ridge_columns(&slices, &b, lambda)),
+                outcome(reference_lstsq_ridge_columns(&slices, &b, lambda))
+            );
+        }
     }
 }
 
