@@ -33,7 +33,7 @@ use caffeine_core::expr::{eval_basis_all, EvalContext, Tape, TapeVm, LANE_WIDTH}
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::{simplify_model, SagSettings};
 use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, Evaluator, GrammarConfig};
-use caffeine_linalg::{Matrix, Qr};
+use caffeine_linalg::{InterceptReflector, Matrix, Qr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,8 +88,11 @@ struct Snapshot {
     sag_forward_regression: Comparison,
     /// A 243 × 7 design (intercept plus six bases, the OTA data's mean
     /// design size) solved by least squares: row-major QR of an assembled
-    /// matrix vs column-major QR refactored in place from the column
-    /// slices. One "op" is one factor + solve.
+    /// matrix vs the fitness path's column-major QR refactored in place
+    /// from the six columns' intercept images, starting at step 1, and
+    /// solved from the reflected targets (images and reflected targets
+    /// made once, as the column cache does). One "op" is one factor +
+    /// solve.
     least_squares: Comparison,
     /// NSGA-II environmental selection's sort of 400 GP-shaped
     /// (error, complexity) pairs: `O(N²)` count-down vs sort-and-sweep.
@@ -253,8 +256,19 @@ fn main() {
         })
         .collect();
     let ls_design = Matrix::from_columns(&ls_cols);
-    let ls_slices: Vec<&[f64]> = ls_cols.iter().map(Vec::as_slice).collect();
     let ls_targets = data.targets();
+    let h0 = InterceptReflector::new(243);
+    let ls_images: Vec<Vec<f64>> = ls_cols[1..]
+        .iter()
+        .map(|c| {
+            let mut image = c.clone();
+            h0.reflect_column(&mut image);
+            image
+        })
+        .collect();
+    let ls_slices: Vec<&[f64]> = ls_images.iter().map(Vec::as_slice).collect();
+    let mut ls_rhs0 = ls_targets.to_vec();
+    h0.reflect_rhs(&mut ls_rhs0).unwrap();
     let mut qr = Qr::default();
     let mut rhs = Vec::new();
     // Enough solves per timed iteration that even a `--smoke` run's single
@@ -271,10 +285,10 @@ fn main() {
         },
         || {
             for _ in 0..ls_ops {
-                qr.factor_columns(&ls_slices).unwrap();
+                qr.factor_reflected(&h0, &ls_slices).unwrap();
                 rhs.clear();
-                rhs.extend_from_slice(ls_targets);
-                std::hint::black_box(qr.solve_lstsq_in_place(&mut rhs).unwrap());
+                rhs.extend_from_slice(&ls_rhs0);
+                std::hint::black_box(qr.solve_reflected_in_place(&mut rhs).unwrap());
             }
         },
     );

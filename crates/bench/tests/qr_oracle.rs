@@ -1,8 +1,10 @@
 //! The column-major Householder QR is pinned, bit for bit, to the
 //! row-major kernel it replaced (`caffeine_bench::perf::ReferenceQr`):
 //! the factor `R`, the rank estimate, and every least-squares solution —
-//! including errors — agree exactly, through both the matrix entry point
-//! and the in-place column entry point. The ridge fallback built from
+//! including errors — agree exactly. The intercept-folded entry point the
+//! fitness path uses (`Qr::factor_reflected` + `solve_reflected_in_place`
+//! on columns and targets reflected once through `InterceptReflector`) is
+//! pinned to the plain factor and solve of `[1 | A]`. The ridge fallback built from
 //! columns is pinned to the one built from the assembled matrix and to
 //! the row-major walk it used to build its normal equations with
 //! (`caffeine_bench::perf::reference_lstsq_ridge_columns`).
@@ -12,7 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use caffeine_bench::perf::{reference_lstsq_ridge_columns, ReferenceQr};
-use caffeine_linalg::{lstsq_ridge, lstsq_ridge_columns, LinalgError, Matrix, Qr};
+use caffeine_linalg::{
+    lstsq_ridge, lstsq_ridge_columns, InterceptReflector, LinalgError, Matrix, Qr,
+};
 
 /// A column of one of the shapes least-squares designs take in practice,
 /// plus the degenerate ones: generic, integer-valued (exact
@@ -86,17 +90,10 @@ proptest! {
 
         let reference = ReferenceQr::factor(&a).unwrap();
         let qr = Qr::factor(&a).unwrap();
-        let mut reused = Qr::default();
-        // Leave a stale, differently shaped factorization behind first.
-        reused.factor_columns(&[&[1.0, 2.0, 3.0]]).unwrap();
-        reused.factor_columns(&slices).unwrap();
 
-        let r_ref = matrix_bits(&reference.r());
-        prop_assert_eq!(&matrix_bits(&qr.r()), &r_ref);
-        prop_assert_eq!(&matrix_bits(&reused.r()), &r_ref);
+        prop_assert_eq!(matrix_bits(&qr.r()), matrix_bits(&reference.r()));
         for tol in [1e-12, 1e-6, 0.5] {
             prop_assert_eq!(qr.rank(tol), reference.rank(tol));
-            prop_assert_eq!(reused.rank(tol), reference.rank(tol));
         }
 
         // A generic right-hand side and one inside the column space.
@@ -107,7 +104,7 @@ proptest! {
             let expect = outcome(reference.solve_lstsq(b));
             prop_assert_eq!(&outcome(qr.solve_lstsq(b)), &expect);
             let mut rhs = b.clone();
-            prop_assert_eq!(&outcome(reused.solve_lstsq_in_place(&mut rhs)), &expect);
+            prop_assert_eq!(&outcome(qr.solve_lstsq_in_place(&mut rhs)), &expect);
         }
 
         // The ridge fallback from columns equals the matrix-built one.
@@ -120,6 +117,64 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn intercept_folded_qr_matches_plain_qr_bitwise(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = rng.gen_range(0..=15usize);
+        let m = match rng.gen_range(0..4u32) {
+            0 => k + 1,
+            1 => rng.gen_range(k + 1..=k + 4),
+            _ => rng.gen_range(k + 1..=300),
+        };
+        // The design [1 | A]: the intercept counts as an earlier column,
+        // so A may duplicate or scale it too.
+        let mut design: Vec<Vec<f64>> = vec![vec![1.0; m]];
+        for _ in 0..k {
+            let c = if design.len() > 1 && rng.gen_range(0..6u32) == 0 {
+                // Near-collinear: an earlier column plus a tiny perturbation.
+                let src = &design[rng.gen_range(1..design.len())];
+                src.iter().map(|v| v + rng.gen_range(-1.0..1.0) * 1e-9).collect()
+            } else {
+                column(&mut rng, m, &design)
+            };
+            design.push(c);
+        }
+        let a = Matrix::from_columns(&design);
+        let plain = Qr::factor(&a).unwrap();
+
+        let h0 = InterceptReflector::new(m);
+        let images: Vec<Vec<f64>> = design[1..]
+            .iter()
+            .map(|c| {
+                let mut image = c.clone();
+                h0.reflect_column(&mut image);
+                image
+            })
+            .collect();
+        let image_slices: Vec<&[f64]> = images.iter().map(Vec::as_slice).collect();
+        let mut folded = Qr::default();
+        // Leave a stale, differently shaped factorization behind first.
+        folded.factor_reflected(&InterceptReflector::new(3), &[&[1.0, 2.0, 3.0]]).unwrap();
+        folded.factor_reflected(&h0, &image_slices).unwrap();
+
+        prop_assert_eq!(matrix_bits(&folded.r()), matrix_bits(&plain.r()));
+        for tol in [1e-12, 1e-6, 0.5] {
+            prop_assert_eq!(folded.rank(tol), plain.rank(tol));
+        }
+
+        let noise: Vec<f64> = (0..m).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let x_true: Vec<f64> = (0..=k).map(|_| f64::from(rng.gen_range(-4..5i32))).collect();
+        let fitted = a.matvec(&x_true).unwrap();
+        for b in [&noise, &fitted] {
+            let mut plain_rhs = b.clone();
+            let expect = outcome(plain.solve_lstsq_in_place(&mut plain_rhs));
+            let mut rhs = b.clone();
+            h0.reflect_rhs(&mut rhs).unwrap();
+            prop_assert_eq!(outcome(folded.solve_reflected_in_place(&mut rhs)), expect);
+            prop_assert_eq!(bits(&rhs), bits(&plain_rhs));
+        }
+    }
 
     #[test]
     fn column_dot_ridge_matches_row_major_walk_bitwise(seed in 0u64..u64::MAX) {
@@ -151,21 +206,39 @@ fn guards_match_the_reference() {
     let wide = Matrix::from_rows(&[vec![1.0, 2.0]]);
     assert!(ReferenceQr::factor(&wide).is_err());
     assert!(Qr::factor(&wide).is_err());
-    assert!(Qr::default().factor_columns(&[&[1.0], &[2.0]]).is_err());
+    // [1 | a] with one row is wide.
+    assert!(matches!(
+        Qr::default().factor_reflected(&InterceptReflector::new(1), &[&[2.0]]),
+        Err(LinalgError::DimensionMismatch(_))
+    ));
 
     let nan = Matrix::from_rows(&[vec![1.0], vec![f64::NAN]]);
     assert!(matches!(
         Qr::factor(&nan),
         Err(LinalgError::NonFiniteInput { .. })
     ));
+    let h0 = InterceptReflector::new(2);
     assert!(matches!(
-        Qr::default().factor_columns(&[&[1.0, f64::INFINITY]]),
+        Qr::default().factor_reflected(&h0, &[&[1.0, f64::INFINITY]]),
         Err(LinalgError::NonFiniteInput { .. })
     ));
     assert!(matches!(
-        Qr::default().factor_columns(&[&[1.0, 2.0], &[1.0]]),
+        Qr::default().factor_reflected(&h0, &[&[1.0, 2.0], &[1.0]]),
         Err(LinalgError::DimensionMismatch(_))
     ));
+    for b in [vec![f64::NAN, 0.0], vec![1.0]] {
+        let mut reflected = b.clone();
+        assert_eq!(
+            format!("{:?}", h0.reflect_rhs(&mut reflected)),
+            format!(
+                "{:?}",
+                Qr::factor(&Matrix::from_rows(&[vec![1.0], vec![1.0]]))
+                    .unwrap()
+                    .solve_lstsq(&b)
+                    .map(|_| ())
+            )
+        );
+    }
 
     let a = Matrix::from_rows(&[vec![1.0], vec![1.0]]);
     let qr = Qr::factor(&a).unwrap();

@@ -24,6 +24,9 @@
 //! `[`assemble_result`]. `caffeine-runtime`'s `IslandRunner` is the one
 //! driver that runs it; with one island it is exactly that loop.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::ops::DerefMut;
 use std::sync::Arc;
 
@@ -34,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use caffeine_doe::{Dataset, PointMatrix};
 use caffeine_obs::PhaseAccumulator;
 
-use crate::expr::{complexity, ComplexityWeights, EvalContext};
+use crate::expr::{bases_bits_eq, bases_bits_key, complexity, ComplexityWeights, EvalContext};
 use crate::fit::{fit_linear_weights_cached, FitOutcome, FitScratch};
 use crate::gp::{Evaluation, GpOperators, Individual, OperatorSettings};
 use crate::metrics::ErrorMetric;
@@ -451,6 +454,13 @@ impl EngineState {
     /// Offspring are generated *before* any of them is evaluated, so the
     /// RNG stream never depends on evaluation scheduling — the hook that
     /// makes parallel evaluation deterministic.
+    ///
+    /// An offspring whose basis list is bitwise equal to a population
+    /// member's, or to an earlier offspring's, takes a clone of that
+    /// evaluation instead of a fit; only the distinct rest reach
+    /// `evaluator`. Evaluation is a pure function of the bases, so the
+    /// resulting population is the same as if every offspring were fitted
+    /// (see [`crate::fit`] for all levels of this reuse).
     pub fn step(&mut self, evaluator: &dyn Evaluator) {
         // Wall-clock telemetry lives entirely outside `self`: it is never
         // serialized, never compared, and never touches the RNG, so
@@ -471,10 +481,11 @@ impl EngineState {
             let p2 = &self.population[ranked.tournament(&mut self.rng)];
             offspring.push(ops.make_offspring(&mut self.rng, p1, p2));
         }
+        let reuse = reuse_evaluations(&self.population, &mut offspring);
         drop(variation);
         {
             let _eval = acc.as_deref().map(|a| a.span(phases::EVAL_WALL));
-            evaluator.evaluate_all(&mut offspring);
+            evaluate_distinct(&mut offspring, reuse, evaluator);
         }
         let _selection = acc.as_deref().map(|a| a.span(phases::SELECTION));
 
@@ -486,10 +497,6 @@ impl EngineState {
         // Survivor indices are distinct: move each one out instead of
         // cloning it. The placeholders left behind allocate nothing and
         // are dropped with `combined`.
-        let vacated = || Individual {
-            bases: Vec::new(),
-            eval: None,
-        };
         self.population = survivors
             .into_iter()
             .map(|i| std::mem::replace(&mut combined[i], vacated()))
@@ -524,6 +531,87 @@ impl EngineState {
                 )
             })
             .collect()
+    }
+}
+
+/// A placeholder left where an individual was moved out; allocates
+/// nothing.
+fn vacated() -> Individual {
+    Individual {
+        bases: Vec::new(),
+        eval: None,
+    }
+}
+
+/// Which offspring a step must evaluate, and which repeat an earlier one.
+struct Reuse {
+    /// Offspring to evaluate, ascending; no two are bitwise equal.
+    distinct: Vec<usize>,
+    /// `(copy, source)`: offspring `copy` repeats the earlier offspring
+    /// `source` and takes its evaluation once the batch is done.
+    repeats: Vec<(usize, usize)>,
+}
+
+/// Gives every unevaluated offspring whose basis list is bitwise equal to
+/// an evaluated population member a clone of that member's evaluation,
+/// and sorts the rest into distinct offspring and repeats of an earlier
+/// offspring. An evaluation is a pure function of the bases, so this
+/// changes no outcome, only how many fits run. A hash collision between
+/// unequal lists only forgoes a reuse.
+fn reuse_evaluations(population: &[Individual], offspring: &mut [Individual]) -> Reuse {
+    #[derive(Clone, Copy)]
+    enum Seen {
+        Member(usize),
+        Offspring(usize),
+    }
+    let mut seen: HashMap<u64, Seen, BuildHasherDefault<DefaultHasher>> =
+        HashMap::with_capacity_and_hasher(population.len() + offspring.len(), Default::default());
+    for (i, member) in population.iter().enumerate() {
+        if member.eval.is_some() {
+            seen.entry(bases_bits_key(&member.bases))
+                .or_insert(Seen::Member(i));
+        }
+    }
+    let mut reuse = Reuse {
+        distinct: Vec::with_capacity(offspring.len()),
+        repeats: Vec::new(),
+    };
+    for i in 0..offspring.len() {
+        if offspring[i].eval.is_some() {
+            continue;
+        }
+        let key = bases_bits_key(&offspring[i].bases);
+        match seen.get(&key).copied() {
+            Some(Seen::Member(j)) if bases_bits_eq(&population[j].bases, &offspring[i].bases) => {
+                offspring[i].eval = population[j].eval.clone();
+            }
+            Some(Seen::Offspring(j)) if bases_bits_eq(&offspring[j].bases, &offspring[i].bases) => {
+                reuse.repeats.push((i, j));
+            }
+            Some(_) => reuse.distinct.push(i),
+            None => {
+                seen.insert(key, Seen::Offspring(i));
+                reuse.distinct.push(i);
+            }
+        }
+    }
+    reuse
+}
+
+/// Evaluates the distinct offspring `reuse` names as one batch through
+/// `evaluator`, then hands each repeat its source's evaluation.
+fn evaluate_distinct(offspring: &mut [Individual], reuse: Reuse, evaluator: &dyn Evaluator) {
+    let mut batch: Vec<Individual> = reuse
+        .distinct
+        .iter()
+        .map(|&i| std::mem::replace(&mut offspring[i], vacated()))
+        .collect();
+    evaluator.evaluate_all(&mut batch);
+    for (&i, ind) in reuse.distinct.iter().zip(batch) {
+        offspring[i] = ind;
+    }
+    for (copy, source) in reuse.repeats {
+        offspring[copy].eval = offspring[source].eval.clone();
     }
 }
 
@@ -585,7 +673,12 @@ pub fn assemble_result(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
+    use crate::expr::{
+        BasisFunction, OpApplication, UnaryOp, VarCombo, Weight, WeightConfig, WeightedSum,
+    };
 
     fn dataset(f: impl Fn(&[f64]) -> f64, n: usize, d: usize) -> Dataset {
         let mut xs = Vec::with_capacity(n);
@@ -670,6 +763,136 @@ mod tests {
             restored.step(&evaluator);
         }
         assert_eq!(original.population, restored.population);
+    }
+
+    /// Wraps the dataset evaluator and records the basis lists of every
+    /// batch it is handed.
+    struct CountingEvaluator<'a> {
+        inner: DatasetEvaluator<'a>,
+        batches: RefCell<Vec<Vec<Vec<BasisFunction>>>>,
+    }
+
+    impl Evaluator for CountingEvaluator<'_> {
+        fn evaluate_all(&self, population: &mut [Individual]) {
+            let batch = population.iter().map(|i| i.bases.clone()).collect();
+            self.batches.borrow_mut().push(batch);
+            self.inner.evaluate_all(population);
+        }
+    }
+
+    /// An evaluation as bits, so `-0.0`/`+0.0` and NaNs compare exactly.
+    fn eval_bits(eval: &Option<Evaluation>) -> Option<(Vec<u64>, u64, u64, bool)> {
+        eval.as_ref().map(|e| {
+            (
+                e.coefficients.iter().map(|c| c.to_bits()).collect(),
+                e.train_error.to_bits(),
+                e.complexity.to_bits(),
+                e.feasible,
+            )
+        })
+    }
+
+    /// Asserts `ind`'s evaluation equals a fresh one of its bases.
+    fn assert_fresh(evaluator: &DatasetEvaluator<'_>, ind: &Individual) {
+        let mut fresh = [Individual::new(ind.bases.clone())];
+        evaluator.evaluate_all(&mut fresh);
+        assert!(ind.eval.is_some());
+        assert_eq!(eval_bits(&ind.eval), eval_bits(&fresh[0].eval));
+    }
+
+    #[test]
+    fn step_fits_only_offspring_unseen_bit_for_bit() {
+        let data = dataset(|x| x[0] * x[0] + 1.0 / x[0], 16, 1);
+        let mut settings = CaffeineSettings::quick_test();
+        settings.population = 30;
+        settings.seed = 5;
+        let grammar = GrammarConfig::rational(1);
+        let evaluator = CountingEvaluator {
+            inner: DatasetEvaluator::new(&settings, &grammar, &data).unwrap(),
+            batches: RefCell::new(Vec::new()),
+        };
+        let mut state = EngineState::new(settings.clone(), grammar, &evaluator).unwrap();
+        let mut fitted = 0;
+        for _ in 0..12 {
+            let members = state.population.clone();
+            evaluator.batches.borrow_mut().clear();
+            state.step(&evaluator);
+            let batches = evaluator.batches.take();
+            assert_eq!(batches.len(), 1, "one batch per step");
+            let batch = &batches[0];
+            for (i, bases) in batch.iter().enumerate() {
+                assert!(
+                    batch[..i].iter().all(|b| !bases_bits_eq(b, bases)),
+                    "batch repeats a basis list"
+                );
+                assert!(
+                    members.iter().all(|m| !bases_bits_eq(&m.bases, bases)),
+                    "batch repeats a population member"
+                );
+            }
+            fitted += batch.len();
+            // Survivors, copied evaluations among them, match fresh fits.
+            for ind in &state.population {
+                assert_fresh(&evaluator.inner, ind);
+            }
+        }
+        assert!(
+            fitted < 12 * settings.population,
+            "no offspring reused an evaluation"
+        );
+    }
+
+    #[test]
+    fn every_copied_evaluation_equals_a_fresh_one() {
+        let data = dataset(|x| 3.0 * x[0] - 2.0 / x[1], 20, 2);
+        let settings = CaffeineSettings::quick_test();
+        let grammar = GrammarConfig::rational(2);
+        let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
+        let state = EngineState::new(settings, grammar, &evaluator).unwrap();
+        let members = &state.population;
+        // Repeats of members, repeats among themselves, and lists that are
+        // `==` to a member but not bitwise equal (a `-0.0` weight).
+        let mut offspring: Vec<Individual> = Vec::new();
+        for m in members.iter().take(6) {
+            offspring.push(Individual::new(m.bases.clone()));
+            let mut twisted = m.bases.clone();
+            twisted.push(BasisFunction::from_vc(VarCombo::from_exponents(vec![
+                7, -7,
+            ])));
+            offspring.push(Individual::new(twisted.clone()));
+            offspring.push(Individual::new(twisted));
+        }
+        let signed = |raw: f64| {
+            let weight = Weight::from_raw(raw, &WeightConfig::default());
+            Individual::new(vec![BasisFunction::from_op(
+                2,
+                OpApplication::Unary {
+                    op: UnaryOp::Abs,
+                    arg: WeightedSum::constant(weight),
+                },
+            )])
+        };
+        offspring.extend([signed(0.0), signed(-0.0), signed(0.0)]);
+
+        let reuse = reuse_evaluations(members, &mut offspring);
+        let copied_from_members: Vec<usize> = (0..offspring.len())
+            .filter(|&i| offspring[i].eval.is_some())
+            .collect();
+        assert_eq!(copied_from_members, vec![0, 3, 6, 9, 12, 15]);
+        assert_eq!(reuse.repeats.len(), 7, "{:?}", reuse.repeats);
+        assert_eq!(reuse.distinct.len(), offspring.len() - 6 - 7);
+        assert!(reuse.repeats.contains(&(20, 18)), "+0.0 repeats +0.0");
+        assert!(reuse.distinct.contains(&19), "-0.0 is its own list");
+
+        let counting = CountingEvaluator {
+            inner: evaluator.clone(),
+            batches: RefCell::new(Vec::new()),
+        };
+        evaluate_distinct(&mut offspring, reuse, &counting);
+        assert_eq!(counting.batches.borrow().len(), 1);
+        for ind in &offspring {
+            assert_fresh(&evaluator, ind);
+        }
     }
 
     #[test]

@@ -29,11 +29,10 @@
 //!   and the chunk finishes early — the bail-out that keeps garbage
 //!   trees cheap.
 //!
-//! Tapes also serve as canonical cache keys: two bitwise-equal tapes
-//! evaluate to bitwise-equal columns, which is what makes the
-//! basis-column cache in [`crate::fit`] safe for deterministic runs.
-
-use std::hash::{Hash, Hasher};
+//! A tape is a pure function of its basis and the context, so bitwise-
+//! equal bases (see [`BasisFunction::bits_eq`]) compile to equal tapes and
+//! evaluate to bitwise-equal columns, which is what makes the basis-keyed
+//! column cache in [`crate::fit`] safe for deterministic runs.
 
 use super::eval::EvalContext;
 use super::ops::{BinaryOp, UnaryOp};
@@ -69,8 +68,8 @@ pub(super) enum Instr {
 
 impl PartialEq for Instr {
     fn eq(&self, other: &Instr) -> bool {
-        // Constants compare bitwise: a cache hit must imply bit-identical
-        // evaluation, and 0.0 == -0.0 under `f64::eq` would conflate
+        // Constants compare bitwise: equal tapes must evaluate
+        // bit-identically, and 0.0 == -0.0 under `f64::eq` would conflate
         // columns that differ in zero signs.
         match (self, other) {
             (Instr::PushConst(a), Instr::PushConst(b)) => a.to_bits() == b.to_bits(),
@@ -98,50 +97,12 @@ impl PartialEq for Instr {
 
 impl Eq for Instr {}
 
-impl Hash for Instr {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Instr::PushConst(c) => {
-                state.write_u8(0);
-                state.write_u64(c.to_bits());
-            }
-            Instr::PushVc { start, len } => {
-                state.write_u8(1);
-                state.write_u32(*start);
-                state.write_u32(*len);
-            }
-            Instr::AddTerm(w) => {
-                state.write_u8(2);
-                state.write_u64(w.to_bits());
-            }
-            Instr::MulFactor { masked, root } => {
-                state.write_u8(3);
-                state.write_u8(u8::from(*masked));
-                state.write_u8(u8::from(*root));
-            }
-            Instr::Unary(op) => {
-                state.write_u8(5);
-                op.hash(state);
-            }
-            Instr::Binary(op) => {
-                state.write_u8(6);
-                op.hash(state);
-            }
-            Instr::Lte { has_cond } => {
-                state.write_u8(7);
-                state.write_u8(u8::from(*has_cond));
-            }
-        }
-    }
-}
-
 /// A basis function lowered to a flat postfix program over lane chunks.
 ///
 /// Build one with [`Tape::compile`] (or recycle allocations with
 /// [`Tape::compile_into`]) and evaluate it with
 /// [`TapeVm::eval`](super::TapeVm::eval). Equality is bitwise — equal
-/// tapes are guaranteed to evaluate to bitwise-equal columns, which the
-/// basis-column cache relies on.
+/// tapes are guaranteed to evaluate to bitwise-equal columns.
 ///
 /// # Example
 ///
@@ -160,7 +121,7 @@ impl Hash for Instr {
 /// assert_eq!(column, vec![0.5, 0.25, 0.125]);
 /// # vm.recycle(column); // return the buffer to the VM's pool
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Tape {
     pub(super) instrs: Vec<Instr>,
     /// Flattened `(variable index, exponent)` pairs of every
@@ -217,17 +178,6 @@ impl Tape {
     /// `true` when the tape holds no instructions (not yet compiled).
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
-    }
-
-    /// Deterministic structural hash: bitwise-equal tapes hash equally.
-    ///
-    /// Used as the basis-column cache key; lookups confirm with full
-    /// bitwise equality, so collisions cost a comparison, never
-    /// correctness.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
     }
 
     fn emit_basis(&mut self, basis: &BasisFunction, ctx: &EvalContext, root: bool) {
@@ -463,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn equal_trees_produce_equal_tapes_and_hashes() {
+    fn equal_trees_produce_equal_tapes() {
         let b = BasisFunction {
             vc: VarCombo::single(2, 0, 2),
             factors: vec![OpApplication::Unary {
@@ -480,7 +430,6 @@ mod tests {
         let t1 = Tape::compile(&b, &ctx());
         let t2 = Tape::compile(&b.clone(), &ctx());
         assert_eq!(t1, t2);
-        assert_eq!(t1.structural_hash(), t2.structural_hash());
 
         let mut other = b.clone();
         other.vc = VarCombo::single(2, 1, 2);

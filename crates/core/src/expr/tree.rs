@@ -1,3 +1,5 @@
+use std::hash::{Hash, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 use super::ops::{BinaryOp, UnaryOp};
@@ -82,6 +84,171 @@ impl BasisFunction {
             .enumerate()
             .filter_map(|(i, &u)| if u { Some(i) } else { None })
             .collect()
+    }
+}
+
+/// Bitwise identity of expression trees: the same structure, with every
+/// weight compared (and hashed) by the bit pattern of its raw value, so
+/// `+0.0` and `-0.0` differ and a NaN equals itself. Bitwise-equal trees
+/// evaluate to bitwise-equal values under any one context, which is what
+/// lets the fitness path reuse an evaluated column or a whole evaluation.
+impl BasisFunction {
+    /// A deterministic 64-bit key of the tree; [`BasisFunction::bits_eq`]
+    /// trees share it. Unequal trees may collide, so a key match must be
+    /// confirmed with [`BasisFunction::bits_eq`].
+    pub fn bits_key(&self) -> u64 {
+        let mut h = BitsHasher::default();
+        self.hash_bits(&mut h);
+        h.finish()
+    }
+
+    /// `true` when both trees have the same structure and bitwise-equal
+    /// weights.
+    pub fn bits_eq(&self, other: &BasisFunction) -> bool {
+        self.vc == other.vc
+            && self.factors.len() == other.factors.len()
+            && self
+                .factors
+                .iter()
+                .zip(&other.factors)
+                .all(|(a, b)| a.bits_eq(b))
+    }
+
+    fn hash_bits(&self, state: &mut BitsHasher) {
+        self.vc.hash(state);
+        state.write_usize(self.factors.len());
+        for f in &self.factors {
+            f.hash_bits(state);
+        }
+    }
+}
+
+/// The [`BasisFunction::bits_key`] of a basis list, in order.
+pub fn bases_bits_key(bases: &[BasisFunction]) -> u64 {
+    let mut h = BitsHasher::default();
+    h.write_usize(bases.len());
+    for b in bases {
+        b.hash_bits(&mut h);
+    }
+    h.finish()
+}
+
+/// `true` when two basis lists are [`BasisFunction::bits_eq`] basis by
+/// basis.
+pub fn bases_bits_eq(a: &[BasisFunction], b: &[BasisFunction]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
+}
+
+/// The hasher behind [`BasisFunction::bits_key`]: a multiply-rotate fold
+/// of one 64-bit word per field. Fixed, so keys repeat run to run, and
+/// cheap, because every cache lookup and every offspring computes one.
+#[derive(Default)]
+struct BitsHasher(u64);
+
+impl BitsHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for BitsHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl OpApplication {
+    fn hash_bits(&self, state: &mut BitsHasher) {
+        match self {
+            OpApplication::Unary { op, arg } => {
+                state.write_u8(0);
+                op.hash(state);
+                arg.hash_bits(state);
+            }
+            OpApplication::Binary { op, args } => {
+                state.write_u8(1);
+                op.hash(state);
+                args.left.hash_bits(state);
+                args.right.hash_bits(state);
+            }
+            OpApplication::Lte(l) => {
+                state.write_u8(2);
+                l.test.hash_bits(state);
+                match &l.cond {
+                    Some(c) => {
+                        state.write_u8(1);
+                        c.hash_bits(state);
+                    }
+                    None => state.write_u8(0),
+                }
+                l.if_less.hash_bits(state);
+                l.otherwise.hash_bits(state);
+            }
+        }
+    }
+
+    fn bits_eq(&self, other: &OpApplication) -> bool {
+        match (self, other) {
+            (
+                OpApplication::Unary { op: o1, arg: a1 },
+                OpApplication::Unary { op: o2, arg: a2 },
+            ) => o1 == o2 && a1.bits_eq(a2),
+            (
+                OpApplication::Binary { op: o1, args: a1 },
+                OpApplication::Binary { op: o2, args: a2 },
+            ) => o1 == o2 && a1.left.bits_eq(&a2.left) && a1.right.bits_eq(&a2.right),
+            (OpApplication::Lte(l1), OpApplication::Lte(l2)) => {
+                l1.test.bits_eq(&l2.test)
+                    && match (&l1.cond, &l2.cond) {
+                        (Some(c1), Some(c2)) => c1.bits_eq(c2),
+                        (None, None) => true,
+                        _ => false,
+                    }
+                    && l1.if_less.bits_eq(&l2.if_less)
+                    && l1.otherwise.bits_eq(&l2.otherwise)
+            }
+            _ => false,
+        }
+    }
+}
+
+impl WeightedSum {
+    fn hash_bits(&self, state: &mut BitsHasher) {
+        state.write_u64(self.offset.raw().to_bits());
+        state.write_usize(self.terms.len());
+        for t in &self.terms {
+            state.write_u64(t.weight.raw().to_bits());
+            t.term.hash_bits(state);
+        }
+    }
+
+    fn bits_eq(&self, other: &WeightedSum) -> bool {
+        self.offset.raw().to_bits() == other.offset.raw().to_bits()
+            && self.terms.len() == other.terms.len()
+            && self.terms.iter().zip(&other.terms).all(|(a, b)| {
+                a.weight.raw().to_bits() == b.weight.raw().to_bits() && a.term.bits_eq(&b.term)
+            })
     }
 }
 
@@ -250,6 +417,28 @@ mod tests {
                 }],
             },
         }
+    }
+
+    #[test]
+    fn bitwise_identity_tells_signed_zero_weights_apart() {
+        let a = BasisFunction::from_op(1, sample_op());
+        assert!(a.bits_eq(&a.clone()));
+        assert_eq!(a.bits_key(), a.clone().bits_key());
+
+        let with_offset = |raw: f64| {
+            let mut b = a.clone();
+            let OpApplication::Unary { arg, .. } = &mut b.factors[0] else {
+                unreachable!()
+            };
+            arg.offset = Weight::from_raw(raw, &cfg());
+            b
+        };
+        let (pos, neg) = (with_offset(0.0), with_offset(-0.0));
+        // Both offsets interpret to 0.0, and `==` cannot tell them apart.
+        assert_eq!(pos, neg);
+        assert!(!pos.bits_eq(&neg));
+        assert_ne!(pos.bits_key(), neg.bits_key());
+        assert!(!a.bits_eq(&BasisFunction::from_vc(VarCombo::single(1, 0, 1))));
     }
 
     #[test]

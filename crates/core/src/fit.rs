@@ -15,15 +15,43 @@
 //! * [`fit_linear_weights_cached`] — the production hot path: bases are
 //!   lowered to [`Tape`]s, evaluated by the lane-chunked [`TapeVm`] over
 //!   a [`PointMatrix`], and memoized in a per-generation [`FitScratch`]
-//!   basis-column cache (GP populations are highly redundant after
-//!   crossover, so identical subtrees are evaluated once per generation,
-//!   not once per individual). The design is factored straight from the
-//!   cached column slices, with no row-major matrix in between.
+//!   basis-column cache. The design is factored straight from the cached
+//!   column slices, with no row-major matrix in between.
 //!
 //! Both paths produce bit-identical [`FitOutcome`]s — the tape's NaN
 //! sign/payload latitude (see [`crate::expr::TapeVm`]) cannot leak in,
 //! because any non-finite basis column is rejected as
 //! [`FitOutcome::Infeasible`] before it can reach the solver.
+//!
+//! # Reuse without changing a bit
+//!
+//! GP populations are highly redundant after crossover, so the hot path
+//! skips work it has already done at three levels. Each is exact, because
+//! each reuses the output of a pure function of inputs it compares bit
+//! for bit:
+//!
+//! 1. **Whole evaluations.** [`crate::EngineState::step`] hands an
+//!    offspring whose basis list is bitwise equal (same structure, weights
+//!    compared by `to_bits`) to a population member or an earlier
+//!    offspring a copy of that evaluation, and sends only the distinct
+//!    rest to the evaluator. An evaluation is a pure function of the
+//!    bases, the problem being fixed.
+//! 2. **Basis columns.** [`FitScratch`] keys its column cache on the same
+//!    bitwise hash of each [`BasisFunction`] and confirms a hit with the
+//!    same bitwise equality, so a tape is compiled only on a miss and a
+//!    hash collision never serves a foreign column. Bitwise-equal bases
+//!    compile to equal tapes and so to equal columns under one
+//!    [`EvalContext`] and one point set — the two things the scratch is
+//!    bound to.
+//! 3. **The intercept's Householder step.** Every design is
+//!    `[1 | f₁ | … | f_k]`; the reflector step 0 of the QR kernel builds
+//!    from the intercept depends only on the row count, and each other
+//!    column's update under it depends only on that column. So the cache
+//!    stores every usable column next to its image under the reflector
+//!    (computed by the kernel's own update), the targets are reflected
+//!    once per problem, and each fit starts the kernel at step 1
+//!    ([`Qr::factor_reflected`]). Predictions and the ridge fallback read
+//!    the original columns.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -31,10 +59,12 @@ use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use caffeine_doe::PointMatrix;
-use caffeine_linalg::{lstsq, lstsq_ridge, lstsq_ridge_columns, LinalgError, Matrix, Qr};
+use caffeine_linalg::{
+    lstsq, lstsq_ridge, lstsq_ridge_columns, InterceptReflector, LinalgError, Matrix, Qr,
+};
 use caffeine_obs::PhaseAccumulator;
 
-use crate::expr::{eval_basis_all, BasisFunction, EvalContext, Tape, TapeVm};
+use crate::expr::{eval_basis_all, BasisFunction, EvalContext, Tape, TapeVm, WeightConfig};
 use crate::phases;
 
 /// Outcome of fitting the linear weights of one candidate model.
@@ -128,19 +158,35 @@ fn solve_design(a: &Matrix, targets: &[f64]) -> FitOutcome {
     })
 }
 
-/// [`solve_design`] on the design given by its columns `[1 | f₁ | … | f_k]`,
-/// reusing `qr` and `rhs` across fits. Bit-identical to [`solve_design`]
-/// on the assembled matrix: the QR kernel is shared, the ridge fallback
-/// accumulates its Gram matrix in the same row order, and predictions
+/// [`solve_design`] on the design `[1 | f₁ | … | f_k]`, given the columns
+/// `cols` (intercept first) and the images of `f₁ … f_k` under the
+/// intercept reflector `h0`, with the targets already reflected (`rhs0`,
+/// `None` when they failed validation). Reuses `qr` and `rhs` across fits.
+///
+/// Bit-identical to [`solve_design`] on the assembled matrix: the folded
+/// factor and solve are pinned to [`Qr::factor`] + [`Qr::solve_lstsq`] on
+/// `[1 | …]`, the ridge fallback (on the original columns and targets)
+/// sums each normal-equation entry in the same row order, and predictions
 /// follow [`Matrix::matvec`]'s per-row order (`0.0`, then `+ a_ij·x_j` for
 /// ascending `j`).
-fn solve_columns(cols: &[&[f64]], targets: &[f64], qr: &mut Qr, rhs: &mut Vec<f64>) -> FitOutcome {
-    if qr.factor_columns(cols).is_err() {
+fn solve_columns(
+    cols: &[&[f64]],
+    images: &[&[f64]],
+    h0: &InterceptReflector,
+    rhs0: Option<&[f64]>,
+    targets: &[f64],
+    qr: &mut Qr,
+    rhs: &mut Vec<f64>,
+) -> FitOutcome {
+    if qr.factor_reflected(h0, images).is_err() {
         return FitOutcome::Infeasible;
     }
+    let Some(rhs0) = rhs0 else {
+        return FitOutcome::Infeasible;
+    };
     rhs.clear();
-    rhs.extend_from_slice(targets);
-    let coefficients = match qr.solve_lstsq_in_place(rhs) {
+    rhs.extend_from_slice(rhs0);
+    let coefficients = match qr.solve_reflected_in_place(rhs) {
         Ok(c) => c,
         Err(LinalgError::Singular { .. }) => {
             match lstsq_ridge_columns(cols, targets, RIDGE_LAMBDA) {
@@ -194,21 +240,33 @@ fn pm_fingerprint(pm: &PointMatrix) -> u64 {
     h.finish()
 }
 
-/// One memoized basis column: the compiled tape that produced it (the
-/// canonical cache key — compared bitwise on lookup, so a hash collision
-/// costs a comparison, never correctness), the evaluated column, and
-/// whether the column is numerically usable.
+/// The bits of everything in an [`EvalContext`] (destructured, so a new
+/// field cannot be left out of the scratch's binding).
+fn ctx_bits(ctx: &EvalContext) -> [u64; 2] {
+    let EvalContext {
+        weights: WeightConfig { b, zero_band },
+    } = *ctx;
+    [b.to_bits(), zero_band.to_bits()]
+}
+
+/// One memoized basis column: the basis that produced it (compared
+/// bitwise on lookup, so a hash collision costs a comparison, never
+/// correctness), its values, and whether the column is numerically
+/// usable.
 #[derive(Debug)]
 struct CacheEntry {
-    tape: Tape,
-    column: Vec<f64>,
+    basis: BasisFunction,
+    /// The column over the bound point set; a usable column is followed
+    /// by its image under the intercept reflector. One buffer per entry
+    /// keeps the VM's bounded pool serving every cached column.
+    values: Vec<f64>,
     ok: bool,
 }
 
 /// Where a gathered design column lives during one fit.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// In the cache, under this structural hash.
+    /// In the cache, under this key.
     Cached(u64),
     /// In the scratch's temporary store (hash-collision fallback).
     Temp(usize),
@@ -221,9 +279,30 @@ enum Lookup {
     Collision,
 }
 
+/// What a scratch's cached state was computed for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Binding {
+    /// [`pm_fingerprint`] of the point set the columns were evaluated on.
+    points: u64,
+    /// [`ctx_bits`] of the context the bases were compiled under.
+    ctx: [u64; 2],
+}
+
 /// Reusable state of the compiled fitness path: the lane-chunked tape VM
-/// with its bounded column-buffer pool, recycled tapes, and the
-/// per-generation basis-column cache.
+/// with its bounded column-buffer pool, one recycled tape, the
+/// per-generation basis-column cache, and the constants of the intercept
+/// reflection.
+///
+/// The cache is keyed on each basis itself (its bitwise structural hash,
+/// confirmed by bitwise equality), so a hit costs a hash and a comparison
+/// and only a miss compiles a tape. A miss stores the evaluated column
+/// and, when usable, its image under the intercept's Householder
+/// reflector, so every fit skips QR step 0 (see the [module
+/// docs](self)). Cached state is bound to the [`PointMatrix`] and the
+/// [`EvalContext`] it was computed for: a fit against either one changed
+/// resets the cache instead of serving stale columns. The reflected
+/// targets are kept with a copy of the targets they came from and
+/// recomputed when a fit passes different ones.
 ///
 /// One scratch serves one thread; [`crate::DatasetEvaluator`] creates one
 /// per batch (so the cache naturally spans exactly one generation), while
@@ -232,24 +311,29 @@ enum Lookup {
 /// memoization stays scoped to a generation while the VM's chunk stack
 /// and buffer pool stay warm.
 /// Steady-state evaluation through a warm scratch performs no allocation
-/// beyond the solver's — `tests/alloc_growth.rs` pins that down.
+/// beyond the solver's and one basis clone per cache miss —
+/// `tests/alloc_growth.rs` pins down that the count does not grow.
 #[derive(Debug, Default)]
 pub struct FitScratch {
     vm: TapeVm,
-    spare_tapes: Vec<Tape>,
+    /// The tape a miss compiles into, reused across misses.
+    tape: Tape,
     /// Fixed-key hashing (the keys are already structural hashes): the
     /// drain order of [`FitScratch::clear_cache`] then repeats run to run,
-    /// so which recycled tape or buffer a later column reuses — and hence
-    /// the allocation count `tests/alloc_growth.rs` pins — does too.
+    /// so which recycled buffer a later column reuses — and hence the
+    /// allocation count `tests/alloc_growth.rs` pins — does too.
     cache: HashMap<u64, CacheEntry, BuildHasherDefault<DefaultHasher>>,
-    /// Fingerprint of the [`PointMatrix`] the cached columns were
-    /// evaluated on; a fit against a different point set resets the cache
-    /// instead of serving stale columns.
-    bound_to: Option<u64>,
+    bound_to: Option<Binding>,
     temp_cols: Vec<Vec<f64>>,
     slots: Vec<Slot>,
-    /// The intercept column (all ones), as long as the last point set.
+    /// The intercept column (all ones), as long as the bound point set.
     ones: Vec<f64>,
+    /// The intercept's Householder reflector for the bound point set.
+    h0: InterceptReflector,
+    /// The targets [`FitScratch::rhs0`] was computed from.
+    targets: Vec<f64>,
+    /// `H₀·targets`, or `None` when the targets failed validation.
+    rhs0: Option<Vec<f64>>,
     /// The least-squares factorization, refactored in place per fit.
     qr: Qr,
     /// Right-hand-side buffer the solve overwrites with `Qᵀy`.
@@ -294,58 +378,115 @@ impl FitScratch {
         self.telemetry.as_ref()
     }
 
-    /// Empties the basis-column cache, recycling every column buffer and
-    /// tape for reuse. Call at generation boundaries when holding a
-    /// scratch across batches; capacity is retained.
+    /// Empties the basis-column cache, recycling every column buffer for
+    /// reuse. Call at generation boundaries when holding a scratch across
+    /// batches; capacity is retained.
     pub fn clear_cache(&mut self) {
         // lint: allow(determinism) — drain order only decides which recycled buffer a future column reuses; contents are fully overwritten
         for (_, e) in self.cache.drain() {
-            self.vm.recycle(e.column);
-            self.spare_tapes.push(e.tape);
+            self.vm.recycle(e.values);
         }
     }
 
-    /// Compiles, caches, and gathers the column of one basis; returns the
-    /// slot or `None` when the column is unusable.
+    /// Binds the scratch to the point set and context of a fit, resetting
+    /// the cache (and, for a new point count, the intercept constants)
+    /// when either differs from the last fit's.
+    fn bind(&mut self, pm: &PointMatrix, ctx: &EvalContext) {
+        let binding = Binding {
+            points: pm_fingerprint(pm),
+            ctx: ctx_bits(ctx),
+        };
+        if self.bound_to == Some(binding) {
+            return;
+        }
+        self.clear_cache();
+        self.bound_to = Some(binding);
+        let n = pm.n_points();
+        if self.h0.rows() != n || self.ones.len() != n {
+            self.h0 = InterceptReflector::new(n);
+            self.ones.clear();
+            self.ones.resize(n, 1.0);
+            // The reflected targets belong to the old point count.
+            self.targets.clear();
+            self.rhs0 = None;
+        }
+    }
+
+    /// Reflects `targets` through the intercept reflector unless they
+    /// are bitwise the ones reflected last.
+    fn bind_targets(&mut self, targets: &[f64]) {
+        let same = self.targets.len() == targets.len()
+            && self
+                .targets
+                .iter()
+                .zip(targets)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if same {
+            return;
+        }
+        self.targets.clear();
+        self.targets.extend_from_slice(targets);
+        let mut rhs0 = self.rhs0.take().unwrap_or_default();
+        rhs0.clear();
+        rhs0.extend_from_slice(targets);
+        self.rhs0 = self.h0.reflect_rhs(&mut rhs0).is_ok().then_some(rhs0);
+    }
+
+    /// Evaluates one basis over `pm` into a pooled buffer: the column,
+    /// followed by its intercept image when the column is usable.
+    fn evaluate(
+        &mut self,
+        basis: &BasisFunction,
+        pm: &PointMatrix,
+        ctx: &EvalContext,
+    ) -> (Vec<f64>, bool) {
+        self.tape.compile_into(basis, ctx);
+        let mut values = self.vm.eval(&self.tape, pm);
+        let ok = column_ok(&values);
+        if ok {
+            let n = values.len();
+            values.extend_from_within(..);
+            self.h0.reflect_column(&mut values[n..]);
+        }
+        (values, ok)
+    }
+
+    /// Looks up (or evaluates and caches) the column of one basis;
+    /// returns the slot or `None` when the column is unusable.
     fn gather(
         &mut self,
         basis: &BasisFunction,
         pm: &PointMatrix,
         ctx: &EvalContext,
     ) -> Option<Slot> {
-        let mut tape = self.spare_tapes.pop().unwrap_or_default();
-        tape.compile_into(basis, ctx);
-        let h = tape.structural_hash();
-        let lookup = match self.cache.get(&h) {
-            Some(e) if e.tape == tape => Lookup::Hit(e.ok),
+        let key = basis.bits_key();
+        let lookup = match self.cache.get(&key) {
+            Some(e) if e.basis.bits_eq(basis) => Lookup::Hit(e.ok),
             Some(_) => Lookup::Collision,
             None => Lookup::Miss,
         };
         match lookup {
             Lookup::Hit(ok) => {
                 self.hits += 1;
-                self.spare_tapes.push(tape);
-                ok.then_some(Slot::Cached(h))
+                ok.then_some(Slot::Cached(key))
             }
             Lookup::Miss => {
                 self.misses += 1;
-                let column = self.vm.eval(&tape, pm);
-                let ok = column_ok(&column);
-                self.cache.insert(h, CacheEntry { tape, column, ok });
-                ok.then_some(Slot::Cached(h))
+                let (values, ok) = self.evaluate(basis, pm, ctx);
+                let basis = basis.clone();
+                self.cache.insert(key, CacheEntry { basis, values, ok });
+                ok.then_some(Slot::Cached(key))
             }
             Lookup::Collision => {
-                // A different tape owns this hash slot: evaluate without
+                // A different basis owns this key: evaluate without
                 // caching (astronomically rare; correctness first).
                 self.misses += 1;
-                let column = self.vm.eval(&tape, pm);
-                let ok = column_ok(&column);
-                self.spare_tapes.push(tape);
+                let (values, ok) = self.evaluate(basis, pm, ctx);
                 if ok {
-                    self.temp_cols.push(column);
+                    self.temp_cols.push(values);
                     Some(Slot::Temp(self.temp_cols.len() - 1))
                 } else {
-                    self.vm.recycle(column);
+                    self.vm.recycle(values);
                     None
                 }
             }
@@ -371,7 +512,7 @@ impl FitScratch {
 /// columns never reach the solver — they are [`FitOutcome::Infeasible`]
 /// in both paths), and both solving stages run the same QR kernel in the
 /// same arithmetic order — the design is factored straight from the
-/// cached column slices, never assembled into a matrix.
+/// cached columns' intercept images, never assembled into a matrix.
 pub fn fit_linear_weights_cached(
     bases: &[BasisFunction],
     pm: &PointMatrix,
@@ -379,14 +520,7 @@ pub fn fit_linear_weights_cached(
     ctx: &EvalContext,
     scratch: &mut FitScratch,
 ) -> FitOutcome {
-    // Cached columns are only valid for the point set they were evaluated
-    // on; a scratch reused against a different `PointMatrix` resets
-    // itself rather than serving stale columns.
-    let fp = pm_fingerprint(pm);
-    if scratch.bound_to != Some(fp) {
-        scratch.clear_cache();
-        scratch.bound_to = Some(fp);
-    }
+    scratch.bind(pm, ctx);
     let telemetry = scratch.telemetry.clone();
     // Evaluate / look up every basis column, bailing on the first
     // unusable one exactly like the reference design-matrix builder.
@@ -412,14 +546,29 @@ pub fn fit_linear_weights_cached(
     }
     let outcome = {
         let _solve = telemetry.as_deref().map(|t| t.span(phases::LINEAR_SOLVE));
-        scratch.ones.resize(n, 1.0);
+        scratch.bind_targets(targets);
         let mut cols: Vec<&[f64]> = Vec::with_capacity(k + 1);
+        let mut images: Vec<&[f64]> = Vec::with_capacity(k);
         cols.push(&scratch.ones);
-        cols.extend(scratch.slots.iter().map(|s| match s {
-            Slot::Cached(h) => scratch.cache[h].column.as_slice(),
-            Slot::Temp(i) => scratch.temp_cols[*i].as_slice(),
-        }));
-        solve_columns(&cols, targets, &mut scratch.qr, &mut scratch.rhs)
+        for slot in &scratch.slots {
+            // Each buffer holds the column, then its intercept image.
+            let values = match *slot {
+                Slot::Cached(key) => &scratch.cache[&key].values,
+                Slot::Temp(i) => &scratch.temp_cols[i],
+            };
+            let (col, image) = values.split_at(n);
+            cols.push(col);
+            images.push(image);
+        }
+        solve_columns(
+            &cols,
+            &images,
+            &scratch.h0,
+            scratch.rhs0.as_deref(),
+            targets,
+            &mut scratch.qr,
+            &mut scratch.rhs,
+        )
     };
     scratch.finish_fit();
     outcome
@@ -619,6 +768,83 @@ mod tests {
         };
         assert_eq!(fit_b.coefficients, reference.coefficients);
         assert_eq!(fit_b.predictions, reference.predictions);
+    }
+
+    #[test]
+    fn scratch_reuse_across_contexts_resets_the_cache() {
+        // The same basis under two weight mappings evaluates differently;
+        // one scratch must not serve the first context's column to the
+        // second.
+        use crate::expr::{OpApplication, UnaryOp, Weight, WeightConfig, WeightedSum};
+        let narrow = EvalContext::new(WeightConfig {
+            b: 2.0,
+            ..WeightConfig::default()
+        });
+        let basis = BasisFunction::from_op(
+            1,
+            OpApplication::Unary {
+                op: UnaryOp::Square,
+                arg: WeightedSum::constant(Weight::from_raw(3.0, &WeightConfig::default())),
+            },
+        );
+        let bases = vec![basis, BasisFunction::from_vc(VarCombo::single(1, 0, 1))];
+        let pts = points_1d(7);
+        let targets: Vec<f64> = pts.iter().map(|p| 1.0 + 2.0 * p[0]).collect();
+        let pm = PointMatrix::from_rows(&pts);
+        let mut scratch = FitScratch::new();
+        let _ = fit_linear_weights_cached(&bases, &pm, &targets, &ctx(), &mut scratch);
+        let FitOutcome::Fit(narrow_fit) =
+            fit_linear_weights_cached(&bases, &pm, &targets, &narrow, &mut scratch)
+        else {
+            panic!("fit under the second context");
+        };
+        assert_eq!(scratch.cache_misses(), 4, "the second context re-evaluates");
+        let FitOutcome::Fit(reference) = fit_linear_weights(&bases, &pts, &targets, &narrow) else {
+            panic!("reference fit");
+        };
+        assert_eq!(narrow_fit.coefficients, reference.coefficients);
+        assert_eq!(narrow_fit.predictions, reference.predictions);
+    }
+
+    #[test]
+    fn signed_zero_weights_never_share_a_cache_slot() {
+        use crate::expr::{OpApplication, UnaryOp, Weight, WeightConfig, WeightedSum};
+        // `inv(w + x)` with the offset `w` at raw +0.0 or -0.0: the two
+        // trees are `==`, and both offsets interpret to 0.0.
+        let with_offset = |raw: f64| {
+            BasisFunction::from_op(
+                1,
+                OpApplication::Unary {
+                    op: UnaryOp::Inv,
+                    arg: WeightedSum {
+                        offset: Weight::from_raw(raw, &WeightConfig::default()),
+                        terms: vec![crate::expr::WeightedTerm {
+                            weight: Weight::from_value(1.0, &WeightConfig::default()),
+                            term: BasisFunction::from_vc(VarCombo::single(1, 0, 1)),
+                        }],
+                    },
+                },
+            )
+        };
+        let (pos, neg) = (with_offset(0.0), with_offset(-0.0));
+        assert_eq!(pos, neg);
+        let pts = points_1d(6);
+        let targets: Vec<f64> = pts.iter().map(|p| 2.0 + 1.0 / p[0]).collect();
+        let pm = PointMatrix::from_rows(&pts);
+        let mut scratch = FitScratch::new();
+        let _ = fit_linear_weights_cached(
+            std::slice::from_ref(&pos),
+            &pm,
+            &targets,
+            &ctx(),
+            &mut scratch,
+        );
+        let _ = fit_linear_weights_cached(&[neg], &pm, &targets, &ctx(), &mut scratch);
+        assert_eq!(scratch.cache_misses(), 2);
+        assert_eq!(scratch.cache_hits(), 0);
+        assert_eq!(scratch.cached_columns(), 2);
+        let _ = fit_linear_weights_cached(&[pos], &pm, &targets, &ctx(), &mut scratch);
+        assert_eq!(scratch.cache_hits(), 1, "a bitwise repeat still hits");
     }
 
     #[test]

@@ -62,5 +62,5 @@ pub use lu::{solve_square, Lu};
 pub use matrix::Matrix;
 pub use nnls::{nnls, NnlsSolution};
 pub use press::{hat_diagonal, press_statistic, PressReport};
-pub use qr::{lstsq, lstsq_ridge, lstsq_ridge_columns, Qr};
+pub use qr::{lstsq, lstsq_ridge, lstsq_ridge_columns, InterceptReflector, Qr};
 pub use scalar::Scalar;

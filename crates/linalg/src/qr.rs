@@ -10,17 +10,23 @@ use crate::{LinalgError, Matrix};
 /// every candidate model, and behind the PRESS leverages in
 /// [`crate::press`].
 ///
-/// The fitness hot path keeps one `Qr` per worker and refactors it from
-/// borrowed design columns with [`Qr::factor_columns`], so no row-major
-/// design matrix is ever assembled. Both entry points run the same
-/// kernel, whose arithmetic is fixed: each dot product accumulates in
+/// The kernel's arithmetic is fixed: each dot product accumulates in
 /// ascending row order, so a factorization is a pure function of the
 /// matrix entries.
+///
+/// The fitness hot path factors designs `[1 | A]` whose first column is
+/// the intercept. Step 0 of the kernel then depends only on the row count,
+/// so the path keeps one `Qr` per worker and refactors it in place with
+/// [`Qr::factor_reflected`]: the columns arrive already reflected through
+/// the intercept's [`InterceptReflector`] (computed once per cached
+/// column), the folded intercept column is installed, and the kernel
+/// starts at step 1. No row-major design matrix is ever assembled, and
+/// the factor is bit-identical to [`Qr::factor`] on `[1 | A]`.
 ///
 /// # Example
 ///
 /// ```
-/// use caffeine_linalg::{Matrix, Qr};
+/// use caffeine_linalg::{InterceptReflector, Matrix, Qr};
 ///
 /// # fn main() -> Result<(), caffeine_linalg::LinalgError> {
 /// let a: Matrix = Matrix::from_rows(&[
@@ -32,10 +38,16 @@ use crate::{LinalgError, Matrix};
 /// let x = qr.solve_lstsq(&[1.0, 3.0, 5.0])?;
 /// assert!((x[0] - 1.0).abs() < 1e-10 && (x[1] - 2.0).abs() < 1e-10);
 ///
-/// // The same factorization from borrowed columns, reusing storage.
+/// // The same solution from the reflected non-intercept column and the
+/// // reflected right-hand side, reusing storage.
+/// let h0 = InterceptReflector::new(3);
+/// let mut column = vec![0.0, 1.0, 2.0];
+/// h0.reflect_column(&mut column);
+/// let mut rhs = vec![1.0, 3.0, 5.0];
+/// h0.reflect_rhs(&mut rhs)?;
 /// let mut reused = Qr::default();
-/// reused.factor_columns(&[&[1.0, 1.0, 1.0], &[0.0, 1.0, 2.0]])?;
-/// assert_eq!(reused.solve_lstsq(&[1.0, 3.0, 5.0])?, x);
+/// reused.factor_reflected(&h0, &[&column])?;
+/// assert_eq!(reused.solve_reflected_in_place(&mut rhs)?, x);
 /// # Ok(())
 /// # }
 /// ```
@@ -76,49 +88,59 @@ impl Qr {
         for j in 0..n {
             qr.qr.extend((0..m).map(|i| a[(i, j)]));
         }
-        qr.householder(m, n);
+        qr.householder(m, n, 0);
         Ok(qr)
     }
 
-    /// Refactors in place from the columns of `A` (requires every column
-    /// to have the same length, at least the column count), reusing this
-    /// value's storage. Bit-identical to [`Qr::factor`] on the matrix with
-    /// those columns. On error the previous factorization is kept.
+    /// Refactors in place from the design `[1 | A]`, given the images
+    /// `H₀·a_j` of `A`'s columns under the intercept reflector `h0` (see
+    /// [`InterceptReflector::reflect_column`]), reusing this value's
+    /// storage. Installs the intercept column as step 0 of the kernel
+    /// leaves it and runs the remaining steps, so the factor is
+    /// bit-identical to [`Qr::factor`] on `[1 | A]`. On error the
+    /// previous factorization is kept.
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::DimensionMismatch`] when the columns differ in
-    ///   length or are fewer rows than columns.
-    /// * [`LinalgError::NonFiniteInput`] when a column has NaN/infinite
+    /// * [`LinalgError::DimensionMismatch`] when an image's length is not
+    ///   `h0.rows()`, or the design has fewer rows than columns.
+    /// * [`LinalgError::NonFiniteInput`] when an image has NaN/infinite
     ///   entries.
-    pub fn factor_columns(&mut self, columns: &[&[f64]]) -> Result<(), LinalgError> {
-        let n = columns.len();
-        let m = columns.first().map_or(0, |c| c.len());
-        if columns.iter().any(|c| c.len() != m) {
+    pub fn factor_reflected(
+        &mut self,
+        h0: &InterceptReflector,
+        images: &[&[f64]],
+    ) -> Result<(), LinalgError> {
+        let m = h0.rows();
+        let n = images.len() + 1;
+        if images.iter().any(|c| c.len() != m) {
             return Err(LinalgError::DimensionMismatch(
                 "QR columns must all have the same length".into(),
             ));
         }
         check_shape(m, n)?;
-        if columns.iter().any(|c| c.iter().any(|v| !v.is_finite())) {
+        if images.iter().any(|c| c.iter().any(|v| !v.is_finite())) {
             return Err(LinalgError::NonFiniteInput { argument: "a" });
         }
         self.qr.clear();
-        for c in columns {
+        self.qr.extend_from_slice(&h0.folded);
+        for c in images {
             self.qr.extend_from_slice(c);
         }
-        self.householder(m, n);
+        self.householder(m, n, 1);
+        self.betas[0] = h0.folded_beta;
         Ok(())
     }
 
     /// The factorization kernel over `self.qr` (an `m × n` column-major
-    /// copy of `A`, validated by the caller).
-    fn householder(&mut self, m: usize, n: usize) {
+    /// copy of `A`, validated by the caller), from step `start` on: the
+    /// columns before it must already hold their finished steps.
+    fn householder(&mut self, m: usize, n: usize, start: usize) {
         self.rows = m;
         self.cols = n;
         self.betas.clear();
         self.betas.resize(n, 0.0);
-        for k in 0..n {
+        for k in start..n {
             let (done, trailing) = self.qr.split_at_mut((k + 1) * m);
             let col = &mut done[k * m..];
             // Build the Householder reflector annihilating col[k+1..].
@@ -188,21 +210,8 @@ impl Qr {
     /// `y` in place.
     #[inline]
     fn reflect_vector(&self, k: usize, y: &mut [f64]) {
-        let beta = self.betas[k];
-        if beta == 0.0 {
-            return;
-        }
         let v = &self.qr[k * self.rows + k + 1..(k + 1) * self.rows];
-        let (head, tail) = y.split_at_mut(k + 1);
-        let mut dot = head[k];
-        for (&vi, &yi) in v.iter().zip(tail.iter()) {
-            dot += vi * yi;
-        }
-        let s = beta * dot;
-        head[k] -= s;
-        for (yi, &vi) in tail.iter_mut().zip(v.iter()) {
-            *yi -= s * vi;
-        }
+        reflect_folded(self.betas[k], k, v, y);
     }
 
     /// Applies `Q` to a vector of length `rows`.
@@ -277,17 +286,32 @@ impl Qr {
     ///
     /// As [`Qr::solve_lstsq`].
     pub fn solve_lstsq_in_place(&self, b: &mut [f64]) -> Result<Vec<f64>, LinalgError> {
-        if b.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "rhs length {} does not match row count {}",
-                b.len(),
-                self.rows
-            )));
-        }
+        check_rhs(b, self.rows)?;
         if b.iter().any(|v| !v.is_finite()) {
             return Err(LinalgError::NonFiniteInput { argument: "b" });
         }
-        for k in 0..self.cols {
+        self.solve_from(0, b)
+    }
+
+    /// [`Qr::solve_lstsq_in_place`] for a factor made by
+    /// [`Qr::factor_reflected`], on a right-hand side that already went
+    /// through the intercept reflector ([`InterceptReflector::reflect_rhs`],
+    /// which also validated it): the remaining reflectors and the back
+    /// substitution run, and the solution is bit-identical to the plain
+    /// solve of the unreflected right-hand side.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::DimensionMismatch`] if `b.len() != rows`.
+    /// * [`LinalgError::Singular`] if `R` is numerically rank deficient.
+    pub fn solve_reflected_in_place(&self, b: &mut [f64]) -> Result<Vec<f64>, LinalgError> {
+        check_rhs(b, self.rows)?;
+        self.solve_from(1.min(self.cols), b)
+    }
+
+    /// Applies reflectors `first..cols` to `b`, then back-substitutes.
+    fn solve_from(&self, first: usize, b: &mut [f64]) -> Result<Vec<f64>, LinalgError> {
+        for k in first..self.cols {
             self.reflect_vector(k, b);
         }
         let n = self.cols;
@@ -316,6 +340,135 @@ fn check_shape(m: usize, n: usize) -> Result<(), LinalgError> {
         )));
     }
     Ok(())
+}
+
+/// The right-hand-side length guard shared by the solve entry points.
+fn check_rhs(b: &[f64], rows: usize) -> Result<(), LinalgError> {
+    if b.len() != rows {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "rhs length {} does not match row count {rows}",
+            b.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Applies the folded reflector `H = I - beta v vᵀ`, `v = [1, tail…]`
+/// acting on rows `k..`, to `y` in place: the solve's reflection of the
+/// right-hand side.
+#[inline]
+fn reflect_folded(beta: f64, k: usize, tail: &[f64], y: &mut [f64]) {
+    if beta == 0.0 {
+        return;
+    }
+    let (head, rest) = y.split_at_mut(k + 1);
+    let mut dot = head[k];
+    for (&vi, &yi) in tail.iter().zip(rest.iter()) {
+        dot += vi * yi;
+    }
+    let s = beta * dot;
+    head[k] -= s;
+    for (yi, &vi) in rest.iter_mut().zip(tail.iter()) {
+        *yi -= s * vi;
+    }
+}
+
+/// The Householder reflector `H₀` that step 0 of [`Qr`]'s kernel builds
+/// for a design whose first column is the intercept `[1 … 1]`.
+///
+/// That column is the same in every such design of `rows` rows, so `H₀`
+/// depends on the row count alone. Computed once, it lets a caller that
+/// factors many intercept designs over the same rows reflect each other
+/// column (and the right-hand side) once and reuse the image in every
+/// [`Qr::factor_reflected`] / [`Qr::solve_reflected_in_place`] it takes
+/// part in. Every value here is produced by the kernel's own arithmetic
+/// on the intercept column, so the results stay bit-identical to
+/// [`Qr::factor`] and [`Qr::solve_lstsq`] on the assembled design.
+#[derive(Debug, Clone, Default)]
+pub struct InterceptReflector {
+    /// The intercept column as step 0 leaves it: `R₀₀ = alpha` on the
+    /// diagonal, the folded reflector `1/v0` below it.
+    folded: Vec<f64>,
+    /// The unfolded reflector below the diagonal: `rows − 1` ones.
+    ones: Vec<f64>,
+    v0: f64,
+    /// `2 / vᵀv` of the unfolded reflector `[v0, 1, …, 1]`.
+    beta: f64,
+    /// `beta·v0·v0`, the solve's scalar for the folded reflector.
+    folded_beta: f64,
+}
+
+impl InterceptReflector {
+    /// The intercept reflector of designs with `rows` rows.
+    pub fn new(rows: usize) -> InterceptReflector {
+        if rows == 0 {
+            return InterceptReflector::default();
+        }
+        // Step 0 of `Qr::householder` on a column of ones, operation for
+        // operation.
+        let ones = vec![1.0; rows - 1];
+        let mut norm_sq = 0.0;
+        for x in std::iter::once(1.0).chain(ones.iter().copied()) {
+            norm_sq += x * x;
+        }
+        let alpha = -f64::sqrt(norm_sq);
+        let v0 = 1.0 - alpha;
+        let mut vtv = v0 * v0;
+        for &x in &ones {
+            vtv += x * x;
+        }
+        let beta = 2.0 / vtv;
+        let mut folded = Vec::with_capacity(rows);
+        folded.push(alpha);
+        folded.extend(ones.iter().map(|&x| x / v0));
+        InterceptReflector {
+            folded,
+            ones,
+            v0,
+            beta,
+            folded_beta: beta * v0 * v0,
+        }
+    }
+
+    /// Number of rows of the designs this reflector belongs to.
+    pub fn rows(&self) -> usize {
+        self.folded.len()
+    }
+
+    /// Replaces a design column with its image under `H₀`: the values
+    /// step 0 of the kernel leaves in that column of `[1 | …]`,
+    /// computed by the kernel's own update.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `column.len() != self.rows()`.
+    pub fn reflect_column(&self, column: &mut [f64]) {
+        assert_eq!(column.len(), self.rows(), "column length");
+        if column.is_empty() {
+            return;
+        }
+        reflect::<1, false>(column, column.len(), 0, self.v0, &self.ones, self.beta);
+    }
+
+    /// Replaces a right-hand side with `H₀·b`, the first reflection
+    /// [`Qr::solve_lstsq_in_place`] applies, after validating it as that
+    /// solve does.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::DimensionMismatch`] if `b.len() != self.rows()`.
+    /// * [`LinalgError::NonFiniteInput`] if `b` has non-finite entries
+    ///   (`b` is then left as it was).
+    pub fn reflect_rhs(&self, b: &mut [f64]) -> Result<(), LinalgError> {
+        check_rhs(b, self.rows())?;
+        if b.iter().any(|v| !v.is_finite()) {
+            return Err(LinalgError::NonFiniteInput { argument: "b" });
+        }
+        if let Some(tail) = self.folded.get(1..) {
+            reflect_folded(self.folded_beta, 0, tail, b);
+        }
+        Ok(())
+    }
 }
 
 /// Applies reflector `k` (`v = [v0, v…]`) to the 1 to [`GROUP`] adjacent
@@ -435,10 +588,16 @@ pub fn lstsq_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, Linal
     ridge_solve(a.gram(), &a.conj_t_matvec(b)?, lambda)
 }
 
-/// [`lstsq_ridge`] on a design given by its columns: builds `AᵀA` and
-/// `Aᵀb` straight from the slices with the loops of [`Matrix::gram`] and
-/// [`Matrix::conj_t_matvec`] (rows in ascending order), so the result is
-/// bit-identical to [`lstsq_ridge`] on the assembled matrix.
+/// [`lstsq_ridge`] on a design given by its columns, bit-identical to it
+/// on the assembled matrix.
+///
+/// Each entry of `AᵀA` (and of `Aᵀb`) is one dot product over ascending
+/// rows, computed once and stored in both triangles; one pass over a
+/// column carries up to four such chains. That is the sum
+/// [`Matrix::gram`] and [`Matrix::conj_t_matvec`] accumulate entry by
+/// entry while they walk the rows: the walk's skip of a zero `a_ij` only
+/// drops `±0` addends, which cannot change a sum that starts at `+0.0`
+/// (it never becomes `−0.0`), and `a_ij·a_ik = a_ik·a_ij` exactly.
 ///
 /// # Errors
 ///
@@ -462,29 +621,51 @@ pub fn lstsq_ridge_columns(
     if b.iter().any(|v| !v.is_finite()) {
         return Err(LinalgError::NonFiniteInput { argument: "b" });
     }
-    // `Matrix::gram` and `Matrix::conj_t_matvec` walk the rows in order;
-    // do the same, reading each row out of the columns.
     let n = columns.len();
     let mut g = Matrix::zeros(n, n);
-    let mut atb = vec![0.0; n];
-    let mut row = vec![0.0; n];
-    for (i, &bi) in b.iter().enumerate() {
-        for (r, c) in row.iter_mut().zip(columns.iter()) {
-            *r = c[i];
-        }
-        for (j, &aij) in row.iter().enumerate() {
-            if aij == 0.0 {
-                continue;
+    let mut sums = [0.0; GROUP];
+    for (j, &cj) in columns.iter().enumerate() {
+        for (start, group) in columns[j..].chunks(GROUP).enumerate() {
+            let sums = dots(cj, group, &mut sums);
+            for (offset, &s) in sums.iter().enumerate() {
+                let k = j + start * GROUP + offset;
+                g[(j, k)] = s;
+                g[(k, j)] = s;
             }
-            for (gjk, &aik) in g.row_mut(j).iter_mut().zip(row.iter()) {
-                *gjk += aij * aik;
-            }
-        }
-        for (y, &aij) in atb.iter_mut().zip(row.iter()) {
-            *y += aij * bi;
         }
     }
+    let mut atb = Vec::with_capacity(n);
+    for group in columns.chunks(GROUP) {
+        atb.extend_from_slice(dots(b, group, &mut sums));
+    }
     ridge_solve(g, &atb, lambda)
+}
+
+/// The dot products of `x` with each of the 1 to [`GROUP`] columns in
+/// `ys`, written to the front of `out` and returned. One pass over the
+/// rows carries every chain; each starts at `+0.0` and adds `x_i·y_i` in
+/// ascending row order.
+fn dots<'a>(x: &[f64], ys: &[&[f64]], out: &'a mut [f64; GROUP]) -> &'a [f64] {
+    match ys.len() {
+        4 => dot_chains::<4>(x, ys, out),
+        3 => dot_chains::<3>(x, ys, out),
+        2 => dot_chains::<2>(x, ys, out),
+        _ => dot_chains::<1>(x, ys, out),
+    }
+    &out[..ys.len()]
+}
+
+/// [`dots`] for exactly `G` columns.
+#[inline]
+fn dot_chains<const G: usize>(x: &[f64], ys: &[&[f64]], out: &mut [f64; GROUP]) {
+    let ys: [&[f64]; G] = std::array::from_fn(|c| &ys[c][..x.len()]);
+    let mut acc = [0.0; G];
+    for (i, &xi) in x.iter().enumerate() {
+        for c in 0..G {
+            acc[c] += xi * ys[c][i];
+        }
+    }
+    out[..G].copy_from_slice(&acc);
 }
 
 /// Solves `(G + λ·mean(diag G)·I)·x = Aᵀb`, the step both ridge drivers

@@ -218,11 +218,6 @@ impl IslandRunner {
         self.master.generations
     }
 
-    /// The runner's execution configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     /// The island states (for inspection/tests).
     pub fn islands(&self) -> &[EngineState] {
         &self.islands
