@@ -89,8 +89,8 @@ struct Snapshot {
     /// A 243 × 7 design (intercept plus six bases, the OTA data's mean
     /// design size) solved by least squares: row-major QR of an assembled
     /// matrix vs the fitness path's column-major QR refactored in place
-    /// from the six columns' intercept images, starting at step 1, and
-    /// solved from the reflected targets (images and reflected targets
+    /// from the six columns' intercept images, starting at step 1, with
+    /// the reflected targets carried along (images and reflected targets
     /// made once, as the column cache does). One "op" is one factor +
     /// solve.
     least_squares: Comparison,
@@ -285,10 +285,10 @@ fn main() {
         },
         || {
             for _ in 0..ls_ops {
-                qr.factor_reflected(&h0, &ls_slices).unwrap();
                 rhs.clear();
                 rhs.extend_from_slice(&ls_rhs0);
-                std::hint::black_box(qr.solve_reflected_in_place(&mut rhs).unwrap());
+                qr.factor_reflected(&h0, &ls_slices, &mut rhs).unwrap();
+                std::hint::black_box(qr.back_substitute(&rhs).unwrap());
             }
         },
     );

@@ -2,8 +2,8 @@
 //! row-major kernel it replaced (`caffeine_bench::perf::ReferenceQr`):
 //! the factor `R`, the rank estimate, and every least-squares solution —
 //! including errors — agree exactly. The intercept-folded entry point the
-//! fitness path uses (`Qr::factor_reflected` + `solve_reflected_in_place`
-//! on columns and targets reflected once through `InterceptReflector`) is
+//! fitness path uses (`Qr::factor_reflected` + `back_substitute` on
+//! columns and targets reflected once through `InterceptReflector`) is
 //! pinned to the plain factor and solve of `[1 | A]`. The ridge fallback built from
 //! columns is pinned to the one built from the assembled matrix and to
 //! the row-major walk it used to build its normal equations with
@@ -153,26 +153,27 @@ proptest! {
             })
             .collect();
         let image_slices: Vec<&[f64]> = images.iter().map(Vec::as_slice).collect();
-        let mut folded = Qr::default();
-        // Leave a stale, differently shaped factorization behind first.
-        folded.factor_reflected(&InterceptReflector::new(3), &[&[1.0, 2.0, 3.0]]).unwrap();
-        folded.factor_reflected(&h0, &image_slices).unwrap();
-
-        prop_assert_eq!(matrix_bits(&folded.r()), matrix_bits(&plain.r()));
-        for tol in [1e-12, 1e-6, 0.5] {
-            prop_assert_eq!(folded.rank(tol), plain.rank(tol));
-        }
-
         let noise: Vec<f64> = (0..m).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let x_true: Vec<f64> = (0..=k).map(|_| f64::from(rng.gen_range(-4..5i32))).collect();
         let fitted = a.matvec(&x_true).unwrap();
+        let mut folded = Qr::default();
+        // Leave a stale, differently shaped factorization behind first.
+        folded
+            .factor_reflected(&InterceptReflector::new(3), &[&[1.0, 2.0, 3.0]], &mut [0.0; 3])
+            .unwrap();
         for b in [&noise, &fitted] {
-            let mut plain_rhs = b.clone();
-            let expect = outcome(plain.solve_lstsq_in_place(&mut plain_rhs));
             let mut rhs = b.clone();
             h0.reflect_rhs(&mut rhs).unwrap();
-            prop_assert_eq!(outcome(folded.solve_reflected_in_place(&mut rhs)), expect);
+            folded.factor_reflected(&h0, &image_slices, &mut rhs).unwrap();
+
+            prop_assert_eq!(matrix_bits(&folded.r()), matrix_bits(&plain.r()));
+            for tol in [1e-12, 1e-6, 0.5] {
+                prop_assert_eq!(folded.rank(tol), plain.rank(tol));
+            }
+            let mut plain_rhs = b.clone();
+            let expect = outcome(plain.solve_lstsq_in_place(&mut plain_rhs));
             prop_assert_eq!(bits(&rhs), bits(&plain_rhs));
+            prop_assert_eq!(outcome(folded.back_substitute(&rhs)), expect);
         }
     }
 
@@ -208,7 +209,7 @@ fn guards_match_the_reference() {
     assert!(Qr::factor(&wide).is_err());
     // [1 | a] with one row is wide.
     assert!(matches!(
-        Qr::default().factor_reflected(&InterceptReflector::new(1), &[&[2.0]]),
+        Qr::default().factor_reflected(&InterceptReflector::new(1), &[&[2.0]], &mut [0.0]),
         Err(LinalgError::DimensionMismatch(_))
     ));
 
@@ -219,13 +220,18 @@ fn guards_match_the_reference() {
     ));
     let h0 = InterceptReflector::new(2);
     assert!(matches!(
-        Qr::default().factor_reflected(&h0, &[&[1.0, f64::INFINITY]]),
+        Qr::default().factor_reflected(&h0, &[&[1.0, f64::INFINITY]], &mut [0.0; 2]),
         Err(LinalgError::NonFiniteInput { .. })
     ));
-    assert!(matches!(
-        Qr::default().factor_reflected(&h0, &[&[1.0, 2.0], &[1.0]]),
-        Err(LinalgError::DimensionMismatch(_))
-    ));
+    for (images, rhs_len) in [
+        (&[&[1.0, 2.0][..], &[1.0][..]][..], 2),
+        (&[&[1.0, 2.0][..]][..], 3),
+    ] {
+        assert!(matches!(
+            Qr::default().factor_reflected(&h0, images, &mut vec![0.0; rhs_len]),
+            Err(LinalgError::DimensionMismatch(_))
+        ));
+    }
     for b in [vec![f64::NAN, 0.0], vec![1.0]] {
         let mut reflected = b.clone();
         assert_eq!(

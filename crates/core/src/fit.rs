@@ -50,8 +50,8 @@
 //!    stores every usable column next to its image under the reflector
 //!    (computed by the kernel's own update), the targets are reflected
 //!    once per problem, and each fit starts the kernel at step 1
-//!    ([`Qr::factor_reflected`]). Predictions and the ridge fallback read
-//!    the original columns.
+//!    ([`Qr::factor_reflected`], which reflects the targets alongside).
+//!    Predictions and the ridge fallback read the original columns.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -164,8 +164,9 @@ fn solve_design(a: &Matrix, targets: &[f64]) -> FitOutcome {
 /// `None` when they failed validation). Reuses `qr` and `rhs` across fits.
 ///
 /// Bit-identical to [`solve_design`] on the assembled matrix: the folded
-/// factor and solve are pinned to [`Qr::factor`] + [`Qr::solve_lstsq`] on
-/// `[1 | …]`, the ridge fallback (on the original columns and targets)
+/// factor with its carried right-hand side and the back substitution are
+/// pinned to [`Qr::factor`] + [`Qr::solve_lstsq`] on `[1 | …]`, the ridge
+/// fallback (on the original columns and targets)
 /// sums each normal-equation entry in the same row order, and predictions
 /// follow [`Matrix::matvec`]'s per-row order (`0.0`, then `+ a_ij·x_j` for
 /// ascending `j`).
@@ -178,15 +179,15 @@ fn solve_columns(
     qr: &mut Qr,
     rhs: &mut Vec<f64>,
 ) -> FitOutcome {
-    if qr.factor_reflected(h0, images).is_err() {
-        return FitOutcome::Infeasible;
-    }
     let Some(rhs0) = rhs0 else {
         return FitOutcome::Infeasible;
     };
     rhs.clear();
     rhs.extend_from_slice(rhs0);
-    let coefficients = match qr.solve_reflected_in_place(rhs) {
+    if qr.factor_reflected(h0, images, rhs).is_err() {
+        return FitOutcome::Infeasible;
+    }
+    let coefficients = match qr.back_substitute(rhs) {
         Ok(c) => c,
         Err(LinalgError::Singular { .. }) => {
             match lstsq_ridge_columns(cols, targets, RIDGE_LAMBDA) {

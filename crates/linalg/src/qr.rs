@@ -19,9 +19,10 @@ use crate::{LinalgError, Matrix};
 /// so the path keeps one `Qr` per worker and refactors it in place with
 /// [`Qr::factor_reflected`]: the columns arrive already reflected through
 /// the intercept's [`InterceptReflector`] (computed once per cached
-/// column), the folded intercept column is installed, and the kernel
-/// starts at step 1. No row-major design matrix is ever assembled, and
-/// the factor is bit-identical to [`Qr::factor`] on `[1 | A]`.
+/// column), the folded intercept column is installed, the kernel starts
+/// at step 1, and the targets are reflected alongside. No row-major
+/// design matrix is ever assembled, and the factor and solution are
+/// bit-identical to [`Qr::factor`] and [`Qr::solve_lstsq`] on `[1 | A]`.
 ///
 /// # Example
 ///
@@ -46,8 +47,8 @@ use crate::{LinalgError, Matrix};
 /// let mut rhs = vec![1.0, 3.0, 5.0];
 /// h0.reflect_rhs(&mut rhs)?;
 /// let mut reused = Qr::default();
-/// reused.factor_reflected(&h0, &[&column])?;
-/// assert_eq!(reused.solve_reflected_in_place(&mut rhs)?, x);
+/// reused.factor_reflected(&h0, &[&column], &mut rhs)?;
+/// assert_eq!(reused.back_substitute(&rhs)?, x);
 /// # Ok(())
 /// # }
 /// ```
@@ -88,28 +89,38 @@ impl Qr {
         for j in 0..n {
             qr.qr.extend((0..m).map(|i| a[(i, j)]));
         }
-        qr.householder(m, n, 0);
+        qr.householder(m, n, 0, &mut []);
         Ok(qr)
     }
 
     /// Refactors in place from the design `[1 | A]`, given the images
     /// `H₀·a_j` of `A`'s columns under the intercept reflector `h0` (see
     /// [`InterceptReflector::reflect_column`]), reusing this value's
-    /// storage. Installs the intercept column as step 0 of the kernel
-    /// leaves it and runs the remaining steps, so the factor is
-    /// bit-identical to [`Qr::factor`] on `[1 | A]`. On error the
-    /// previous factorization is kept.
+    /// storage, and carries a right-hand side along. Installs the
+    /// intercept column as step 0 of the kernel leaves it and runs the
+    /// remaining steps, so the factor is bit-identical to [`Qr::factor`]
+    /// on `[1 | A]`.
+    ///
+    /// `rhs` must hold `H₀·b` ([`InterceptReflector::reflect_rhs`]); it is
+    /// left holding `Qᵀb`, the vector [`Qr::solve_lstsq_in_place`] reaches
+    /// before back substitution, bit for bit: each reflector is applied
+    /// to it in the solve's arithmetic as soon as the reflector is final,
+    /// inside the pass that finishes it. [`Qr::back_substitute`] then
+    /// yields the least-squares solution. On error the previous
+    /// factorization and `rhs` are kept.
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::DimensionMismatch`] when an image's length is not
-    ///   `h0.rows()`, or the design has fewer rows than columns.
+    /// * [`LinalgError::DimensionMismatch`] when an image's or `rhs`'s
+    ///   length is not `h0.rows()`, or the design has fewer rows than
+    ///   columns.
     /// * [`LinalgError::NonFiniteInput`] when an image has NaN/infinite
     ///   entries.
     pub fn factor_reflected(
         &mut self,
         h0: &InterceptReflector,
         images: &[&[f64]],
+        rhs: &mut [f64],
     ) -> Result<(), LinalgError> {
         let m = h0.rows();
         let n = images.len() + 1;
@@ -119,6 +130,7 @@ impl Qr {
             ));
         }
         check_shape(m, n)?;
+        check_rhs(rhs, m)?;
         if images.iter().any(|c| c.iter().any(|v| !v.is_finite())) {
             return Err(LinalgError::NonFiniteInput { argument: "a" });
         }
@@ -127,66 +139,119 @@ impl Qr {
         for c in images {
             self.qr.extend_from_slice(c);
         }
-        self.householder(m, n, 1);
+        self.householder(m, n, 1, rhs);
         self.betas[0] = h0.folded_beta;
         Ok(())
     }
 
     /// The factorization kernel over `self.qr` (an `m × n` column-major
     /// copy of `A`, validated by the caller), from step `start` on: the
-    /// columns before it must already hold their finished steps.
-    fn householder(&mut self, m: usize, n: usize, start: usize) {
+    /// columns before it must already hold their finished steps. Unless
+    /// `rhs` is empty, each new reflector is applied to it as the solve
+    /// would (see [`Qr::factor_reflected`]).
+    fn householder(&mut self, m: usize, n: usize, start: usize, rhs: &mut [f64]) {
         self.rows = m;
         self.cols = n;
         self.betas.clear();
         self.betas.resize(n, 0.0);
+        // ‖column k‖² over rows k.., when step k − 1 summed it while it
+        // updated that column (same values, same ascending order).
+        let mut carried: Option<f64> = None;
         for k in start..n {
             let (done, trailing) = self.qr.split_at_mut((k + 1) * m);
             let col = &mut done[k * m..];
             // Build the Householder reflector annihilating col[k+1..].
-            let mut norm_sq = 0.0;
-            for &x in &col[k..] {
-                norm_sq += x * x;
-            }
+            let norm_sq = carried.take().unwrap_or_else(|| {
+                let mut norm_sq = 0.0;
+                for &x in &col[k..] {
+                    norm_sq += x * x;
+                }
+                norm_sq
+            });
             let norm = norm_sq.sqrt();
             if norm == 0.0 {
                 continue;
             }
             let alpha = if col[k] >= 0.0 { -norm } else { norm };
+            // |v0| ≥ norm > 0, so v0 is never zero.
             let v0 = col[k] - alpha;
             let (head, v) = col.split_at_mut(k + 1);
             // v = [v0, v…]; beta = 2 / (vᵀv). The vᵀv chain rides along
             // the first pass over the trailing columns; a zero vᵀv leaves
             // every column untouched.
             let mut groups = trailing.chunks_mut(GROUP * m);
-            let beta = match groups.next() {
-                Some(first) => reflect_group::<true>(first, m, k, v0, v, 0.0),
+            let mut first = groups.next();
+            let mut dots = [0.0; GROUP];
+            let vtv = match first.as_deref() {
+                Some(group) => reflector_dots::<true>(group, m, k, v0, v, &mut dots),
                 None => {
                     let mut vtv = v0 * v0;
                     for &x in v.iter() {
                         vtv += x * x;
                     }
-                    (vtv != 0.0).then(|| 2.0 / vtv)
+                    vtv
                 }
             };
-            let Some(beta) = beta else {
+            if vtv == 0.0 {
                 continue;
-            };
+            }
+            let beta = 2.0 / vtv;
+            if let Some(group) = first.as_deref_mut() {
+                group_update(&mut group[m..], m, k, v0, v, beta, &dots[1..]);
+            }
+            let mut group_dots = [0.0; GROUP];
             for group in groups {
-                reflect_group::<false>(group, m, k, v0, v, beta);
+                reflector_dots::<false>(group, m, k, v0, v, &mut group_dots);
+                group_update(group, m, k, v0, v, beta, &group_dots);
             }
             head[k] = alpha;
             // Column k's subdiagonal already holds v[1..]. R owns the
             // diagonal, so v0 is folded away instead of stored: divide
             // v[1..] by v0 and fold v0² into beta, leaving v = [1, …].
-            if v0 != 0.0 {
+            // The next column's update by this reflector, the fold and
+            // that column's norm for step k + 1 share one pass: each value
+            // is computed as in separate passes.
+            let folded_beta = beta * v0 * v0;
+            self.betas[k] = folded_beta;
+            let Some(group) = first else {
                 for x in v.iter_mut() {
                     *x /= v0;
                 }
-                self.betas[k] = beta * v0 * v0;
+                if !rhs.is_empty() {
+                    reflect_folded(folded_beta, k, v, rhs);
+                }
+                continue;
+            };
+            let next = &mut group[k..m];
+            let s = beta * dots[0];
+            next[0] -= s * v0;
+            let mut next_norm_sq = 0.0;
+            if rhs.is_empty() {
+                for (x, vi) in next[1..].iter_mut().zip(v.iter_mut()) {
+                    *x -= s * *vi;
+                    next_norm_sq += *x * *x;
+                    *vi /= v0;
+                }
             } else {
-                self.betas[k] = beta;
+                // The right-hand side's dot with the folded reflector (the
+                // chain `reflect_folded` sums) rides along as well.
+                let (head, tail) = rhs.split_at_mut(k + 1);
+                let mut dot = head[k];
+                for ((x, vi), &yi) in next[1..].iter_mut().zip(v.iter_mut()).zip(tail.iter()) {
+                    *x -= s * *vi;
+                    next_norm_sq += *x * *x;
+                    *vi /= v0;
+                    dot += *vi * yi;
+                }
+                if folded_beta != 0.0 {
+                    let s = folded_beta * dot;
+                    head[k] -= s;
+                    for (yi, &vi) in tail.iter_mut().zip(v.iter()) {
+                        *yi -= s * vi;
+                    }
+                }
             }
+            carried = Some(next_norm_sq);
         }
     }
 
@@ -290,35 +355,27 @@ impl Qr {
         if b.iter().any(|v| !v.is_finite()) {
             return Err(LinalgError::NonFiniteInput { argument: "b" });
         }
-        self.solve_from(0, b)
+        for k in 0..self.cols {
+            self.reflect_vector(k, b);
+        }
+        self.back_substitute(b)
     }
 
-    /// [`Qr::solve_lstsq_in_place`] for a factor made by
-    /// [`Qr::factor_reflected`], on a right-hand side that already went
-    /// through the intercept reflector ([`InterceptReflector::reflect_rhs`],
-    /// which also validated it): the remaining reflectors and the back
-    /// substitution run, and the solution is bit-identical to the plain
-    /// solve of the unreflected right-hand side.
+    /// Solves `R·x = Qᵀb` by back substitution, given `qtb = Qᵀb` (as
+    /// [`Qr::factor_reflected`] leaves its right-hand side): the last
+    /// stage of [`Qr::solve_lstsq_in_place`].
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::DimensionMismatch`] if `b.len() != rows`.
+    /// * [`LinalgError::DimensionMismatch`] if `qtb.len() != rows`.
     /// * [`LinalgError::Singular`] if `R` is numerically rank deficient.
-    pub fn solve_reflected_in_place(&self, b: &mut [f64]) -> Result<Vec<f64>, LinalgError> {
-        check_rhs(b, self.rows)?;
-        self.solve_from(1.min(self.cols), b)
-    }
-
-    /// Applies reflectors `first..cols` to `b`, then back-substitutes.
-    fn solve_from(&self, first: usize, b: &mut [f64]) -> Result<Vec<f64>, LinalgError> {
-        for k in first..self.cols {
-            self.reflect_vector(k, b);
-        }
+    pub fn back_substitute(&self, qtb: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        check_rhs(qtb, self.rows)?;
         let n = self.cols;
         let tol = self.max_diag() * (self.rows as f64) * f64::EPSILON;
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
-            let mut acc = b[i];
+            let mut acc = qtb[i];
             for j in (i + 1)..n {
                 acc -= self.at(i, j) * x[j];
             }
@@ -342,7 +399,7 @@ fn check_shape(m: usize, n: usize) -> Result<(), LinalgError> {
     Ok(())
 }
 
-/// The right-hand-side length guard shared by the solve entry points.
+/// The right-hand-side length guard.
 fn check_rhs(b: &[f64], rows: usize) -> Result<(), LinalgError> {
     if b.len() != rows {
         return Err(LinalgError::DimensionMismatch(format!(
@@ -380,8 +437,7 @@ fn reflect_folded(beta: f64, k: usize, tail: &[f64], y: &mut [f64]) {
 /// depends on the row count alone. Computed once, it lets a caller that
 /// factors many intercept designs over the same rows reflect each other
 /// column (and the right-hand side) once and reuse the image in every
-/// [`Qr::factor_reflected`] / [`Qr::solve_reflected_in_place`] it takes
-/// part in. Every value here is produced by the kernel's own arithmetic
+/// [`Qr::factor_reflected`] it takes part in. Every value here is produced by the kernel's own arithmetic
 /// on the intercept column, so the results stay bit-identical to
 /// [`Qr::factor`] and [`Qr::solve_lstsq`] on the assembled design.
 #[derive(Debug, Clone, Default)]
@@ -447,7 +503,10 @@ impl InterceptReflector {
         if column.is_empty() {
             return;
         }
-        reflect::<1, false>(column, column.len(), 0, self.v0, &self.ones, self.beta);
+        let m = column.len();
+        let mut dot = [0.0; GROUP];
+        reflector_dots::<false>(column, m, 0, self.v0, &self.ones, &mut dot);
+        group_update(column, m, 0, self.v0, &self.ones, self.beta, &dot);
     }
 
     /// Replaces a right-hand side with `H₀·b`, the first reflection
@@ -471,76 +530,79 @@ impl InterceptReflector {
     }
 }
 
-/// Applies reflector `k` (`v = [v0, v…]`) to the 1 to [`GROUP`] adjacent
-/// columns stored in `group` (column-major). With `FIRST`, the pass also
-/// accumulates `vᵀv` and derives `beta = 2 / vᵀv` from it, returning
-/// `None` without touching a column when `vᵀv` is zero; otherwise `beta`
-/// is the one passed in.
-fn reflect_group<const FIRST: bool>(
-    group: &mut [f64],
+/// The dot products of reflector `k` (`v = [v0, v…]`) with the 1 to
+/// [`GROUP`] adjacent columns stored in `group` (column-major), written
+/// to the front of `dots`; with `VTV`, also `vᵀv` (returned, `0.0`
+/// otherwise).
+fn reflector_dots<const VTV: bool>(
+    group: &[f64],
     m: usize,
     k: usize,
     v0: f64,
     v: &[f64],
-    beta: f64,
-) -> Option<f64> {
+    dots: &mut [f64; GROUP],
+) -> f64 {
     match group.len() / m {
-        4 => reflect::<4, FIRST>(group, m, k, v0, v, beta),
-        3 => reflect::<3, FIRST>(group, m, k, v0, v, beta),
-        2 => reflect::<2, FIRST>(group, m, k, v0, v, beta),
-        _ => reflect::<1, FIRST>(group, m, k, v0, v, beta),
+        4 => reflector_chains::<4, VTV>(group, m, k, v0, v, dots),
+        3 => reflector_chains::<3, VTV>(group, m, k, v0, v, dots),
+        2 => reflector_chains::<2, VTV>(group, m, k, v0, v, dots),
+        _ => reflector_chains::<1, VTV>(group, m, k, v0, v, dots),
     }
 }
 
-/// [`reflect_group`] for exactly `G` columns.
+/// [`reflector_dots`] for exactly `G` columns.
 ///
-/// The dot products of all `G` columns (and, with `FIRST`, `vᵀv`) are
-/// accumulated in one pass over `v`; each chain keeps its own order: a
-/// column's starts at `v0 · a_kj` and adds `v_i · a_ij` in ascending row
-/// order, `vᵀv` starts at `v0²` and adds `v_i²` likewise.
+/// All chains are accumulated in one pass over `v`, each in its own
+/// order: a column's starts at `v0 · a_kj` and adds `v_i · a_ij` in
+/// ascending row order, `vᵀv` starts at `v0²` and adds `v_i²` likewise.
 #[inline]
-fn reflect<const G: usize, const FIRST: bool>(
+fn reflector_chains<const G: usize, const VTV: bool>(
+    group: &[f64],
+    m: usize,
+    k: usize,
+    v0: f64,
+    v: &[f64],
+    dots: &mut [f64; GROUP],
+) -> f64 {
+    let cols: [&[f64]; G] = std::array::from_fn(|c| &group[c * m + k..(c + 1) * m]);
+    let mut acc: [f64; G] = std::array::from_fn(|c| v0 * cols[c][0]);
+    let mut vtv = v0 * v0;
+    let below: [&[f64]; G] = std::array::from_fn(|c| &cols[c][1..=v.len()]);
+    for (i, &vi) in v.iter().enumerate() {
+        if VTV {
+            vtv += vi * vi;
+        }
+        for c in 0..G {
+            acc[c] += vi * below[c][i];
+        }
+    }
+    dots[..G].copy_from_slice(&acc);
+    if VTV {
+        vtv
+    } else {
+        0.0
+    }
+}
+
+/// Applies reflector `k` (`H = I - beta v vᵀ`, `v = [v0, v…]`) to the
+/// columns of `group`, given their dot products with `v` in order.
+fn group_update(
     group: &mut [f64],
     m: usize,
     k: usize,
     v0: f64,
     v: &[f64],
     beta: f64,
-) -> Option<f64> {
-    let mut split = group.chunks_exact_mut(m);
-    let mut cols: [&mut [f64]; G] = std::array::from_fn(|_| {
-        let col = split.next().expect("group holds G columns");
-        &mut col[k..]
-    });
-    let mut dots: [f64; G] = std::array::from_fn(|c| v0 * cols[c][0]);
-    let mut vtv = v0 * v0;
-    {
-        let below: [&[f64]; G] = std::array::from_fn(|c| &cols[c][1..=v.len()]);
-        for (i, &vi) in v.iter().enumerate() {
-            if FIRST {
-                vtv += vi * vi;
-            }
-            for c in 0..G {
-                dots[c] += vi * below[c][i];
-            }
-        }
-    }
-    let beta = if FIRST {
-        if vtv == 0.0 {
-            return None;
-        }
-        2.0 / vtv
-    } else {
-        beta
-    };
-    for (col, dot) in cols.iter_mut().zip(dots) {
+    dots: &[f64],
+) {
+    for (col, &dot) in group.chunks_exact_mut(m).zip(dots) {
         let s = beta * dot;
+        let col = &mut col[k..];
         col[0] -= s * v0;
-        for (x, &vi) in col[1..].iter_mut().zip(v.iter()) {
+        for (x, &vi) in col[1..].iter_mut().zip(v) {
             *x -= s * vi;
         }
     }
-    Some(beta)
 }
 
 /// Solves the dense least-squares problem `min ‖A·x − b‖₂` via Householder QR.
