@@ -552,8 +552,8 @@ struct Reuse {
     repeats: Vec<(usize, usize)>,
 }
 
-/// Gives every unevaluated offspring whose basis list is bitwise equal to
-/// an evaluated population member a clone of that member's evaluation,
+/// Gives every offspring whose basis list is bitwise equal to an
+/// evaluated population member a clone of that member's evaluation,
 /// and sorts the rest into distinct offspring and repeats of an earlier
 /// offspring. An evaluation is a pure function of the bases, so this
 /// changes no outcome, only how many fits run. A hash collision between
@@ -577,9 +577,6 @@ fn reuse_evaluations(population: &[Individual], offspring: &mut [Individual]) ->
         repeats: Vec::new(),
     };
     for i in 0..offspring.len() {
-        if offspring[i].eval.is_some() {
-            continue;
-        }
         let key = bases_bits_key(&offspring[i].bases);
         match seen.get(&key).copied() {
             Some(Seen::Member(j)) if bases_bits_eq(&population[j].bases, &offspring[i].bases) => {

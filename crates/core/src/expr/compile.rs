@@ -30,9 +30,10 @@
 //!   trees cheap.
 //!
 //! A tape is a pure function of its basis and the context, so bitwise-
-//! equal bases (see [`BasisFunction::bits_eq`]) compile to equal tapes and
-//! evaluate to bitwise-equal columns, which is what makes the basis-keyed
-//! column cache in [`crate::fit`] safe for deterministic runs.
+//! equal bases (same structure, weights compared by `to_bits`) compile to
+//! equal tapes and evaluate to bitwise-equal columns, which is what makes
+//! the basis-keyed column cache in [`crate::fit`] safe for deterministic
+//! runs.
 
 use super::eval::EvalContext;
 use super::ops::{BinaryOp, UnaryOp};

@@ -52,10 +52,8 @@ pub use eval::{eval_basis, eval_basis_all, EvalContext};
 pub use format::{format_basis, format_model, FormatOptions};
 pub use ops::{powi_small, BinaryOp, UnaryOp};
 pub use simplify::{constant_value, is_constant_basis, prune_zero_terms, strip_constant_factors};
-pub use tree::{
-    bases_bits_eq, bases_bits_key, BasisFunction, BinaryArgs, LteArgs, OpApplication, WeightedSum,
-    WeightedTerm,
-};
+pub(crate) use tree::{bases_bits_eq, bases_bits_key};
+pub use tree::{BasisFunction, BinaryArgs, LteArgs, OpApplication, WeightedSum, WeightedTerm};
 pub use vc::VarCombo;
 pub use vm::{TapeVm, LANE_WIDTH};
 pub use weight::{cauchy_gamma_default, cauchy_sample, Weight, WeightConfig};

@@ -96,7 +96,7 @@ impl BasisFunction {
     /// A deterministic 64-bit key of the tree; [`BasisFunction::bits_eq`]
     /// trees share it. Unequal trees may collide, so a key match must be
     /// confirmed with [`BasisFunction::bits_eq`].
-    pub fn bits_key(&self) -> u64 {
+    pub(crate) fn bits_key(&self) -> u64 {
         let mut h = BitsHasher::default();
         self.hash_bits(&mut h);
         h.finish()
@@ -104,7 +104,7 @@ impl BasisFunction {
 
     /// `true` when both trees have the same structure and bitwise-equal
     /// weights.
-    pub fn bits_eq(&self, other: &BasisFunction) -> bool {
+    pub(crate) fn bits_eq(&self, other: &BasisFunction) -> bool {
         self.vc == other.vc
             && self.factors.len() == other.factors.len()
             && self
@@ -124,7 +124,7 @@ impl BasisFunction {
 }
 
 /// The [`BasisFunction::bits_key`] of a basis list, in order.
-pub fn bases_bits_key(bases: &[BasisFunction]) -> u64 {
+pub(crate) fn bases_bits_key(bases: &[BasisFunction]) -> u64 {
     let mut h = BitsHasher::default();
     h.write_usize(bases.len());
     for b in bases {
@@ -135,7 +135,7 @@ pub fn bases_bits_key(bases: &[BasisFunction]) -> u64 {
 
 /// `true` when two basis lists are [`BasisFunction::bits_eq`] basis by
 /// basis.
-pub fn bases_bits_eq(a: &[BasisFunction], b: &[BasisFunction]) -> bool {
+pub(crate) fn bases_bits_eq(a: &[BasisFunction], b: &[BasisFunction]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
 }
 

@@ -403,7 +403,7 @@ impl FitScratch {
         self.clear_cache();
         self.bound_to = Some(binding);
         let n = pm.n_points();
-        if self.h0.rows() != n || self.ones.len() != n {
+        if self.h0.rows() != n {
             self.h0 = InterceptReflector::new(n);
             self.ones.clear();
             self.ones.resize(n, 1.0);
