@@ -166,8 +166,8 @@ fn solve_design(a: &Matrix, targets: &[f64]) -> FitOutcome {
 /// Bit-identical to [`solve_design`] on the assembled matrix: the folded
 /// factor with its carried right-hand side and the back substitution are
 /// pinned to [`Qr::factor`] + [`Qr::solve_lstsq`] on `[1 | …]`, the ridge
-/// fallback (on the original columns and targets)
-/// sums each normal-equation entry in the same row order, and predictions
+/// fallback (on the original columns and targets) sums each
+/// normal-equation entry in the same row order, and predictions
 /// follow [`Matrix::matvec`]'s per-row order (`0.0`, then `+ a_ij·x_j` for
 /// ascending `j`).
 fn solve_columns(

@@ -437,9 +437,10 @@ fn reflect_folded(beta: f64, k: usize, tail: &[f64], y: &mut [f64]) {
 /// depends on the row count alone. Computed once, it lets a caller that
 /// factors many intercept designs over the same rows reflect each other
 /// column (and the right-hand side) once and reuse the image in every
-/// [`Qr::factor_reflected`] it takes part in. Every value here is produced by the kernel's own arithmetic
-/// on the intercept column, so the results stay bit-identical to
-/// [`Qr::factor`] and [`Qr::solve_lstsq`] on the assembled design.
+/// [`Qr::factor_reflected`] it takes part in. Every value here is
+/// produced by the kernel's own arithmetic on the intercept column, so
+/// the results stay bit-identical to [`Qr::factor`] and
+/// [`Qr::solve_lstsq`] on the assembled design.
 #[derive(Debug, Clone, Default)]
 pub struct InterceptReflector {
     /// The intercept column as step 0 leaves it: `R₀₀ = alpha` on the
