@@ -1,7 +1,7 @@
 //! Engine-phase names: the shared vocabulary between the instrumentation
 //! points (fit gather/solve, [`EngineState::step`]'s selection segments,
-//! the runtime's migration) and the consumers that turn accumulated cells
-//! into progress frames and `/metrics` series.
+//! the runtime's migration and generation wall) and the consumers that
+//! turn accumulated cells into progress frames and `/metrics` series.
 //!
 //! All instrumentation is opt-in: an evaluator without an attached
 //! [`PhaseAccumulator`] never reads the clock, so a step loop over it
@@ -30,6 +30,10 @@ pub const MIGRATION: &str = "migration";
 pub const CACHE_HITS: &str = "cache_hits";
 /// Basis-column cache misses (count).
 pub const CACHE_MISSES: &str = "cache_misses";
+/// Wall time of whole generations as seen by the runtime: the island
+/// steps plus migration, so every phase above nests inside it
+/// (nanoseconds; recorded by the runtime).
+pub const GENERATION: &str = "generation";
 
 /// An accumulator with a cell for every engine phase above.
 pub fn engine_accumulator() -> PhaseAccumulator {
@@ -41,5 +45,6 @@ pub fn engine_accumulator() -> PhaseAccumulator {
         MIGRATION,
         CACHE_HITS,
         CACHE_MISSES,
+        GENERATION,
     ])
 }

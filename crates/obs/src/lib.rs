@@ -8,9 +8,9 @@
 //! * **Span timers** ([`PhaseAccumulator`], [`Span`]): a guard that records
 //!   its elapsed wall time into a named phase cell on drop. Cells are plain
 //!   atomics, so accumulators can be shared across threads and sampled
-//!   without stopping the work they measure. [`Logger::span`] gates a span
-//!   on a level, compiling it to a no-op (`Instant` is never read) when the
-//!   level is filtered out.
+//!   without stopping the work they measure. The runtime reads one
+//!   accumulator per search, once per stats interval, and that one record
+//!   feeds every sink: progress frames, `/metrics` and the job trace.
 //! * **Request ids** ([`request_id`]): short unique hex tokens for
 //!   request/response correlation, safe to accept from untrusted clients
 //!   after [`valid_request_id`] screening.
@@ -34,7 +34,6 @@ pub use trace::{
     TraceStoreStats, TraceSummary,
 };
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -359,21 +358,6 @@ impl Logger {
     pub fn debug(&self, event: &str, fields: &[(&str, Field)]) {
         self.log(Level::Debug, event, fields);
     }
-
-    /// A span recording into `acc` when `level` is enabled, and a true
-    /// no-op (no clock read at all) when it is filtered out.
-    pub fn span<'a>(
-        &self,
-        level: Level,
-        phase: &'static str,
-        acc: &'a PhaseAccumulator,
-    ) -> Span<'a> {
-        if self.enabled(level) {
-            acc.span(phase)
-        } else {
-            Span::noop()
-        }
-    }
 }
 
 /// Named monotonic counters (nanoseconds for spans, raw units for
@@ -415,11 +399,6 @@ impl PhaseAccumulator {
         self.cell(name).map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
-    /// A span-cell value interpreted as seconds.
-    pub fn seconds(&self, name: &str) -> f64 {
-        self.get(name) as f64 / 1e9
-    }
-
     /// Every cell's current raw value, in construction order.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         self.cells
@@ -431,47 +410,24 @@ impl PhaseAccumulator {
     /// A guard that adds its elapsed wall time to `name` when dropped.
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span {
-            target: Some((self, name)),
+            acc: self,
+            name,
             start: Instant::now(),
         }
     }
 }
 
 /// The timing guard of [`PhaseAccumulator::span`]; records on drop.
+#[derive(Debug)]
 pub struct Span<'a> {
-    target: Option<(&'a PhaseAccumulator, &'static str)>,
+    acc: &'a PhaseAccumulator,
+    name: &'static str,
     start: Instant,
-}
-
-impl Span<'_> {
-    /// A span that records nothing (the filtered-out fast path).
-    pub fn noop() -> Span<'static> {
-        Span {
-            target: None,
-            // Never read back: `drop` short-circuits on `target`.
-            start: Instant::now(),
-        }
-    }
-
-    /// `true` when dropping this span will record somewhere.
-    pub fn is_recording(&self) -> bool {
-        self.target.is_some()
-    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some((acc, name)) = self.target {
-            acc.add(name, self.start.elapsed());
-        }
-    }
-}
-
-impl fmt::Debug for Span<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Span")
-            .field("recording", &self.is_recording())
-            .finish()
+        self.acc.add(self.name, self.start.elapsed());
     }
 }
 
@@ -580,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_accumulate_and_noop_below_level() {
+    fn spans_accumulate_into_named_cells() {
         let acc = PhaseAccumulator::new(&["solve", "eval"]);
         {
             let _s = acc.span("solve");
@@ -592,11 +548,6 @@ mod tests {
         acc.incr("eval", 7);
         assert_eq!(acc.get("eval"), 7);
         assert_eq!(acc.snapshot().len(), 2);
-
-        let (logger, _) = Logger::capture(Level::Info, LogFormat::Text);
-        assert!(!logger.span(Level::Debug, "solve", &acc).is_recording());
-        assert!(logger.span(Level::Info, "solve", &acc).is_recording());
-        assert!(!Span::noop().is_recording());
     }
 
     #[test]
@@ -618,12 +569,5 @@ mod tests {
         assert!(!valid_request_id("has space"));
         assert!(!valid_request_id("newline\nid"));
         assert!(!valid_request_id("quote\"id"));
-    }
-
-    #[test]
-    fn seconds_view_converts_nanos() {
-        let acc = PhaseAccumulator::new(&["p"]);
-        acc.add("p", Duration::from_millis(1500));
-        assert!((acc.seconds("p") - 1.5).abs() < 1e-9);
     }
 }

@@ -54,8 +54,8 @@ pub struct ProgressSnapshot {
     pub total_generations: usize,
     /// The most recent island-0 statistics snapshot, when one exists.
     pub latest: Option<EvolutionStats>,
-    /// Where the most recent generation's time went, once one generation
-    /// has run under this controller.
+    /// Where the most recent stats interval's time went, once one
+    /// interval has ended under this controller.
     pub phases: Option<PhaseBreakdown>,
 }
 

@@ -21,7 +21,7 @@ use crate::checkpoint::{RuntimeCheckpoint, RuntimeError};
 use crate::config::RuntimeConfig;
 use crate::control::{RunController, RunPhase};
 use crate::pool::ParallelEvaluator;
-use crate::stats::{FrontPoint, PhaseBreakdown, RunEvent};
+use crate::stats::{FrontPoint, IntervalStart, PhaseBreakdown, RunEvent};
 
 /// Derives the RNG seed of island `island` from the master seed.
 ///
@@ -66,6 +66,8 @@ pub struct IslandRunner {
     /// Telemetry side channel: never serialized into checkpoints and
     /// never compared, so instrumentation cannot perturb determinism.
     phases: Arc<PhaseAccumulator>,
+    /// The stats interval in progress, opened before its first generation.
+    interval: Option<IntervalStart>,
     last_phases: Option<PhaseBreakdown>,
 }
 
@@ -124,6 +126,7 @@ impl IslandRunner {
             events: None,
             controller: None,
             phases: Arc::new(phases::engine_accumulator()),
+            interval: None,
             last_phases: None,
         })
     }
@@ -159,6 +162,7 @@ impl IslandRunner {
             events: None,
             controller: None,
             phases: Arc::new(phases::engine_accumulator()),
+            interval: None,
             last_phases: None,
         })
     }
@@ -229,8 +233,8 @@ impl IslandRunner {
         &self.phases
     }
 
-    /// The most recent generation's phase breakdown, once one generation
-    /// has run under this runner.
+    /// The most recent stats interval's phase breakdown, once one
+    /// interval has ended under this runner.
     pub fn last_phases(&self) -> Option<&PhaseBreakdown> {
         self.last_phases.as_ref()
     }
@@ -252,36 +256,6 @@ impl IslandRunner {
     fn emit(&self, event: RunEvent) {
         if let Some(tx) = &self.events {
             let _ = tx.send(event);
-        }
-    }
-
-    /// Builds one generation's [`PhaseBreakdown`] from the accumulator
-    /// deltas since `before` (a [`PhaseAccumulator::snapshot`] taken at
-    /// the start of the generation) and the measured wall time.
-    fn take_breakdown(&self, before: &[(&'static str, u64)], wall: f64) -> PhaseBreakdown {
-        let delta = |name: &str| -> u64 {
-            let prev = before
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |(_, v)| *v);
-            self.phases.get(name).saturating_sub(prev)
-        };
-        let secs = |name: &str| delta(name) as f64 / 1e9;
-        let basis_eval = secs(phases::BASIS_EVAL);
-        let linear_solve = secs(phases::LINEAR_SOLVE);
-        let eval_wall = secs(phases::EVAL_WALL);
-        PhaseBreakdown {
-            generation: self.completed,
-            basis_eval,
-            linear_solve,
-            // Clamped: with parallel workers basis+solve sum CPU time
-            // and can exceed the evaluation wall clock.
-            eval_other: (eval_wall - basis_eval - linear_solve).max(0.0),
-            selection: secs(phases::SELECTION),
-            migration: secs(phases::MIGRATION),
-            wall,
-            cache_hits: delta(phases::CACHE_HITS),
-            cache_misses: delta(phases::CACHE_MISSES),
         }
     }
 
@@ -325,13 +299,16 @@ impl IslandRunner {
         let target = self.master.generations.min(self.completed + n);
         while self.completed < target {
             self.proceed()?;
-            let cells_before = self.phases.snapshot();
-            // lint: allow(determinism) — telemetry side channel: wall time flows only into PhaseBreakdown events, never into evolution state
-            let wall_start = Instant::now();
+            let acc = Arc::clone(&self.phases);
+            self.interval
+                .get_or_insert_with(|| IntervalStart::now(&acc));
             let mut grown: Vec<(usize, EvolutionStats, Vec<FrontPoint>)> = Vec::new();
             for (idx, island) in self.islands.iter_mut().enumerate() {
                 let before = island.stats.len();
-                island.step(evaluator);
+                {
+                    let _generation = acc.span(phases::GENERATION);
+                    island.step(evaluator);
+                }
                 if island.stats.len() > before {
                     let stats = island.stats[island.stats.len() - 1].clone();
                     let front = live_front(&island.population);
@@ -346,22 +323,25 @@ impl IslandRunner {
                 && self.config.migrate_every > 0
                 && self.completed.is_multiple_of(self.config.migrate_every);
             if migration_due {
-                let acc = Arc::clone(&self.phases);
+                let _generation = acc.span(phases::GENERATION);
                 let _migration = acc.span(phases::MIGRATION);
                 self.migrate();
             }
-            let breakdown = self.take_breakdown(&cells_before, wall_start.elapsed().as_secs_f64());
-            self.last_phases = Some(breakdown.clone());
-            // Progress first, then Migrated — the event order consumers
-            // already rely on — with every Progress carrying the full
-            // per-generation breakdown (migration time included).
-            for (idx, stats, front) in grown {
-                self.emit(RunEvent::Progress {
-                    island: idx,
-                    stats,
-                    phases: breakdown.clone(),
-                    front,
-                });
+            // A stats generation closes the interval. Progress first, then
+            // Migrated — the event order consumers already rely on — with
+            // every island's Progress carrying the interval's one
+            // breakdown (migration time included).
+            if let Some(interval) = self.interval.take_if(|_| !grown.is_empty()) {
+                let breakdown = PhaseBreakdown::since(&interval, &acc, self.completed);
+                for (idx, stats, front) in grown {
+                    self.emit(RunEvent::Progress {
+                        island: idx,
+                        stats,
+                        phases: breakdown.clone(),
+                        front,
+                    });
+                }
+                self.last_phases = Some(breakdown);
             }
             if migration_due {
                 self.emit(RunEvent::Migrated {

@@ -1,18 +1,23 @@
-//! Live progress events and per-generation phase telemetry.
+//! Live progress events and per-interval phase telemetry.
 
-use caffeine_core::EvolutionStats;
+use caffeine_core::{phases, EvolutionStats};
+use caffeine_obs::PhaseAccumulator;
 use serde::{Deserialize, Serialize};
 
-/// Where one generation's wall time went, split along the engine's phase
-/// vocabulary ([`caffeine_core::phases`]). All durations are seconds.
+/// Where one stats interval's wall time went, split along the engine's
+/// phase vocabulary ([`caffeine_core::phases`]). All durations are
+/// seconds.
 ///
-/// Built by [`crate::IslandRunner`] from accumulator deltas around each
-/// generation; with a single worker thread the phase fields sum to
-/// roughly `wall`, while parallel evaluation makes `basis_eval` /
-/// `linear_solve` CPU-time sums that can exceed the wall clock.
+/// A stats interval runs from the generation after one stats generation
+/// (the engine's `stats_every` schedule) through the next one, so the
+/// breakdowns of a run tile it: their sums are the run's totals. Every
+/// island's `Progress` of one interval carries the same breakdown. With a
+/// single worker thread the phase fields sum to at most `wall`, while
+/// parallel evaluation makes `basis_eval` / `linear_solve` CPU-time sums
+/// that can exceed the wall clock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseBreakdown {
-    /// Completed generations when this breakdown was taken.
+    /// Completed generations at the end of the interval.
     pub generation: usize,
     /// Basis-column production (tape compile + cache + evaluation).
     pub basis_eval: f64,
@@ -23,28 +28,84 @@ pub struct PhaseBreakdown {
     pub eval_other: f64,
     /// Ranking, tournament variation, and environmental selection.
     pub selection: f64,
-    /// Ring migration between islands (zero on non-migration generations).
+    /// Ring migration between islands (zero when no generation of the
+    /// interval migrated).
     pub migration: f64,
-    /// Wall time of the whole generation as seen by the runner.
+    /// Wall time of the interval's generations (island steps plus
+    /// migration); every phase above is timed inside it.
     pub wall: f64,
-    /// Basis-column cache hits during the generation.
+    /// Basis-column cache hits during the interval.
     pub cache_hits: u64,
-    /// Basis-column cache misses during the generation.
+    /// Basis-column cache misses during the interval.
     pub cache_misses: u64,
+    /// Unix time (ns) when the interval's first generation started.
+    pub start_unix_ns: u64,
+    /// Unix time (ns) when the interval's breakdown was taken, after its
+    /// last generation.
+    pub end_unix_ns: u64,
 }
 
 impl PhaseBreakdown {
-    /// The sum of every phase field (seconds) — the accounted-for part
-    /// of [`PhaseBreakdown::wall`].
-    pub fn phase_sum(&self) -> f64 {
-        self.basis_eval + self.linear_solve + self.eval_other + self.selection + self.migration
+    /// Closes the interval opened at `start`: every field is the delta of
+    /// `acc`'s cells since then, and `generation` the completed count.
+    pub(crate) fn since(
+        start: &IntervalStart,
+        acc: &PhaseAccumulator,
+        generation: usize,
+    ) -> PhaseBreakdown {
+        let delta = |name: &str| -> u64 {
+            let prev = start
+                .cells
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, v)| *v);
+            acc.get(name).saturating_sub(prev)
+        };
+        let secs = |ns: u64| ns as f64 / 1e9;
+        let basis_eval = delta(phases::BASIS_EVAL);
+        let linear_solve = delta(phases::LINEAR_SOLVE);
+        PhaseBreakdown {
+            generation,
+            basis_eval: secs(basis_eval),
+            linear_solve: secs(linear_solve),
+            // Clamped: with parallel workers basis+solve sum CPU time
+            // and can exceed the evaluation wall clock.
+            eval_other: secs(delta(phases::EVAL_WALL).saturating_sub(basis_eval + linear_solve)),
+            selection: secs(delta(phases::SELECTION)),
+            migration: secs(delta(phases::MIGRATION)),
+            wall: secs(delta(phases::GENERATION)),
+            cache_hits: delta(phases::CACHE_HITS),
+            cache_misses: delta(phases::CACHE_MISSES),
+            start_unix_ns: start.unix_ns,
+            // lint: allow(determinism) — telemetry side channel: the interval's end time rides only on the breakdown, never in evolution state
+            end_unix_ns: caffeine_obs::trace::unix_ns(),
+        }
     }
 
     /// Cache hits over total lookups, or `None` when nothing was looked
-    /// up this generation.
+    /// up this interval.
     pub fn cache_hit_ratio(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
+    }
+}
+
+/// The opening of a stats interval: the accumulator's cells and the unix
+/// time just before its first generation.
+#[derive(Debug)]
+pub(crate) struct IntervalStart {
+    cells: Vec<(&'static str, u64)>,
+    unix_ns: u64,
+}
+
+impl IntervalStart {
+    /// Opens an interval on `acc` now.
+    pub(crate) fn now(acc: &PhaseAccumulator) -> IntervalStart {
+        IntervalStart {
+            cells: acc.snapshot(),
+            // lint: allow(determinism) — telemetry side channel: the interval's start time rides only on the breakdown, never in evolution state
+            unix_ns: caffeine_obs::trace::unix_ns(),
+        }
     }
 }
 
@@ -69,7 +130,7 @@ pub enum RunEvent {
         island: usize,
         /// The snapshot.
         stats: EvolutionStats,
-        /// Where the generation's time went.
+        /// Where the stats interval's time went.
         phases: PhaseBreakdown,
         /// The island's current nondominated (error, complexity) front,
         /// sorted by error and capped at

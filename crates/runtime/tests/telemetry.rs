@@ -1,10 +1,10 @@
-//! Phase-telemetry integration: every progress event carries a
-//! [`PhaseBreakdown`] whose phases account for the generation's wall
-//! time, and the side channel never perturbs the evolved result.
+//! Phase-telemetry integration: every progress event carries the
+//! [`PhaseBreakdown`] of its stats interval, the intervals tile the run,
+//! and the side channel never perturbs the evolved result.
 
 use std::sync::mpsc;
 
-use caffeine_core::{CaffeineSettings, GrammarConfig};
+use caffeine_core::{phases, CaffeineSettings, GrammarConfig};
 use caffeine_doe::Dataset;
 use caffeine_runtime::{IslandRunner, PhaseBreakdown, RunController, RunEvent, RuntimeConfig};
 
@@ -16,11 +16,17 @@ fn dataset() -> Dataset {
     Dataset::new(vec!["x0".into(), "x1".into()], xs, ys).unwrap()
 }
 
-fn runner(threads: usize, islands: usize, generations: usize, data: &Dataset) -> IslandRunner {
+fn runner(
+    threads: usize,
+    islands: usize,
+    generations: usize,
+    stats_every: usize,
+    data: &Dataset,
+) -> IslandRunner {
     let mut settings = CaffeineSettings::quick_test();
     settings.population = 60;
     settings.generations = generations;
-    settings.stats_every = 1;
+    settings.stats_every = stats_every;
     settings.seed = 23;
     let config = RuntimeConfig {
         threads,
@@ -31,34 +37,46 @@ fn runner(threads: usize, islands: usize, generations: usize, data: &Dataset) ->
     IslandRunner::new(settings, GrammarConfig::rational(2), config, data).unwrap()
 }
 
+/// The `(island, breakdown)` of every Progress event, in arrival order.
+fn progress(rx: mpsc::Receiver<RunEvent>) -> Vec<(usize, PhaseBreakdown)> {
+    rx.into_iter()
+        .filter_map(|e| match e {
+            RunEvent::Progress { island, phases, .. } => Some((island, phases)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn phase_sum(b: &PhaseBreakdown) -> f64 {
+    b.basis_eval + b.linear_solve + b.eval_other + b.selection + b.migration
+}
+
 #[test]
 fn serial_phase_sums_account_for_generation_wall_time() {
     let data = dataset();
     // The whole 12-generation run completes in a few milliseconds in
-    // release, where a single scheduler preemption under parallel test
-    // load can eat >10% of the wall — so the aggregate 90%-accounted
-    // contract gets up to three independent runs before it is declared
-    // broken. Every structural invariant stays hard on every run.
+    // release. Every phase span nests inside the wall span, and the
+    // untimed code between them takes about 1 µs per generation; but a
+    // scheduler preemption that lands there adds a whole time slice
+    // (4.5 ms seen once in 150 runs on 2 vCPUs) and pushes the aggregate
+    // under 90%. So the aggregate contract gets up to three independent
+    // runs before it is declared broken; every structural invariant
+    // stays hard on every run.
     let mut shortfall = String::new();
     for _ in 0..3 {
-        let mut runner = runner(1, 1, 12, &data);
+        let mut runner = runner(1, 1, 12, 1, &data);
         let (tx, rx) = mpsc::channel();
         runner.set_events(tx);
         runner.run_generations(&data, 12).unwrap();
         drop(runner);
 
-        let breakdowns: Vec<PhaseBreakdown> = rx
-            .into_iter()
-            .filter_map(|e| match e {
-                RunEvent::Progress { phases, .. } => Some(phases),
-                _ => None,
-            })
-            .collect();
+        let breakdowns: Vec<PhaseBreakdown> = progress(rx).into_iter().map(|(_, b)| b).collect();
         assert_eq!(breakdowns.len(), 12, "one breakdown per generation");
 
         for b in &breakdowns {
             assert!(b.wall > 0.0, "wall must be measured: {b:?}");
-            assert!(b.phase_sum() <= b.wall * 1.10, "phases exceed wall: {b:?}");
+            // One thread: every phase span is timed inside the wall span.
+            assert!(phase_sum(b) <= b.wall, "phases exceed wall: {b:?}");
             assert!(b.basis_eval >= 0.0 && b.linear_solve >= 0.0 && b.selection >= 0.0);
             assert_eq!(b.migration, 0.0, "single island never migrates: {b:?}");
         }
@@ -74,12 +92,11 @@ fn serial_phase_sums_account_for_generation_wall_time() {
             .unwrap_or(0.0);
         assert!((0.0..=1.0).contains(&ratio), "ratio out of range: {ratio}");
 
-        // Aggregated over the run (robust to per-generation clock noise),
-        // the instrumented phases must account for at least 90% of the
-        // wall time spent stepping — the "phases sum within 10% of wall"
-        // contract.
+        // Aggregated over the run, the instrumented phases must account
+        // for at least 90% of the wall time spent stepping — the "phases
+        // sum within 10% of wall" contract.
         let wall: f64 = breakdowns.iter().map(|b| b.wall).sum();
-        let accounted: f64 = breakdowns.iter().map(|b| b.phase_sum()).sum();
+        let accounted: f64 = breakdowns.iter().map(phase_sum).sum();
         if accounted >= wall * 0.90 {
             return;
         }
@@ -89,9 +106,55 @@ fn serial_phase_sums_account_for_generation_wall_time() {
 }
 
 #[test]
+fn stats_intervals_tile_the_run() {
+    let data = dataset();
+    let mut runner = runner(1, 2, 12, 4, &data);
+    let (tx, rx) = mpsc::channel();
+    runner.set_events(tx);
+    runner.run_generations(&data, 12).unwrap();
+    let acc = std::sync::Arc::clone(runner.phases());
+    drop(runner);
+
+    let events = progress(rx);
+    let island0: Vec<&PhaseBreakdown> = events
+        .iter()
+        .filter(|(island, _)| *island == 0)
+        .map(|(_, b)| b)
+        .collect();
+    // Stats generations 0, 4, 8 and the last one close the intervals.
+    let ends: Vec<usize> = island0.iter().map(|b| b.generation).collect();
+    assert_eq!(ends, vec![1, 5, 9, 12]);
+    // Every island's Progress of an interval carries the same breakdown.
+    for (_, b) in &events {
+        assert!(island0.contains(&b), "island breakdown differs: {b:?}");
+    }
+    // The intervals are disjoint and in order in real time.
+    for b in &island0 {
+        assert!(b.start_unix_ns <= b.end_unix_ns, "{b:?}");
+    }
+    for pair in island0.windows(2) {
+        assert!(pair[0].end_unix_ns <= pair[1].start_unix_ns, "{pair:?}");
+    }
+
+    // The intervals tile the run: their sums are the runner's totals.
+    let wall_ns: u64 = island0.iter().map(|b| (b.wall * 1e9).round() as u64).sum();
+    assert_eq!(wall_ns, acc.get(phases::GENERATION));
+    let migration_ns: u64 = island0
+        .iter()
+        .map(|b| (b.migration * 1e9).round() as u64)
+        .sum();
+    assert_eq!(migration_ns, acc.get(phases::MIGRATION));
+    let hits: u64 = island0.iter().map(|b| b.cache_hits).sum();
+    let misses: u64 = island0.iter().map(|b| b.cache_misses).sum();
+    assert_eq!(hits, acc.get(phases::CACHE_HITS));
+    assert_eq!(misses, acc.get(phases::CACHE_MISSES));
+    assert!(hits + misses > 0, "no cache traffic recorded");
+}
+
+#[test]
 fn migration_generations_record_migration_time() {
     let data = dataset();
-    let mut runner = runner(2, 2, 4, &data);
+    let mut runner = runner(2, 2, 4, 1, &data);
     let (tx, rx) = mpsc::channel();
     runner.set_events(tx);
     runner.run_generations(&data, 4).unwrap();
@@ -124,7 +187,7 @@ fn migration_generations_record_migration_time() {
 #[test]
 fn controller_snapshot_exposes_last_breakdown() {
     let data = dataset();
-    let mut runner = runner(1, 1, 3, &data);
+    let mut runner = runner(1, 1, 3, 1, &data);
     let ctl = RunController::new();
     assert!(ctl.snapshot().phases.is_none(), "no phases before running");
     runner.set_controller(ctl.clone());
@@ -146,12 +209,12 @@ fn telemetry_never_changes_the_evolved_result() {
     // The accumulator is a side channel: a run observed through events
     // and breakdowns is bit-identical to an unobserved one.
     let data = dataset();
-    let mut observed = runner(2, 2, 6, &data);
+    let mut observed = runner(2, 2, 6, 1, &data);
     let (tx, rx) = mpsc::channel();
     observed.set_events(tx);
     let with_events = observed.run(&data).unwrap();
     drop(rx);
-    let mut plain = runner(2, 2, 6, &data);
+    let mut plain = runner(2, 2, 6, 1, &data);
     let without = plain.run(&data).unwrap();
     assert_eq!(with_events.models, without.models);
 }

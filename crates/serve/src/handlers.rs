@@ -250,7 +250,7 @@ fn dispatch_response(
             // trace reuses the request's trace id, so the whole lifecycle
             // (HTTP accept → queued → running → publish) is one tree.
             let parent = root.is_recording().then(|| root.context());
-            let entry = shared.jobs.submit_traced(
+            let entry = shared.jobs.submit(
                 spec,
                 Arc::clone(&shared.registry),
                 Arc::clone(&shared.metrics),
@@ -454,6 +454,7 @@ mod tests {
                 spec,
                 std::sync::Arc::clone(&shared.registry),
                 std::sync::Arc::clone(&shared.metrics),
+                None,
             )
             .unwrap();
         entry.join(); // terminal (finished)
@@ -497,6 +498,7 @@ mod tests {
                 long,
                 std::sync::Arc::clone(&shared.registry),
                 std::sync::Arc::clone(&shared.metrics),
+                None,
             )
             .unwrap();
         let request = bare_request("DELETE", &format!("/v1/jobs/{}", live.id));

@@ -386,9 +386,9 @@ impl EventHub {
 /// Emits one job's lifecycle spans into the daemon's trace store. A
 /// submitted job *adopts the submitting HTTP request's trace* (same
 /// trace id, the request's root span as parent), so a finished job reads
-/// as one tree: HTTP accept → queued wait → running → engine phases /
-/// checkpoints → publish. Re-adopted orphans have no originating request
-/// and mint a fresh trace instead.
+/// as one tree: HTTP accept → queued wait → running → stats intervals
+/// (`generations`) / checkpoints → publish. Re-adopted orphans have no
+/// originating request and mint a fresh trace instead.
 ///
 /// The tracer holds the trace open ([`TraceStore::hold`]) for the job's
 /// whole life; [`JobTracer::finish`] records the `running` and `job`
@@ -400,15 +400,18 @@ pub(crate) struct JobTracer {
     /// The `job` span's own context (shared trace id, fresh span id).
     ctx: TraceContext,
     /// Pre-minted context of the `running` span so the pump thread can
-    /// parent phase/checkpoint spans under it before it is recorded.
+    /// parent `generations`/checkpoint spans under it before it is
+    /// recorded.
     running_ctx: TraceContext,
     /// The submitting request's root span; `None` for orphans.
     parent_span_id: Option<u64>,
     job_id: u64,
     start_unix_ns: u64,
-    started: Instant,
-    /// Set at admission; `None` for a job settled while still queued.
-    running_started: Mutex<Option<(u64, Instant)>>,
+    /// Unix start of `running`, set at admission; `None` for a job
+    /// settled while still queued. `job` and `running` end on the same
+    /// unix clock their `generations` children are stamped with, so the
+    /// children nest inside them.
+    running_started: Mutex<Option<u64>>,
     /// `finish` runs once: the pump and the settle paths can both reach
     /// a terminal state for the same job (e.g. a driver-spawn failure),
     /// and the trace must complete exactly once.
@@ -426,7 +429,6 @@ impl JobTracer {
             ctx,
             job_id,
             start_unix_ns: caffeine_obs::trace::unix_ns(),
-            started: Instant::now(),
             running_started: Mutex::new(None),
             finished: std::sync::atomic::AtomicBool::new(false),
         })
@@ -474,40 +476,28 @@ impl JobTracer {
 
     /// Stamps the start of the `running` span (recorded at `finish`).
     fn mark_running(&self) {
-        *self.running_started.plock() = Some((caffeine_obs::trace::unix_ns(), Instant::now()));
+        *self.running_started.plock() = Some(caffeine_obs::trace::unix_ns());
     }
 
-    /// Materializes one progress interval's engine-phase breakdown as
-    /// child spans of `running`, laid back-to-back ending now (the
-    /// breakdown only reports durations, not offsets).
-    fn record_phases(&self, phases: &PhaseBreakdown) {
-        let parts = [
-            ("basis_eval", phases.basis_eval),
-            ("linear_solve", phases.linear_solve),
-            ("eval_other", phases.eval_other),
-            ("selection", phases.selection),
-            ("migration", phases.migration),
-        ];
-        let total_ns: u64 = parts
-            .iter()
-            .map(|(_, secs)| (secs.max(0.0) * 1e9) as u64)
-            .sum();
-        let mut start = caffeine_obs::trace::unix_ns().saturating_sub(total_ns);
-        for (name, secs) in parts {
-            if secs <= 0.0 {
-                continue;
-            }
-            let dur = Duration::from_secs_f64(secs);
-            self.record(
-                name,
-                fresh_span_id(),
-                Some(self.running_ctx.span_id),
-                start,
-                dur,
-                vec![("generation".into(), phases.generation.to_string())],
-            );
-            start = start.saturating_add((secs * 1e9) as u64);
-        }
+    /// Records one stats interval as a `generations` child of `running`:
+    /// it runs from the interval's recorded start to its recorded end and
+    /// carries the breakdown's fields, under their own names, as attrs.
+    fn record_generations(&self, phases: &PhaseBreakdown) {
+        let attrs = match serde_json::to_value(phases) {
+            serde_json::Value::Object(fields) => fields
+                .into_iter()
+                .map(|(name, value)| (name, serde_json::to_string(&value).unwrap_or_default()))
+                .collect(),
+            _ => Vec::new(),
+        };
+        self.record(
+            "generations",
+            fresh_span_id(),
+            Some(self.running_ctx.span_id),
+            phases.start_unix_ns,
+            Duration::from_nanos(phases.end_unix_ns.saturating_sub(phases.start_unix_ns)),
+            attrs,
+        );
     }
 
     /// Records one checkpoint write as a child of `running`.
@@ -551,13 +541,14 @@ impl JobTracer {
         {
             return;
         }
-        if let Some((unix, started)) = *self.running_started.plock() {
+        let now = caffeine_obs::trace::unix_ns();
+        if let Some(start) = *self.running_started.plock() {
             self.record(
                 "running",
                 self.running_ctx.span_id,
                 Some(self.ctx.span_id),
-                unix,
-                started.elapsed(),
+                start,
+                Duration::from_nanos(now.saturating_sub(start)),
                 Vec::new(),
             );
         }
@@ -568,7 +559,7 @@ impl JobTracer {
             name: "job".to_string(),
             kind: SpanKind::Internal,
             start_unix_ns: self.start_unix_ns,
-            duration_ns: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            duration_ns: now.saturating_sub(self.start_unix_ns),
             attrs: vec![
                 ("job.id".into(), self.job_id.to_string()),
                 ("job.state".into(), state.to_string()),
@@ -990,15 +981,15 @@ fn spawn_admitted(
         .spawn(move || {
             for event in rx {
                 match &event {
-                    RunEvent::Progress { island, phases, .. } => {
+                    // Every island's Progress of a stats interval carries
+                    // the same breakdown: island 0's copy is the one
+                    // folded into /metrics and traced.
+                    RunEvent::Progress {
+                        island: 0, phases, ..
+                    } => {
                         pump_metrics.observe_engine_phases(phases);
-                        // One breakdown is shared by every island's
-                        // Progress in a generation; island 0's copy
-                        // becomes the trace's phase spans.
-                        if *island == 0 {
-                            if let Some(tracer) = &pump_tracer {
-                                tracer.record_phases(phases);
-                            }
+                        if let Some(tracer) = &pump_tracer {
+                            tracer.record_generations(phases);
                         }
                     }
                     RunEvent::Checkpointed {
@@ -1204,26 +1195,18 @@ impl JobManager {
     /// scheduler: it starts immediately when a running slot is free,
     /// otherwise the returned entry is in the `queued` state.
     ///
+    /// `parent` is the submitting request's trace context: the job adopts
+    /// that trace (same trace id, the request's root span as the `job`
+    /// span's parent), so the whole lifecycle reads as one tree. `None`
+    /// runs the job untraced (or, for adopted orphans, on a freshly
+    /// minted trace via [`JobManager::adopt_orphans`]).
+    ///
     /// # Errors
     ///
     /// 400/422 for specs the engine's own validation rejects, 429 (with
     /// a queue-depth-derived `Retry-After`) when the job store is full
     /// of live jobs.
     pub fn submit(
-        &self,
-        spec: JobSpec,
-        registry: Arc<ModelRegistry>,
-        metrics: Arc<Metrics>,
-    ) -> Result<Arc<JobEntry>, ApiError> {
-        self.submit_traced(spec, registry, metrics, None)
-    }
-
-    /// [`JobManager::submit`] with the submitting request's trace
-    /// context: the job adopts that trace (same trace id, the request's
-    /// root span as the `job` span's parent), so the whole lifecycle
-    /// reads as one tree. `None` runs the job untraced (or, for adopted
-    /// orphans, on a freshly minted trace via [`JobManager::adopt_orphans`]).
-    pub fn submit_traced(
         &self,
         spec: JobSpec,
         registry: Arc<ModelRegistry>,
@@ -1648,7 +1631,7 @@ mod tests {
         let (manager, registry, metrics) = manager();
         let spec = JobSpec::from_json(&body(&tiny_spec())).unwrap();
         let entry = manager
-            .submit(spec, Arc::clone(&registry), Arc::clone(&metrics))
+            .submit(spec, Arc::clone(&registry), Arc::clone(&metrics), None)
             .unwrap();
         entry.join();
         match entry.outcome() {
@@ -1674,7 +1657,7 @@ mod tests {
             m.insert("targets".into(), serde_json::json!([1.0, 2.0]));
         }
         let spec = JobSpec::from_json(&body(&bad)).unwrap();
-        let err = manager.submit(spec, registry, metrics).unwrap_err();
+        let err = manager.submit(spec, registry, metrics, None).unwrap_err();
         assert_eq!(err.status, 400, "{}", err.message);
     }
 
@@ -1686,7 +1669,7 @@ mod tests {
             m.insert("generations".into(), serde_json::json!(100_000));
         }
         let spec = JobSpec::from_json(&body(&long)).unwrap();
-        let entry = manager.submit(spec, registry, metrics).unwrap();
+        let entry = manager.submit(spec, registry, metrics, None).unwrap();
         assert!(manager.cancel(entry.id));
         entry.join();
         assert_eq!(entry.outcome(), JobOutcome::Cancelled);
@@ -1739,7 +1722,7 @@ mod tests {
     fn finished_jobs_emit_a_done_event_and_close_their_stream() {
         let (manager, registry, metrics) = manager();
         let spec = JobSpec::from_json(&body(&tiny_spec())).unwrap();
-        let entry = manager.submit(spec, registry, metrics).unwrap();
+        let entry = manager.submit(spec, registry, metrics, None).unwrap();
         entry.join();
         // The pump publishes `done` after the driver exits; wait for it.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -1786,6 +1769,7 @@ mod tests {
                 JobSpec::from_json(&body(&spec)).unwrap(),
                 Arc::clone(&registry),
                 Arc::clone(&metrics),
+                None,
             )
         };
         // Fill the store with one quick job (runs to terminal) and one
@@ -1817,6 +1801,7 @@ mod tests {
                 JobSpec::from_json(&body(&tiny_spec())).unwrap(),
                 Arc::clone(&registry),
                 Arc::clone(&metrics),
+                None,
             )
             .unwrap();
         quick.join();
@@ -1826,7 +1811,12 @@ mod tests {
             m.insert("generations".into(), serde_json::json!(1_000_000));
         }
         let long_entry = manager
-            .submit(JobSpec::from_json(&body(&long)).unwrap(), registry, metrics)
+            .submit(
+                JobSpec::from_json(&body(&long)).unwrap(),
+                registry,
+                metrics,
+                None,
+            )
             .unwrap();
         assert_eq!(manager.list_json(None).len(), 2);
         let finished = manager.list_json(Some("finished"));
@@ -1857,6 +1847,7 @@ mod tests {
                 JobSpec::from_json(&body(&spec)).unwrap(),
                 Arc::clone(&registry),
                 Arc::clone(&metrics),
+                None,
             )
         };
 
@@ -1923,6 +1914,7 @@ mod tests {
                         JobSpec::from_json(&body(&spec)).unwrap(),
                         Arc::clone(&registry),
                         Arc::clone(&metrics),
+                        None,
                     )
                     .unwrap()
             })
@@ -1994,6 +1986,7 @@ mod tests {
                 JobSpec::from_json(&body(&spec)).unwrap(),
                 Arc::clone(&registry),
                 Arc::clone(&metrics),
+                None,
             )
             .unwrap()
         };
@@ -2040,6 +2033,7 @@ mod tests {
                 JobSpec::from_json(&body(&spec)).unwrap(),
                 Arc::clone(&registry),
                 Arc::clone(&metrics),
+                None,
             )
         };
         let _running = submit().unwrap();
@@ -2097,6 +2091,7 @@ mod tests {
                 JobSpec::from_json(&body(&tiny_spec())).unwrap(),
                 registry,
                 metrics,
+                None,
             )
             .unwrap();
         assert!(fresh.id > 9, "id {} collides with adopted ids", fresh.id);
@@ -2129,6 +2124,7 @@ mod tests {
                 JobSpec::from_json(&body(&long)).unwrap(),
                 Arc::clone(&registry),
                 Arc::clone(&metrics),
+                None,
             )
             .unwrap();
         let id = entry.id;
@@ -2213,7 +2209,12 @@ mod tests {
             m.insert("checkpoint_every".into(), serde_json::json!(1));
         }
         let entry = manager
-            .submit(JobSpec::from_json(&body(&spec)).unwrap(), registry, metrics)
+            .submit(
+                JobSpec::from_json(&body(&spec)).unwrap(),
+                registry,
+                metrics,
+                None,
+            )
             .unwrap();
         entry.join();
         assert!(matches!(entry.outcome(), JobOutcome::Published { .. }));

@@ -94,12 +94,13 @@ pub struct Metrics {
     /// `process_start_time_seconds`.
     start_unix: f64,
     /// Cumulative engine time per phase, microseconds, indexed like
-    /// [`ENGINE_PHASES`]. Fed by the job event pumps from each
-    /// generation's [`PhaseBreakdown`].
+    /// [`ENGINE_PHASES`]. Each job's event pump folds every stats
+    /// interval's [`PhaseBreakdown`] in exactly once (island 0's copy),
+    /// so the sums cover every generation whatever the island count.
     engine_phase_us: [AtomicU64; ENGINE_PHASES.len()],
-    /// Cumulative basis-cache hits across all jobs' generations.
+    /// Cumulative basis-cache hits across all jobs' stats intervals.
     cache_hits: AtomicU64,
-    /// Cumulative basis-cache misses across all jobs' generations.
+    /// Cumulative basis-cache misses across all jobs' stats intervals.
     cache_misses: AtomicU64,
 }
 
@@ -136,8 +137,8 @@ impl Metrics {
         }
     }
 
-    /// Folds one generation's phase breakdown into the cumulative
-    /// engine-phase counters and cache totals.
+    /// Folds one stats interval's phase breakdown into the cumulative
+    /// engine-phase counters and cache totals; call it once per interval.
     pub fn observe_engine_phases(&self, b: &PhaseBreakdown) {
         let secs = [
             b.basis_eval,
@@ -518,6 +519,8 @@ mod tests {
             wall: 1.0,
             cache_hits: 30,
             cache_misses: 10,
+            start_unix_ns: 1_000_000_000,
+            end_unix_ns: 2_000_000_000,
         });
         m.observe_engine_phases(&PhaseBreakdown {
             generation: 2,
@@ -529,6 +532,8 @@ mod tests {
             wall: 0.5,
             cache_hits: 10,
             cache_misses: 0,
+            start_unix_ns: 2_000_000_000,
+            end_unix_ns: 2_500_000_000,
         });
         let text = m.render(0, 0, &TraceStoreStats::default());
         assert!(

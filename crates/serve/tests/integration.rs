@@ -1287,6 +1287,91 @@ fn dashboard_endpoint_serves_the_embedded_page() {
 }
 
 /// A sorted label set, the identity of a series within a family.
+/// `/metrics` folds each stats interval once: after a finished 2-island
+/// job, the engine wall and cache totals equal the sums over island 0's
+/// SSE `progress` breakdowns, not one copy per island.
+#[test]
+fn engine_phase_metrics_fold_each_stats_interval_once() {
+    let (addr, handle, join) = boot(ServeConfig::default());
+
+    // 40 generations with stats every 4: stats generations 0, 4, …, 36
+    // and the last one close 11 intervals per island.
+    let points: Vec<Vec<f64>> = (1..=20).map(|i| vec![f64::from(i) * 0.4]).collect();
+    let targets: Vec<f64> = points.iter().map(|p| 3.0 / p[0]).collect();
+    let spec = serde_json::json!({
+        "var_names": ["x0"],
+        "points": points,
+        "targets": targets,
+        "population": 24,
+        "generations": 40,
+        "max_bases": 4,
+        "seed": 5,
+        "islands": 2,
+        "grammar": "rational",
+    });
+    let r = client::request(
+        &addr,
+        "POST",
+        "/v1/jobs",
+        Some(serde_json::to_string(&spec).unwrap().as_bytes()),
+        T,
+    )
+    .unwrap();
+    assert_eq!(r.status, 201, "{}", r.text());
+    let id = r.json().unwrap()["id"].as_u64().unwrap();
+    let mut island0 = Vec::new();
+    let mut islands = std::collections::BTreeSet::new();
+    client::sse_tail(
+        &addr,
+        &format!("/v1/jobs/{id}/events"),
+        Duration::from_secs(60),
+        |event| {
+            if event.event == "progress" {
+                let frame: serde_json::Value = serde_json::from_str(&event.data).unwrap();
+                let island = frame["island"].as_u64().unwrap();
+                islands.insert(island);
+                if island == 0 {
+                    island0.push(frame["phases"].clone());
+                }
+            }
+            event.event != "done"
+        },
+    )
+    .unwrap();
+    assert_eq!(islands.len(), 2, "both islands report progress");
+    assert_eq!(island0.len(), 11, "{island0:?}");
+
+    let text = client::request(&addr, "GET", "/metrics", None, T)
+        .unwrap()
+        .text();
+    let metric = |series: &str| -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("missing {series} in {text}"))
+    };
+    let sum = |field: &str| -> f64 { island0.iter().map(|p| p[field].as_f64().unwrap()).sum() };
+    // Each fold truncates to whole microseconds.
+    let wall = metric("caffeine_engine_phase_seconds{phase=\"wall\"}");
+    let sse_wall = sum("wall");
+    assert!(sse_wall > 0.0);
+    assert!(
+        wall <= sse_wall + 1e-9 && sse_wall - wall <= island0.len() as f64 * 1e-6 + 1e-9,
+        "/metrics wall {wall} vs island-0 SSE sum {sse_wall}"
+    );
+    assert_eq!(
+        metric("caffeine_engine_cache_hits_total"),
+        sum("cache_hits")
+    );
+    assert_eq!(
+        metric("caffeine_engine_cache_misses_total"),
+        sum("cache_misses")
+    );
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 type LabelSet = Vec<(String, String)>;
 
 /// Splits a `k="v",k2="v2"` label string into sorted pairs. Values in

@@ -48,9 +48,9 @@ fn tiny_job_spec() -> Vec<u8> {
 
 /// The tentpole acceptance path: submit a job carrying our own
 /// `traceparent`, let it finish, and pull the whole span tree back. The
-/// tree must link HTTP accept → queued → running → engine phases →
-/// publish, every child's parent must resolve inside the tree, and the
-/// root's parent must be our client span.
+/// tree must link HTTP accept → queued → running → one `generations`
+/// span per stats interval → publish, every child's parent must resolve
+/// inside the tree, and the root's parent must be our client span.
 #[test]
 fn completed_job_trace_links_http_accept_to_publish() {
     let (addr, handle, join) = boot(ServeConfig::default());
@@ -121,12 +121,17 @@ fn completed_job_trace_links_http_accept_to_publish() {
             "missing `{expected}` in {names:?}"
         );
     }
-    assert!(
-        names
-            .iter()
-            .any(|n| *n == "basis_eval" || *n == "linear_solve"),
-        "no engine phase spans in {names:?}"
-    );
+    // Engine time is traced as real stats intervals, never as per-phase
+    // spans laid out after the fact.
+    for fabricated in [
+        "basis_eval",
+        "linear_solve",
+        "eval_other",
+        "selection",
+        "migration",
+    ] {
+        assert!(!names.contains(&fabricated), "`{fabricated}` in {names:?}");
+    }
 
     // Every parent link resolves inside the tree, except the roots whose
     // parent is our own (external) client span.
@@ -172,6 +177,37 @@ fn completed_job_trace_links_http_accept_to_publish() {
         job_span["span_id"].as_str().unwrap()
     );
     assert!(publish["attrs"]["model.version"].as_str().is_some());
+
+    // 6 generations at stats_every 1: one `generations` span per stats
+    // interval, each a child of `running` inside its extent, in order and
+    // without overlap, carrying the interval's phase breakdown.
+    let ns = |s: &serde_json::Value, key: &str| s[key].as_u64().unwrap();
+    let running_start = ns(running, "start_unix_ns");
+    let running_end = running_start + ns(running, "duration_ns");
+    let mut intervals: Vec<&serde_json::Value> = spans
+        .iter()
+        .filter(|s| s["name"] == "generations")
+        .collect();
+    assert_eq!(intervals.len(), 6, "{names:?}");
+    intervals.sort_by_key(|s| ns(s, "start_unix_ns"));
+    let mut previous_end = running_start;
+    for (i, span) in intervals.iter().enumerate() {
+        assert_eq!(span["parent_span_id"], running["span_id"], "{span:?}");
+        let start = ns(span, "start_unix_ns");
+        let end = start + ns(span, "duration_ns");
+        assert!(previous_end <= start, "overlaps its predecessor: {span:?}");
+        assert!(end <= running_end, "ends after `running`: {span:?}");
+        previous_end = end;
+        let attr = |key: &str| -> f64 {
+            span["attrs"][key]
+                .as_str()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("attr `{key}` missing: {span:?}"))
+        };
+        assert_eq!(attr("generation"), (i + 1) as f64);
+        assert!(attr("wall") > 0.0, "{span:?}");
+        assert!(attr("basis_eval") + attr("linear_solve") > 0.0, "{span:?}");
+    }
 
     // The list view finds it by job id, and the filters hold.
     let r = client::request(&addr, "GET", &format!("/v1/traces?job={id}"), None, T).unwrap();
