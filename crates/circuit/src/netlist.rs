@@ -154,20 +154,6 @@ impl Netlist {
         }
     }
 
-    /// Looks up an existing node by name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_names.iter().position(|n| n == name).map(NodeId)
-    }
-
-    /// Name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an id not belonging to this netlist.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
-    }
-
     /// Total node count including ground.
     pub fn n_nodes(&self) -> usize {
         self.node_names.len()
@@ -305,9 +291,6 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(nl.node("0"), NodeId::GROUND);
-        assert_eq!(nl.find_node("b"), Some(b));
-        assert_eq!(nl.find_node("zzz"), None);
-        assert_eq!(nl.node_name(b), "b");
     }
 
     #[test]

@@ -462,14 +462,9 @@ impl EngineState {
     /// resulting population is the same as if every offspring were fitted
     /// (see [`crate::fit`] for all levels of this reuse).
     pub fn step(&mut self, evaluator: &dyn Evaluator) {
-        // Wall-clock telemetry lives entirely outside `self`: it is never
-        // serialized, never compared, and never touches the RNG, so
-        // instrumented and uninstrumented runs stay bit-identical.
-        let acc = evaluator.phases().cloned();
         let generation = self.generation;
         let ops = GpOperators::new(&self.grammar, op_settings(&self.settings));
 
-        let variation = acc.as_deref().map(|a| a.span(phases::SELECTION));
         let objectives: Vec<[f64; 2]> =
             self.population.iter().map(Individual::objectives).collect();
         let ranked = nsga2::rank_population(&objectives);
@@ -482,12 +477,13 @@ impl EngineState {
             offspring.push(ops.make_offspring(&mut self.rng, p1, p2));
         }
         let reuse = reuse_evaluations(&self.population, &mut offspring);
-        drop(variation);
         {
-            let _eval = acc.as_deref().map(|a| a.span(phases::EVAL_WALL));
+            // Wall-clock telemetry lives entirely outside `self`: it is
+            // never serialized, never compared, and never touches the RNG,
+            // so instrumented and uninstrumented runs stay bit-identical.
+            let _eval = evaluator.phases().map(|a| a.span(phases::EVAL_WALL));
             evaluate_distinct(&mut offspring, reuse, evaluator);
         }
-        let _selection = acc.as_deref().map(|a| a.span(phases::SELECTION));
 
         // Elitist environmental selection over parents + offspring.
         let mut combined = std::mem::take(&mut self.population);

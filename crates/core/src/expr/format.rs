@@ -26,11 +26,6 @@ impl FormatOptions {
         }
     }
 
-    /// Options with `x0, x1, …` placeholder names.
-    pub fn anonymous(n_vars: usize) -> FormatOptions {
-        FormatOptions::with_names((0..n_vars).map(|i| format!("x{i}")).collect())
-    }
-
     fn var(&self, i: usize) -> String {
         self.var_names
             .get(i)
@@ -295,8 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_names_fall_back_to_x() {
-        let o = FormatOptions::anonymous(2);
+    fn missing_names_fall_back_to_x() {
+        let o = FormatOptions::with_names(Vec::new());
         let b = BasisFunction::from_vc(VarCombo::from_exponents(vec![0, 1]));
         assert_eq!(format_basis(&b, &o), "x1");
     }

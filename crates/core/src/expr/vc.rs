@@ -123,11 +123,6 @@ impl VarCombo {
         }
         (VarCombo { exponents: a }, VarCombo { exponents: b })
     }
-
-    /// Number of variables with nonzero exponent.
-    pub fn n_active(&self) -> usize {
-        self.exponents.iter().filter(|&&e| e != 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +136,6 @@ mod tests {
         let x = [3.0, 100.0, 2.0, 5.0];
         assert_eq!(vc.eval(&x), 3.0 * 5.0 / 4.0);
         assert_eq!(vc.degree_sum(), 4);
-        assert_eq!(vc.n_active(), 3);
     }
 
     #[test]

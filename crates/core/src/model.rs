@@ -201,18 +201,6 @@ impl Model {
         out
     }
 
-    /// Dimensionless (logarithmic) sensitivities `(∂y/∂x_i)·(x_i/y)` at a
-    /// design point: the percent change of `y` per percent change of
-    /// `x_i`. Entries are 0 when `y` is 0 at the point.
-    pub fn relative_sensitivities(&self, x: &[f64], rel_step: f64) -> Vec<f64> {
-        let y = self.predict_one(x);
-        self.sensitivities(x, rel_step)
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| if y != 0.0 { s * x[i] / y } else { 0.0 })
-            .collect()
-    }
-
     /// Variables used anywhere in the model (sorted indices).
     pub fn used_variables(&self) -> Vec<usize> {
         let mut used: Vec<usize> = self.bases.iter().flat_map(|b| b.used_variables()).collect();
@@ -344,18 +332,6 @@ mod tests {
         let s = m.sensitivities(&x, 1e-6);
         assert!((s[0] - 2.0).abs() < 1e-6);
         assert!((s[1] - 3.0 / 9.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn relative_sensitivities_are_dimensionless_elasticities() {
-        // y = c·x^2 has elasticity exactly 2 everywhere.
-        let m = Model::new(
-            vec![BasisFunction::from_vc(VarCombo::single(1, 0, 2))],
-            vec![0.0, 5.0],
-            WeightConfig::default(),
-        );
-        let e = m.relative_sensitivities(&[3.0], 1e-6);
-        assert!((e[0] - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Engine-phase names: the shared vocabulary between the instrumentation
-//! points (fit gather/solve, [`EngineState::step`]'s selection segments,
-//! the runtime's migration and generation wall) and the consumers that
-//! turn accumulated cells into progress frames and `/metrics` series.
+//! points (fit gather/solve, [`EngineState::step`]'s evaluation wall, the
+//! runtime's migration and generation wall) and the runtime's per-interval
+//! breakdown, which every sink reads. Selection has no cell: it is what
+//! remains of a generation after evaluation and migration, so the runtime
+//! derives it instead of timing it.
 //!
 //! All instrumentation is opt-in: an evaluator without an attached
 //! [`PhaseAccumulator`] never reads the clock, so a step loop over it
@@ -21,9 +23,6 @@ pub const LINEAR_SOLVE: &str = "linear_solve";
 /// (nanoseconds). With parallel evaluation this is wall time while
 /// [`BASIS_EVAL`] / [`LINEAR_SOLVE`] sum CPU time across workers.
 pub const EVAL_WALL: &str = "eval_wall";
-/// Everything in a step that is not evaluation: ranking, tournament
-/// variation, and environmental selection (nanoseconds).
-pub const SELECTION: &str = "selection";
 /// Ring migration between islands (nanoseconds; recorded by the runtime).
 pub const MIGRATION: &str = "migration";
 /// Basis-column cache hits (count).
@@ -41,7 +40,6 @@ pub fn engine_accumulator() -> PhaseAccumulator {
         BASIS_EVAL,
         LINEAR_SOLVE,
         EVAL_WALL,
-        SELECTION,
         MIGRATION,
         CACHE_HITS,
         CACHE_MISSES,

@@ -137,32 +137,6 @@ impl Dataset {
             y: self.y.iter().map(|&v| f(v)).collect(),
         }
     }
-
-    /// Returns a copy with a different target vector (used when one
-    /// simulation sweep measures several performances).
-    ///
-    /// # Errors
-    ///
-    /// [`DoeError::InvalidParameter`] when lengths mismatch.
-    pub fn with_targets(&self, y: Vec<f64>) -> Result<Dataset, DoeError> {
-        if y.len() != self.x.len() {
-            return Err(DoeError::InvalidParameter(format!(
-                "{} design points but {} targets",
-                self.x.len(),
-                y.len()
-            )));
-        }
-        Ok(Dataset {
-            names: self.names.clone(),
-            x: self.x.clone(),
-            y,
-        })
-    }
-
-    /// Index of a variable by name.
-    pub fn var_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
 }
 
 /// A train/test pair over the same variables — the paper's
@@ -220,8 +194,6 @@ mod tests {
         assert_eq!(ds.n_vars(), 2);
         assert_eq!(ds.point(1), &[3.0, 4.0]);
         assert_eq!(ds.targets(), &[10.0, 20.0, 30.0]);
-        assert_eq!(ds.var_index("b"), Some(1));
-        assert_eq!(ds.var_index("missing"), None);
     }
 
     #[test]
@@ -261,13 +233,6 @@ mod tests {
     fn map_targets_applies_function() {
         let ds = demo().map_targets(|y| y / 10.0);
         assert_eq!(ds.targets(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn with_targets_swaps_performance() {
-        let ds = demo().with_targets(vec![7.0, 8.0, 9.0]).unwrap();
-        assert_eq!(ds.targets(), &[7.0, 8.0, 9.0]);
-        assert!(demo().with_targets(vec![1.0]).is_err());
     }
 
     #[test]

@@ -126,26 +126,6 @@ impl OrthogonalArray {
         &self.levels[run]
     }
 
-    /// Extracts a sub-array keeping only the first `n` columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DoeError::TooManyColumns`] when `n > columns`.
-    pub fn take_columns(&self, n: usize) -> Result<OrthogonalArray, DoeError> {
-        if n > self.columns {
-            return Err(DoeError::TooManyColumns {
-                requested: n,
-                available: self.columns,
-            });
-        }
-        let levels: Vec<Vec<u8>> = self.levels.iter().map(|row| row[..n].to_vec()).collect();
-        Ok(OrthogonalArray {
-            levels,
-            runs: self.runs,
-            columns: n,
-        })
-    }
-
     /// Checks the strength-2 property on the given columns: every ordered
     /// pair of levels appears equally often in every pair of distinct
     /// columns.
@@ -216,23 +196,6 @@ mod tests {
         assert_eq!(oa.runs(), 243); // 3^4=81 runs is too few
         let oa2 = OrthogonalArray::with_capacity(9, 4).unwrap();
         assert_eq!(oa2.runs(), 9);
-    }
-
-    #[test]
-    fn take_columns_preserves_strength() {
-        let oa = OrthogonalArray::rao_hamming(3).unwrap();
-        let sub = oa.take_columns(5).unwrap();
-        assert_eq!(sub.columns(), 5);
-        assert!(sub.verify_strength_two(&[0, 1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn take_too_many_columns_errors() {
-        let oa = OrthogonalArray::rao_hamming(2).unwrap();
-        assert!(matches!(
-            oa.take_columns(5),
-            Err(DoeError::TooManyColumns { .. })
-        ));
     }
 
     #[test]

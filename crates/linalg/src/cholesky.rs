@@ -109,11 +109,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// Log-determinant of `A` (numerically stable for large dimensions).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +158,6 @@ mod tests {
             Cholesky::factor(&a),
             Err(LinalgError::DimensionMismatch(_))
         ));
-    }
-
-    #[test]
-    fn log_det_matches_lu_det() {
-        let a: Matrix = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 5.0]]);
-        let ch = Cholesky::factor(&a).unwrap();
-        let lu = crate::Lu::factor(&a).unwrap();
-        assert!((ch.log_det() - lu.det().ln()).abs() < 1e-12);
     }
 
     #[test]

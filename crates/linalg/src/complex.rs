@@ -60,13 +60,6 @@ impl Complex64 {
         self.re.hypot(self.im)
     }
 
-    /// Squared modulus `|z|²`; cheaper than [`Complex64::abs`] when only a
-    /// comparison is needed.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Argument (phase) in radians, in `(-π, π]`.
     #[inline]
     pub fn arg(self) -> f64 {
@@ -294,12 +287,5 @@ mod tests {
         let z = Complex64::new(1.0, -1.0);
         assert!(close(z * 2.0, Complex64::new(2.0, -2.0)));
         assert!(close(2.0 * z, Complex64::new(2.0, -2.0)));
-    }
-
-    #[test]
-    fn norm_sqr_matches_abs() {
-        let z = Complex64::new(3.0, 4.0);
-        assert!((z.norm_sqr() - 25.0).abs() < 1e-12);
-        assert!((z.abs() - 5.0).abs() < 1e-12);
     }
 }

@@ -310,18 +310,6 @@ impl<T: Scalar> Matrix<T> {
         self.data.iter().map(|v| v.modulus()).fold(0.0, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|v| {
-                let m = v.modulus();
-                m * m
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// `true` when all entries are finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite_scalar())
@@ -456,7 +444,6 @@ mod tests {
     fn norms() {
         let a: Matrix = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]);
         assert_eq!(a.max_abs(), 4.0);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert!(a.is_finite());
     }
 

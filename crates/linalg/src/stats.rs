@@ -30,11 +30,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Root-mean-square of a slice; `0.0` when empty.
 pub fn rms(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -118,59 +113,6 @@ pub fn nmse(predicted: &[f64], actual: &[f64]) -> f64 {
     (ss_err / ss_tot).sqrt()
 }
 
-/// Coefficient of determination `R² = 1 − SS_err/SS_tot`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
-    let n = nmse(predicted, actual);
-    1.0 - n * n
-}
-
-/// Minimum and maximum of a slice; `None` when empty or any NaN present.
-pub fn min_max(values: &[f64]) -> Option<(f64, f64)> {
-    if values.is_empty() || values.iter().any(|v| v.is_nan()) {
-        return None;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    Some((lo, hi))
-}
-
-/// Pearson correlation coefficient; `0.0` when either slice is constant.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "length mismatch");
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx <= 0.0 || syy <= 0.0 {
-        return 0.0;
-    }
-    sxy / (sxx.sqrt() * syy.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +123,6 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(variance(&[5.0]), 0.0);
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -221,31 +162,12 @@ mod tests {
         let m = mean(&y);
         let pred = vec![m; 4];
         assert!((nmse(&pred, &y) - 1.0).abs() < 1e-12);
-        assert!((r_squared(&pred, &y)).abs() < 1e-12);
     }
 
     #[test]
     fn nmse_perfect_fit_is_zero() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(nmse(&y, &y), 0.0);
-        assert_eq!(r_squared(&y, &y), 1.0);
-    }
-
-    #[test]
-    fn min_max_handles_nan_and_empty() {
-        assert_eq!(min_max(&[]), None);
-        assert_eq!(min_max(&[1.0, f64::NAN]), None);
-        assert_eq!(min_max(&[3.0, -1.0, 2.0]), Some((-1.0, 3.0)));
-    }
-
-    #[test]
-    fn pearson_of_linear_relation_is_one() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x - 1.0).collect();
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let ys_neg: Vec<f64> = xs.iter().map(|x| -x).collect();
-        assert!((pearson(&xs, &ys_neg) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&xs, &[1.0, 1.0, 1.0, 1.0]), 0.0);
     }
 
     #[test]

@@ -278,16 +278,6 @@ impl Logger {
         )
     }
 
-    /// The configured threshold.
-    pub fn level(&self) -> Level {
-        self.level
-    }
-
-    /// The configured line format.
-    pub fn format(&self) -> LogFormat {
-        self.format
-    }
-
     /// `true` when events at `level` would be emitted.
     pub fn enabled(&self, level: Level) -> bool {
         level <= self.level

@@ -11,17 +11,6 @@ use caffeine_runtime::PhaseBreakdown;
 
 use crate::sync::PoisonlessMutex;
 
-/// The phase labels of `caffeine_engine_phase_seconds`, in render order.
-/// Mirrors [`PhaseBreakdown`]'s duration fields.
-const ENGINE_PHASES: [&str; 6] = [
-    "basis_eval",
-    "linear_solve",
-    "eval_other",
-    "selection",
-    "migration",
-    "wall",
-];
-
 /// Upper bounds of the latency buckets, in microseconds (powers of four
 /// from 16µs to ~17s, plus +Inf implicitly).
 const BUCKET_BOUNDS_US: [u64; 13] = [
@@ -93,11 +82,12 @@ pub struct Metrics {
     /// Wall-clock start of the process (unix seconds), for
     /// `process_start_time_seconds`.
     start_unix: f64,
-    /// Cumulative engine time per phase, microseconds, indexed like
-    /// [`ENGINE_PHASES`]. Each job's event pump folds every stats
-    /// interval's [`PhaseBreakdown`] in exactly once (island 0's copy),
-    /// so the sums cover every generation whatever the island count.
-    engine_phase_us: [AtomicU64; ENGINE_PHASES.len()],
+    /// Cumulative engine time per phase, microseconds, labelled and
+    /// ordered like [`PhaseBreakdown::durations`]. Each job's event pump
+    /// folds every stats interval's [`PhaseBreakdown`] in exactly once
+    /// (island 0's copy), so the sums cover every generation whatever the
+    /// island count.
+    engine_phase_us: [(&'static str, AtomicU64); 6],
     /// Cumulative basis-cache hits across all jobs' stats intervals.
     cache_hits: AtomicU64,
     /// Cumulative basis-cache misses across all jobs' stats intervals.
@@ -131,7 +121,9 @@ impl Metrics {
                 .duration_since(SystemTime::UNIX_EPOCH)
                 .map(|d| d.as_secs_f64())
                 .unwrap_or(0.0),
-            engine_phase_us: Default::default(),
+            engine_phase_us: PhaseBreakdown::default()
+                .durations()
+                .map(|(phase, _)| (phase, AtomicU64::new(0))),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
         }
@@ -140,15 +132,7 @@ impl Metrics {
     /// Folds one stats interval's phase breakdown into the cumulative
     /// engine-phase counters and cache totals; call it once per interval.
     pub fn observe_engine_phases(&self, b: &PhaseBreakdown) {
-        let secs = [
-            b.basis_eval,
-            b.linear_solve,
-            b.eval_other,
-            b.selection,
-            b.migration,
-            b.wall,
-        ];
-        for (cell, s) in self.engine_phase_us.iter().zip(secs) {
+        for ((_, cell), (_, s)) in self.engine_phase_us.iter().zip(b.durations()) {
             cell.fetch_add((s.max(0.0) * 1e6) as u64, Ordering::Relaxed);
         }
         self.cache_hits.fetch_add(b.cache_hits, Ordering::Relaxed);
@@ -367,7 +351,7 @@ impl Metrics {
             ));
         }
         out.push_str("# TYPE caffeine_engine_phase_seconds counter\n");
-        for (phase, cell) in ENGINE_PHASES.iter().zip(&self.engine_phase_us) {
+        for (phase, cell) in &self.engine_phase_us {
             out.push_str(&format!(
                 "caffeine_engine_phase_seconds{{phase=\"{phase}\"}} {:.6}\n",
                 cell.load(Ordering::Relaxed) as f64 / 1e6

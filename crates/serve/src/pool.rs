@@ -118,7 +118,6 @@ fn worker_loop<T>(rx: &Mutex<Receiver<T>>, handler: &(impl Fn(T) + ?Sized), queu
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     #[test]
     fn runs_tasks_on_workers_and_drains_on_shutdown() {
@@ -139,28 +138,24 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let worker_gate = Arc::clone(&gate);
         let held = gate.lock().unwrap();
-        // The single worker blocks on the gate for its first task.
-        let pool = WorkerPool::new(1, 1, move |_: u32| {
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let started_tx = Mutex::new(started_tx);
+        // The single worker reports each task it holds, then blocks on
+        // the gate.
+        let pool = WorkerPool::new(1, 1, move |task: u32| {
+            let _ = started_tx.lock().unwrap().send(task);
             let _g = worker_gate.lock().unwrap();
         });
         pool.try_execute(0).expect("first task fits");
-        // Give the worker a moment to pick up the blocking task, then
-        // fill the queue slot.
-        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(started.recv(), Ok(0), "the worker holds task 0");
         assert!(pool.try_execute(1).is_ok(), "backlog slot fits");
         // Now both worker and backlog are occupied: the next task
         // bounces back.
-        let mut bounced = None;
-        for _ in 0..3 {
-            match pool.try_execute(7) {
-                Err(t) => {
-                    bounced = Some(t);
-                    break;
-                }
-                Ok(()) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
-        assert_eq!(bounced, Some(7), "saturated pool must hand the task back");
+        assert_eq!(
+            pool.try_execute(7),
+            Err(7),
+            "saturated pool must hand the task back"
+        );
         assert_eq!(pool.queued(), 1, "one task waits in the backlog slot");
         drop(held);
         pool.shutdown();

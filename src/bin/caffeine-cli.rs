@@ -22,8 +22,9 @@ use caffeine::cli::{
 use caffeine::core::expr::FormatOptions;
 use caffeine::core::sag::{simplify_front, SagSettings};
 use caffeine::core::{pareto, CaffeineResult};
-use caffeine::runtime::{IslandRunner, RunEvent, RuntimeCheckpoint};
+use caffeine::runtime::{IslandRunner, PhaseBreakdown, RunEvent, RuntimeCheckpoint};
 use caffeine::serve::{client, ServeConfig, Server};
+use serde::Deserialize;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -276,44 +277,16 @@ fn run_jobs(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Renders one SSE `progress` frame as a compact per-phase timing line
-/// (`jobs watch --timings`). `None` when the frame has no phase data
-/// (e.g. a frame from an older server).
+/// Renders one SSE `progress` frame as its breakdown's timing line
+/// (`jobs watch --timings`) plus the frame's best error. `None` when the
+/// frame carries no phase breakdown (e.g. a frame from an older server).
 fn timings_line(data: &str) -> Option<String> {
-    let v: serde_json::Value = serde_json::from_str(data).ok()?;
-    let phases = v.as_object()?.get("phases")?.as_object()?;
-    let ms = |key: &str| phases.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0) * 1e3;
-    let wall = ms("wall");
-    let pct = |part: f64| {
-        if wall > 0.0 {
-            format!(" ({:.0}%)", 100.0 * part / wall)
-        } else {
-            String::new()
-        }
-    };
-    let basis = ms("basis_eval");
-    let solve = ms("linear_solve");
-    let cache = match v["cache_hit_ratio"].as_f64() {
-        Some(r) => format!("{:.1}%", 100.0 * r),
-        None => "-".to_string(),
-    };
-    Some(format!(
-        "gen {:>4}  wall {wall:.1}ms  basis {basis:.1}ms{}  solve {solve:.1}ms{}  \
-         eval-other {:.1}ms  select {:.1}ms  migrate {:.1}ms  cache {cache}  \
-         best_error {}",
-        phases
-            .get("generation")
-            .and_then(|x| x.as_u64())
-            .unwrap_or(0),
-        pct(basis),
-        pct(solve),
-        ms("eval_other"),
-        ms("selection"),
-        ms("migration"),
-        v["best_error"]
-            .as_f64()
-            .map_or_else(|| "-".to_string(), |e| format!("{e:.6}")),
-    ))
+    let frame: serde_json::Value = serde_json::from_str(data).ok()?;
+    let phases = PhaseBreakdown::from_value(&frame["phases"]).ok()?;
+    let best_error = frame["best_error"]
+        .as_f64()
+        .map_or_else(|| "-".to_string(), |e| format!("{e:.6}"));
+    Some(format!("{phases}  best_error {best_error}"))
 }
 
 fn evolve(opts: &CliOptions, train: &caffeine::doe::Dataset) -> Result<CaffeineResult, String> {
