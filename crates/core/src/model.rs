@@ -182,25 +182,6 @@ impl Model {
         out
     }
 
-    /// Numerical sensitivities `∂y/∂x_i` at a design point (central
-    /// differences with relative step `rel_step`, absolute floor 1e-12).
-    ///
-    /// This serves the paper's stated purpose — "examine the equations to
-    /// gain an understanding of how design variables affect performance" —
-    /// quantitatively: rank which variables matter at an operating point.
-    pub fn sensitivities(&self, x: &[f64], rel_step: f64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(x.len());
-        for i in 0..x.len() {
-            let h = (x[i].abs() * rel_step).max(1e-12);
-            let mut hi = x.to_vec();
-            let mut lo = x.to_vec();
-            hi[i] += h;
-            lo[i] -= h;
-            out.push((self.predict_one(&hi) - self.predict_one(&lo)) / (2.0 * h));
-        }
-        out
-    }
-
     /// Variables used anywhere in the model (sorted indices).
     pub fn used_variables(&self) -> Vec<usize> {
         let mut used: Vec<usize> = self.bases.iter().flat_map(|b| b.used_variables()).collect();
@@ -322,16 +303,6 @@ mod tests {
         let s = m2.simplified(&ComplexityWeights::default());
         assert_eq!(s.n_bases(), 1);
         assert!((s.predict_one(&[2.0, 3.0]) - m2.predict_one(&[2.0, 3.0])).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sensitivities_match_analytic_derivatives() {
-        // y = 1 + 2·x0 − 3/x1: ∂y/∂x0 = 2, ∂y/∂x1 = 3/x1².
-        let m = rational_model();
-        let x = [2.0, 3.0];
-        let s = m.sensitivities(&x, 1e-6);
-        assert!((s[0] - 2.0).abs() < 1e-6);
-        assert!((s[1] - 3.0 / 9.0).abs() < 1e-6);
     }
 
     #[test]

@@ -21,15 +21,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Population variance; `0.0` for slices with fewer than two elements.
-pub fn variance(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
-}
-
 /// Root-mean-square of a slice; `0.0` when empty.
 pub fn rms(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -118,11 +109,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_basics() {
+    fn mean_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(variance(&[5.0]), 0.0);
-        assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Job control: a cloneable handle to pause, resume, cancel, and observe
-//! a run while it executes on another thread.
+//! Job control: a cloneable handle to cancel and observe a run while it
+//! executes on another thread.
 //!
 //! A long-running service must be able to stop a run cleanly halfway
 //! and show live progress to pollers. Attach a [`RunController`] to the
 //! runner with [`IslandRunner::set_controller`] and keep a clone wherever
 //! status queries or cancellation come from. [`IslandRunner::run`] then
-//! checks the controller before each generation and once more before
+//! checks the cancel flag before each generation and once more before
 //! finishing, publishes a [`ProgressSnapshot`] after every generation,
 //! and returns [`crate::RuntimeError::Cancelled`] when cancelled.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -18,13 +19,11 @@ use caffeine_core::EvolutionStats;
 use crate::island::IslandRunner;
 use crate::stats::PhaseBreakdown;
 
-/// What the controller has most recently been told / observed.
+/// What the controller has most recently observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RunPhase {
     /// Advancing generations.
     Running,
-    /// Holding between generations until resumed or cancelled.
-    Paused,
     /// A cancel request was honored; the run stopped early.
     Cancelled,
     /// Every generation completed.
@@ -36,7 +35,6 @@ impl RunPhase {
     pub fn as_str(self) -> &'static str {
         match self {
             RunPhase::Running => "running",
-            RunPhase::Paused => "paused",
             RunPhase::Cancelled => "cancelled",
             RunPhase::Finished => "finished",
         }
@@ -59,25 +57,18 @@ pub struct ProgressSnapshot {
     pub phases: Option<PhaseBreakdown>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Desired {
-    Run,
-    Pause,
-    Cancel,
-}
-
 #[derive(Debug)]
-struct ControlState {
-    desired: Desired,
-    progress: ProgressSnapshot,
+struct Shared {
+    cancelled: AtomicBool,
+    progress: Mutex<ProgressSnapshot>,
 }
 
-/// Shared pause/cancel/progress handle for a run it is attached to with
+/// Shared cancel/progress handle for a run it is attached to with
 /// [`IslandRunner::set_controller`]. Clones share state; every method is
 /// safe to call from any thread at any time.
 #[derive(Debug, Clone)]
 pub struct RunController {
-    inner: Arc<(Mutex<ControlState>, Condvar)>,
+    inner: Arc<Shared>,
 }
 
 impl Default for RunController {
@@ -90,78 +81,33 @@ impl RunController {
     /// Creates a controller in the running phase with empty progress.
     pub fn new() -> RunController {
         RunController {
-            inner: Arc::new((
-                Mutex::new(ControlState {
-                    desired: Desired::Run,
-                    progress: ProgressSnapshot {
-                        phase: RunPhase::Running,
-                        completed_generations: 0,
-                        total_generations: 0,
-                        latest: None,
-                        phases: None,
-                    },
+            inner: Arc::new(Shared {
+                cancelled: AtomicBool::new(false),
+                progress: Mutex::new(ProgressSnapshot {
+                    phase: RunPhase::Running,
+                    completed_generations: 0,
+                    total_generations: 0,
+                    latest: None,
+                    phases: None,
                 }),
-                Condvar::new(),
-            )),
+            }),
         }
-    }
-
-    /// Requests a pause; the driving thread holds before the next
-    /// generation. Ignored after cancellation.
-    pub fn pause(&self) {
-        let (lock, cvar) = &*self.inner;
-        let mut st = lock.lock().expect("controller lock");
-        if st.desired == Desired::Run {
-            st.desired = Desired::Pause;
-        }
-        cvar.notify_all();
-    }
-
-    /// Resumes a paused run. Ignored after cancellation.
-    pub fn resume(&self) {
-        let (lock, cvar) = &*self.inner;
-        let mut st = lock.lock().expect("controller lock");
-        if st.desired == Desired::Pause {
-            st.desired = Desired::Run;
-        }
-        cvar.notify_all();
     }
 
     /// Requests cancellation; the driving thread stops before the next
-    /// generation (waking it if paused). Irreversible.
+    /// generation. Irreversible.
     pub fn cancel(&self) {
-        let (lock, cvar) = &*self.inner;
-        lock.lock().expect("controller lock").desired = Desired::Cancel;
-        cvar.notify_all();
+        self.inner.cancelled.store(true, Ordering::Release);
     }
 
     /// The current progress snapshot.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        self.inner
-            .0
-            .lock()
-            .expect("controller lock")
-            .progress
-            .clone()
+        self.inner.progress.lock().expect("controller lock").clone()
     }
 
-    /// Blocks while paused; returns `false` when cancellation was
-    /// requested.
-    pub(crate) fn wait_for_go(&self) -> bool {
-        let (lock, cvar) = &*self.inner;
-        let mut st = lock.lock().expect("controller lock");
-        while st.desired == Desired::Pause {
-            let phase = RunPhase::Paused;
-            st.progress.phase = phase;
-            st = cvar.wait(st).expect("controller lock");
-        }
-        match st.desired {
-            Desired::Cancel => false,
-            _ => {
-                st.progress.phase = RunPhase::Running;
-                true
-            }
-        }
+    /// Whether cancellation was requested.
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.inner.cancelled.load(Ordering::Acquire)
     }
 
     /// Records `runner`'s current progress under `phase`.
@@ -170,7 +116,7 @@ impl RunController {
             .islands()
             .first()
             .and_then(|i| i.stats.last().cloned());
-        self.inner.0.lock().expect("controller lock").progress = ProgressSnapshot {
+        *self.inner.progress.lock().expect("controller lock") = ProgressSnapshot {
             phase,
             completed_generations: runner.completed_generations(),
             total_generations: runner.total_generations(),
@@ -207,14 +153,6 @@ mod tests {
             data,
         )
         .unwrap()
-    }
-
-    /// Spins until the run reports `phase` — a real synchronization point
-    /// for `Paused`, which only the run's own pause check sets.
-    fn await_phase(ctl: &RunController, phase: RunPhase) {
-        while ctl.snapshot().phase != phase {
-            std::thread::yield_now();
-        }
     }
 
     #[test]
@@ -260,44 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn pause_holds_and_resume_releases() {
-        let data = tiny_dataset();
-        let mut runner = tiny_runner(4, &data);
-        let ctl = RunController::new();
-        ctl.pause();
-        runner.set_controller(ctl.clone());
-        // The run blocks immediately (paused before generation 0).
-        let handle = std::thread::spawn(move || runner.run(&data).is_ok());
-        await_phase(&ctl, RunPhase::Paused);
-        assert_eq!(ctl.snapshot().completed_generations, 0);
-        ctl.resume();
-        assert!(handle.join().unwrap());
-        assert_eq!(ctl.snapshot().phase, RunPhase::Finished);
-    }
-
-    #[test]
-    fn cancel_wakes_a_paused_run() {
-        let data = tiny_dataset();
-        let mut runner = tiny_runner(50, &data);
-        let ctl = RunController::new();
-        ctl.pause();
-        runner.set_controller(ctl.clone());
-        let handle = std::thread::spawn(move || runner.run(&data));
-        await_phase(&ctl, RunPhase::Paused);
-        ctl.cancel();
-        assert!(matches!(
-            handle.join().unwrap(),
-            Err(RuntimeError::Cancelled)
-        ));
-        let snap = ctl.snapshot();
-        assert_eq!(snap.phase, RunPhase::Cancelled);
-        assert_eq!(snap.completed_generations, 0);
-    }
-
-    #[test]
     fn phase_labels_are_lowercase() {
         assert_eq!(RunPhase::Running.as_str(), "running");
-        assert_eq!(RunPhase::Paused.as_str(), "paused");
         assert_eq!(RunPhase::Cancelled.as_str(), "cancelled");
         assert_eq!(RunPhase::Finished.as_str(), "finished");
     }

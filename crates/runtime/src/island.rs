@@ -50,7 +50,7 @@ fn split_population(total: usize, islands: usize) -> Vec<usize> {
 
 /// Drives K [`EngineState`] islands to completion with parallel fitness
 /// evaluation, ring migration, optional checkpointing, live progress
-/// events and optional pause/cancel control. It is the one generation
+/// events and optional cancel control. It is the one generation
 /// loop every search runs through; see the crate docs for the
 /// determinism guarantees.
 #[derive(Debug)]
@@ -203,11 +203,10 @@ impl IslandRunner {
         self.events = Some(sender);
     }
 
-    /// Attaches a pause/cancel handle. The run then holds before each
-    /// generation (and once more before finishing) while the controller
-    /// is paused, stops with [`RuntimeError::Cancelled`] once it is
-    /// cancelled, and publishes a [`crate::ProgressSnapshot`] after every
-    /// generation.
+    /// Attaches a cancel/progress handle. The run then checks it before
+    /// each generation (and once more before finishing), stops with
+    /// [`RuntimeError::Cancelled`] once it is cancelled, and publishes a
+    /// [`crate::ProgressSnapshot`] after every generation.
     pub fn set_controller(&mut self, controller: RunController) {
         self.controller = Some(controller);
     }
@@ -394,11 +393,11 @@ impl IslandRunner {
         Ok(result)
     }
 
-    /// Holds while the attached controller is paused; a cancel publishes
-    /// the cancelled phase and ends the run.
+    /// A cancel of the attached controller publishes the cancelled phase
+    /// and ends the run.
     fn proceed(&self) -> Result<(), RuntimeError> {
         match &self.controller {
-            Some(ctl) if !ctl.wait_for_go() => {
+            Some(ctl) if ctl.is_cancelled() => {
                 self.publish(RunPhase::Cancelled);
                 Err(RuntimeError::Cancelled)
             }

@@ -30,7 +30,7 @@
 //! * [`RunEvent`]: a live statistics channel; attach any
 //!   `std::sync::mpsc::Sender<RunEvent>` to watch progress while a run is
 //!   executing.
-//! * [`RunController`]: a cloneable pause/resume/cancel handle with live
+//! * [`RunController`]: a cloneable cancel handle with live
 //!   [`ProgressSnapshot`]s, attached with [`IslandRunner::set_controller`]
 //!   to a run on a background thread — the job-control surface the
 //!   `caffeine-serve` daemon builds on.

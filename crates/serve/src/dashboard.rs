@@ -9,8 +9,23 @@
 //! generation's wall time went. A traces panel polls `GET /v1/traces`
 //! and draws the selected trace's span tree as a canvas waterfall.
 
-/// The dashboard page, verbatim.
-pub const HTML: &str = include_str!("dashboard.html");
+use caffeine_runtime::PhaseBreakdown;
+
+/// The dashboard template; `__PHASE_KEYS__` stands for the JS list of
+/// engine-phase names.
+const HTML: &str = include_str!("dashboard.html");
+
+/// The dashboard page, its phase bars named from
+/// [`PhaseBreakdown::durations`] (every duration but `wall`).
+pub fn page() -> String {
+    let keys: Vec<String> = PhaseBreakdown::default()
+        .durations()
+        .iter()
+        .filter(|(name, _)| *name != "wall")
+        .map(|(name, _)| format!("\"{name}\""))
+        .collect();
+    HTML.replacen("__PHASE_KEYS__", &format!("[{}]", keys.join(", ")), 1)
+}
 
 #[cfg(test)]
 mod tests {
@@ -18,20 +33,37 @@ mod tests {
 
     #[test]
     fn dashboard_is_self_contained_html() {
-        assert!(HTML.starts_with("<!DOCTYPE html>"));
+        let html = page();
+        assert!(html.starts_with("<!DOCTYPE html>"));
         // Zero external dependencies: nothing fetched from another origin.
-        assert!(!HTML.contains("http://"), "external reference in dashboard");
+        assert!(!html.contains("http://"), "external reference in dashboard");
         assert!(
-            !HTML.contains("https://"),
+            !html.contains("https://"),
             "external reference in dashboard"
         );
-        assert!(!HTML.contains("<script src"), "external script");
-        assert!(!HTML.contains("<link "), "external stylesheet");
+        assert!(!html.contains("<script src"), "external script");
+        assert!(!html.contains("<link "), "external stylesheet");
         // It drives the daemon's own API surface.
-        assert!(HTML.contains("/v1/jobs"));
-        assert!(HTML.contains("EventSource"));
-        assert!(HTML.contains("progress"));
-        assert!(HTML.contains("/v1/traces"));
-        assert!(HTML.contains("drawWaterfall"));
+        assert!(html.contains("/v1/jobs"));
+        assert!(html.contains("EventSource"));
+        assert!(html.contains("progress"));
+        assert!(html.contains("/v1/traces"));
+        assert!(html.contains("drawWaterfall"));
+        // The phase bars are exactly the engine's duration phases.
+        let served: Vec<&str> = html
+            .lines()
+            .find_map(|l| l.strip_prefix("const PHASE_KEYS = ["))
+            .and_then(|l| l.strip_suffix("];"))
+            .expect("the page declares PHASE_KEYS")
+            .split(", ")
+            .map(|key| key.trim_matches('"'))
+            .collect();
+        let phases: Vec<&str> = PhaseBreakdown::default()
+            .durations()
+            .iter()
+            .map(|&(name, _)| name)
+            .filter(|&name| name != "wall")
+            .collect();
+        assert_eq!(served, phases);
     }
 }

@@ -103,16 +103,6 @@ fn ok_json(value: serde_json::Value) -> Response {
     json_response(200, value)
 }
 
-/// The allowed values of the jobs `?state=` filter.
-const JOB_STATES: [&str; 6] = [
-    "queued",
-    "running",
-    "paused",
-    "finished",
-    "failed",
-    "cancelled",
-];
-
 fn dispatch(
     shared: &Arc<Shared>,
     route: &Route,
@@ -155,7 +145,7 @@ fn dispatch_response(
             );
             Ok(Response::text(200, text))
         }
-        Route::Dashboard => Ok(Response::html(200, crate::dashboard::HTML.to_string())),
+        Route::Dashboard => Ok(Response::html(200, crate::dashboard::page())),
         Route::ListModels => {
             let models: Vec<serde_json::Value> = shared
                 .registry
@@ -233,10 +223,10 @@ fn dispatch_response(
         Route::ListJobs => {
             let state = request.query_param("state");
             if let Some(s) = state {
-                if !JOB_STATES.contains(&s) {
+                if !JobEntry::STATES.contains(&s) {
                     return Err(ApiError::bad_request(format!(
                         "unknown state `{s}` (use one of {})",
-                        JOB_STATES.join(", ")
+                        JobEntry::STATES.join(", ")
                     )));
                 }
             }

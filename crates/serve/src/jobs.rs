@@ -16,8 +16,8 @@
 //! the whole bounded store is full of live (queued or running) jobs.
 //!
 //! Admission spawns two threads: the *driver* (running the island runner
-//! with the job's [`RunController`] attached, so pause and cancel take
-//! effect between generations) and the *pump*, which fans the
+//! with the job's [`RunController`] attached, so a cancel takes effect
+//! between generations) and the *pump*, which fans the
 //! runner's [`caffeine_runtime::RunEvent`]s out to SSE subscribers via
 //! the job's [`EventHub`]. On a terminal outcome the driver publishes
 //! (or not), renames the job's on-disk spec + checkpoint to `.trash-…`
@@ -214,7 +214,7 @@ impl JobSpec {
 /// Terminal result of a job (alongside the controller's phase).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome {
-    /// Still queued/running/paused.
+    /// Still queued or running.
     Pending,
     /// Finished; the front is in the registry.
     Published {
@@ -606,7 +606,7 @@ pub struct JobEntry {
     pub id: u64,
     /// Registry id the front publishes under.
     pub model_id: String,
-    /// Pause/cancel/progress handle.
+    /// Cancel/progress handle.
     pub controller: RunController,
     /// `true` when the job was re-adopted from a checkpoint at startup.
     pub resumed: bool,
@@ -680,8 +680,13 @@ impl JobEntry {
         }
     }
 
+    /// Every label [`JobEntry::state_label`] can emit: the values the
+    /// jobs `?state=` filter accepts.
+    pub(crate) const STATES: [&'static str; 5] =
+        ["queued", "running", "finished", "failed", "cancelled"];
+
     /// The state label for one consistent (outcome, phase, queued)
-    /// observation.
+    /// observation; always one of [`JobEntry::STATES`].
     fn state_label(
         outcome: &JobOutcome,
         phase: caffeine_runtime::RunPhase,
@@ -1517,8 +1522,7 @@ impl JobManager {
     }
 
     /// Status JSON for every job in id order, optionally filtered to one
-    /// state label (`queued`, `running`, `paused`, `finished`, `failed`,
-    /// `cancelled`).
+    /// [`JobEntry::state`] label.
     pub fn list_json(&self, state: Option<&str>) -> Vec<serde_json::Value> {
         let jobs: Vec<Arc<JobEntry>> = self.jobs.plock().values().cloned().collect();
         jobs.iter()
@@ -2264,5 +2268,32 @@ mod tests {
         left.sort();
         assert_eq!(left, ["notes.txt"], "only the trash is swept");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_state_label_is_a_listed_state() {
+        use caffeine_runtime::RunPhase;
+        let outcomes = [
+            JobOutcome::Pending,
+            JobOutcome::Published {
+                model_id: "m".into(),
+                version: "v".into(),
+                n_models: 1,
+            },
+            JobOutcome::Failed {
+                message: "boom".into(),
+            },
+            JobOutcome::Cancelled,
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for outcome in &outcomes {
+            for phase in [RunPhase::Running, RunPhase::Cancelled, RunPhase::Finished] {
+                for queued in [false, true] {
+                    seen.insert(JobEntry::state_label(outcome, phase, queued));
+                }
+            }
+        }
+        let listed: std::collections::BTreeSet<_> = JobEntry::STATES.into_iter().collect();
+        assert_eq!(seen, listed);
     }
 }

@@ -765,8 +765,15 @@ fn job_store_filters_evicts_and_answers_409_on_terminal_delete() {
     let running = running["jobs"].as_array().unwrap();
     assert_eq!(running.len(), 1, "{running:?}");
     assert_eq!(running[0]["id"].as_u64(), Some(long_id));
-    let r = client::request(&addr, "GET", "/v1/jobs?state=nonsense", None, T).unwrap();
-    assert_eq!(r.status, 400, "{}", r.text());
+    for bad in ["nonsense", "paused"] {
+        let r = client::request(&addr, "GET", &format!("/v1/jobs?state={bad}"), None, T).unwrap();
+        assert_eq!(r.status, 400, "{}", r.text());
+        let body = r.json().unwrap();
+        let message = body["error"]["message"].as_str().unwrap_or_default();
+        for state in ["queued", "running", "finished", "failed", "cancelled"] {
+            assert!(message.contains(state), "{message}");
+        }
+    }
 
     // Capacity 2 with one terminal + one live: the next submission evicts
     // the finished record; the one after that meets a full store → 429.

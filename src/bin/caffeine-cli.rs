@@ -248,9 +248,8 @@ fn run_jobs(args: &[String]) -> Result<(), String> {
             let mut saw_done = false;
             client::watch_job(&addr, &path, &client::WatchOptions::default(), |event| {
                 if opts.timings && event.event == "progress" {
-                    match timings_line(&event.data) {
-                        Some(line) => println!("{line}"),
-                        None => println!("{}: {}", event.event, event.data),
+                    if let Some(line) = timings_line(&event.data) {
+                        println!("{line}");
                     }
                 } else {
                     println!("{}: {}", event.event, event.data);
@@ -277,12 +276,22 @@ fn run_jobs(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Renders one SSE `progress` frame as its breakdown's timing line
-/// (`jobs watch --timings`) plus the frame's best error. `None` when the
-/// frame carries no phase breakdown (e.g. a frame from an older server).
+/// What `jobs watch --timings` prints for one SSE `progress` frame: its
+/// breakdown's timing line plus the frame's best error. Every island's
+/// frame carries the same interval breakdown, so only island 0's prints
+/// (the copy `/metrics` folds); the others print nothing. A frame with
+/// no phase breakdown (e.g. from an older server) prints raw.
 fn timings_line(data: &str) -> Option<String> {
-    let frame: serde_json::Value = serde_json::from_str(data).ok()?;
-    let phases = PhaseBreakdown::from_value(&frame["phases"]).ok()?;
+    let raw = || Some(format!("progress: {data}"));
+    let Ok(frame) = serde_json::from_str::<serde_json::Value>(data) else {
+        return raw();
+    };
+    if frame["island"].as_u64().is_some_and(|island| island != 0) {
+        return None;
+    }
+    let Ok(phases) = PhaseBreakdown::from_value(&frame["phases"]) else {
+        return raw();
+    };
     let best_error = frame["best_error"]
         .as_f64()
         .map_or_else(|| "-".to_string(), |e| format!("{e:.6}"));
@@ -448,4 +457,32 @@ fn run(args: &[String]) -> Result<(), String> {
         100.0 * summary["best_train_error"]
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timings_print_one_line_per_interval() {
+        let phases = serde_json::to_value(&PhaseBreakdown::default());
+        let frames: Vec<String> = (0..2)
+            .map(|island| {
+                let frame = serde_json::json!({
+                    "island": island,
+                    "best_error": 0.5,
+                    "phases": phases.clone(),
+                });
+                serde_json::to_string(&frame).unwrap()
+            })
+            .collect();
+        let lines: Vec<String> = frames.iter().filter_map(|f| timings_line(f)).collect();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].ends_with("best_error 0.500000"), "{lines:?}");
+        // A frame without a breakdown still prints, raw.
+        assert_eq!(
+            timings_line(r#"{"island":0}"#).as_deref(),
+            Some(r#"progress: {"island":0}"#)
+        );
+    }
 }

@@ -67,7 +67,7 @@ impl Default for CliOptions {
     }
 }
 
-/// Every flag the CLI knows, in usage order. Used for duplicate detection
+/// Every flag of a model run, in usage order. Used for duplicate detection
 /// and nearest-flag suggestions.
 const KNOWN_FLAGS: &[&str] = &[
     "--data",
@@ -104,14 +104,79 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The closest known flag, when it is close enough to be a plausible typo.
-fn nearest_flag(unknown: &str) -> Option<&'static str> {
-    KNOWN_FLAGS
+/// The closest of `known`, when it is close enough to be a plausible typo.
+fn nearest_flag(unknown: &str, known: &[&'static str]) -> Option<&'static str> {
+    known
         .iter()
         .map(|&f| (edit_distance(unknown, f), f))
         .min()
         .filter(|&(d, f)| d <= (f.len() / 2).max(2))
         .map(|(_, f)| f)
+}
+
+/// The `--flag [value]` scanner every command's parser shares: it
+/// rejects a repeated known flag, and names the nearest known flag when
+/// one is unknown.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The command's flags, in usage order.
+    known: &'static [&'static str],
+    /// The subcommand for error messages, with a trailing space (empty
+    /// for a model run).
+    command: &'static str,
+    /// The known flags given so far, in order.
+    seen: Vec<&'static str>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String], command: &'static str, known: &'static [&'static str]) -> Self {
+        Flags {
+            args: args.iter(),
+            known,
+            command,
+            seen: Vec::new(),
+        }
+    }
+
+    /// The next flag, or `None` once the arguments run out.
+    fn next_flag(&mut self) -> Result<Option<&'a str>, String> {
+        let Some(flag) = self.args.next() else {
+            return Ok(None);
+        };
+        if let Some(&known) = self.known.iter().find(|&&f| f == flag) {
+            if self.seen.contains(&known) {
+                return Err(format!("flag {known} given more than once"));
+            }
+            self.seen.push(known);
+        }
+        Ok(Some(flag))
+    }
+
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("flag {flag} needs a value"))
+    }
+
+    /// The integer value after `flag`.
+    fn int<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| format!("{flag} needs an integer"))
+    }
+
+    /// The error for a flag the command does not know.
+    fn unknown(&self, flag: &str) -> String {
+        let command = self.command;
+        match nearest_flag(flag, self.known) {
+            Some(near) => {
+                format!("unknown {command}flag `{flag}` — did you mean `{near}`? (see --help)")
+            }
+            None => format!("unknown {command}flag `{flag}` (see --help)"),
+        }
+    }
 }
 
 impl CliOptions {
@@ -125,54 +190,28 @@ impl CliOptions {
     /// missing `--data`.
     pub fn parse(args: &[String]) -> Result<CliOptions, String> {
         let mut opts = CliOptions::default();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if let Some(known) = KNOWN_FLAGS.iter().find(|&&f| f == flag.as_str()) {
-                if opts.explicit.contains(known) {
-                    return Err(format!("flag {known} given more than once"));
-                }
-                opts.explicit.push(known);
-            }
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {name} needs a value"))
-            };
-            let mut int = |name: &str| -> Result<usize, String> {
-                value(name)?
-                    .parse()
-                    .map_err(|_| format!("{name} needs an integer"))
-            };
-            match flag.as_str() {
-                "--data" => opts.data = value("--data")?,
-                "--target" => opts.target = Some(value("--target")?),
-                "--test" => opts.test = Some(value("--test")?),
-                "--grammar" => opts.grammar = Some(value("--grammar")?),
-                "--out" => opts.out = Some(value("--out")?),
-                "--pop" => opts.population = int("--pop")?,
-                "--gens" => opts.generations = int("--gens")?,
-                "--max-bases" => opts.max_bases = int("--max-bases")?,
-                "--seed" => {
-                    opts.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed needs an integer".to_string())?
-                }
-                "--threads" => opts.threads = int("--threads")?,
-                "--islands" => opts.islands = int("--islands")?,
-                "--migrate-every" => opts.migrate_every = int("--migrate-every")?,
-                "--checkpoint" => opts.checkpoint = Some(value("--checkpoint")?),
-                "--checkpoint-every" => opts.checkpoint_every = int("--checkpoint-every")?,
+        let mut flags = Flags::new(args, "", KNOWN_FLAGS);
+        while let Some(flag) = flags.next_flag()? {
+            match flag {
+                "--data" => opts.data = flags.value(flag)?,
+                "--target" => opts.target = Some(flags.value(flag)?),
+                "--test" => opts.test = Some(flags.value(flag)?),
+                "--grammar" => opts.grammar = Some(flags.value(flag)?),
+                "--out" => opts.out = Some(flags.value(flag)?),
+                "--pop" => opts.population = flags.int(flag)?,
+                "--gens" => opts.generations = flags.int(flag)?,
+                "--max-bases" => opts.max_bases = flags.int(flag)?,
+                "--seed" => opts.seed = flags.int(flag)?,
+                "--threads" => opts.threads = flags.int(flag)?,
+                "--islands" => opts.islands = flags.int(flag)?,
+                "--migrate-every" => opts.migrate_every = flags.int(flag)?,
+                "--checkpoint" => opts.checkpoint = Some(flags.value(flag)?),
+                "--checkpoint-every" => opts.checkpoint_every = flags.int(flag)?,
                 "--resume" => opts.resume = true,
-                other => {
-                    return Err(match nearest_flag(other) {
-                        Some(near) => {
-                            format!("unknown flag `{other}` — did you mean `{near}`? (see --help)")
-                        }
-                        None => format!("unknown flag `{other}` (see --help)"),
-                    })
-                }
+                other => return Err(flags.unknown(other)),
             }
         }
+        opts.explicit = flags.seen;
         if opts.data.is_empty() {
             return Err("missing required flag --data <file.csv>".to_string());
         }
@@ -289,49 +328,56 @@ impl Default for ServeOptions {
     }
 }
 
+/// Every flag of `serve`, in usage order.
+const SERVE_FLAGS: &[&str] = &[
+    "--addr",
+    "--model-dir",
+    "--threads",
+    "--max-jobs",
+    "--max-running-jobs",
+    "--max-conn-requests",
+    "--idle-timeout-ms",
+    "--log-level",
+    "--log-format",
+    "--slow-request-ms",
+    "--trace-capacity",
+    "--trace-sample-rate",
+];
+
 impl ServeOptions {
     /// Parses the arguments after the `serve` subcommand.
     ///
     /// # Errors
     ///
-    /// A human-readable message for unknown flags or missing values.
+    /// A human-readable message for unknown (with a nearest-flag
+    /// suggestion) or duplicated flags, or missing values.
     pub fn parse(args: &[String]) -> Result<ServeOptions, String> {
         let mut opts = ServeOptions::default();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {name} needs a value"))
-            };
-            let mut int = |name: &str| -> Result<usize, String> {
-                value(name)?
-                    .parse()
-                    .map_err(|_| format!("{name} needs an integer"))
-            };
-            match flag.as_str() {
-                "--addr" => opts.addr = value("--addr")?,
-                "--model-dir" => opts.model_dir = Some(value("--model-dir")?),
-                "--threads" => opts.threads = int("--threads")?,
-                "--max-jobs" => opts.max_jobs = int("--max-jobs")?,
-                "--max-running-jobs" => opts.max_running_jobs = int("--max-running-jobs")?,
-                "--max-conn-requests" => opts.max_conn_requests = int("--max-conn-requests")?,
-                "--idle-timeout-ms" => opts.idle_timeout_ms = int("--idle-timeout-ms")? as u64,
+        let mut flags = Flags::new(args, "serve ", SERVE_FLAGS);
+        while let Some(flag) = flags.next_flag()? {
+            match flag {
+                "--addr" => opts.addr = flags.value(flag)?,
+                "--model-dir" => opts.model_dir = Some(flags.value(flag)?),
+                "--threads" => opts.threads = flags.int(flag)?,
+                "--max-jobs" => opts.max_jobs = flags.int(flag)?,
+                "--max-running-jobs" => opts.max_running_jobs = flags.int(flag)?,
+                "--max-conn-requests" => opts.max_conn_requests = flags.int(flag)?,
+                "--idle-timeout-ms" => opts.idle_timeout_ms = flags.int(flag)?,
                 "--log-level" => {
-                    let raw = value("--log-level")?;
+                    let raw = flags.value(flag)?;
                     opts.log_level = caffeine_obs::Level::parse(&raw).map_err(|_| {
                         format!("--log-level must be error, warn, info, or debug (got `{raw}`)")
                     })?;
                 }
                 "--log-format" => {
-                    let raw = value("--log-format")?;
+                    let raw = flags.value(flag)?;
                     opts.log_format = caffeine_obs::LogFormat::parse(&raw)
                         .map_err(|_| format!("--log-format must be text or json (got `{raw}`)"))?;
                 }
-                "--slow-request-ms" => opts.slow_request_ms = int("--slow-request-ms")? as u64,
-                "--trace-capacity" => opts.trace_capacity = int("--trace-capacity")?,
+                "--slow-request-ms" => opts.slow_request_ms = flags.int(flag)?,
+                "--trace-capacity" => opts.trace_capacity = flags.int(flag)?,
                 "--trace-sample-rate" => {
-                    let raw = value("--trace-sample-rate")?;
+                    let raw = flags.value(flag)?;
                     let rate: f64 = raw.parse().map_err(|_| {
                         format!("--trace-sample-rate needs a number in 0..=1 (got `{raw}`)")
                     })?;
@@ -342,7 +388,7 @@ impl ServeOptions {
                     }
                     opts.trace_sample_rate = rate;
                 }
-                other => return Err(format!("unknown serve flag `{other}` (see --help)")),
+                other => return Err(flags.unknown(other)),
             }
         }
         Ok(opts)
@@ -367,6 +413,9 @@ pub struct JobsOptions {
     pub spec: Option<String>,
 }
 
+/// Every flag of `jobs`, in usage order.
+const JOBS_FLAGS: &[&str] = &["--remote", "--id", "--state", "--timings", "--spec"];
+
 impl JobsOptions {
     /// Parses the arguments after the `jobs` subcommand: an action word
     /// (`list`, `submit`, or `watch`) followed by `--remote`, `--id`,
@@ -374,8 +423,9 @@ impl JobsOptions {
     ///
     /// # Errors
     ///
-    /// A message for a missing/unknown action, unknown flags, missing
-    /// values, a `watch` without `--id`, or a `submit` without `--spec`.
+    /// A message for a missing/unknown action, unknown or duplicated
+    /// flags, missing values, a `watch` without `--id`, or a `submit`
+    /// without `--spec`.
     pub fn parse(args: &[String]) -> Result<JobsOptions, String> {
         let action = match args.first().map(String::as_str) {
             Some(a @ ("list" | "submit" | "watch")) => a.to_string(),
@@ -391,26 +441,15 @@ impl JobsOptions {
         let mut state = None;
         let mut timings = false;
         let mut spec = None;
-        let mut it = args[1..].iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {name} needs a value"))
-            };
-            match flag.as_str() {
-                "--remote" => remote = Some(value("--remote")?),
-                "--id" => {
-                    id = Some(
-                        value("--id")?
-                            .parse()
-                            .map_err(|_| "--id needs a job id (integer)".to_string())?,
-                    )
-                }
-                "--state" => state = Some(value("--state")?),
+        let mut flags = Flags::new(&args[1..], "jobs ", JOBS_FLAGS);
+        while let Some(flag) = flags.next_flag()? {
+            match flag {
+                "--remote" => remote = Some(flags.value(flag)?),
+                "--id" => id = Some(flags.int(flag)?),
+                "--state" => state = Some(flags.value(flag)?),
                 "--timings" => timings = true,
-                "--spec" => spec = Some(value("--spec")?),
-                other => return Err(format!("unknown jobs flag `{other}` (see --help)")),
+                "--spec" => spec = Some(flags.value(flag)?),
+                other => return Err(flags.unknown(other)),
             }
         }
         let opts = JobsOptions {
@@ -452,33 +491,31 @@ pub struct PredictOptions {
     pub out: Option<String>,
 }
 
+/// Every flag of `predict`, in usage order.
+const PREDICT_FLAGS: &[&str] = &["--remote", "--model", "--points", "--version", "--out"];
+
 impl PredictOptions {
     /// Parses the arguments after the `predict` subcommand.
     ///
     /// # Errors
     ///
-    /// A message for unknown flags, missing values, or missing required
-    /// flags (`--remote`, `--model`, `--points`).
+    /// A message for unknown or duplicated flags, missing values, or
+    /// missing required flags (`--remote`, `--model`, `--points`).
     pub fn parse(args: &[String]) -> Result<PredictOptions, String> {
         let mut remote = None;
         let mut model = None;
         let mut version = None;
         let mut points = None;
         let mut out = None;
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {name} needs a value"))
-            };
-            match flag.as_str() {
-                "--remote" => remote = Some(value("--remote")?),
-                "--model" => model = Some(value("--model")?),
-                "--version" => version = Some(value("--version")?),
-                "--points" => points = Some(value("--points")?),
-                "--out" => out = Some(value("--out")?),
-                other => return Err(format!("unknown predict flag `{other}` (see --help)")),
+        let mut flags = Flags::new(args, "predict ", PREDICT_FLAGS);
+        while let Some(flag) = flags.next_flag()? {
+            match flag {
+                "--remote" => remote = Some(flags.value(flag)?),
+                "--model" => model = Some(flags.value(flag)?),
+                "--version" => version = Some(flags.value(flag)?),
+                "--points" => points = Some(flags.value(flag)?),
+                "--out" => out = Some(flags.value(flag)?),
+                other => return Err(flags.unknown(other)),
             }
         }
         Ok(PredictOptions {
@@ -841,6 +878,33 @@ mod tests {
         assert!(err.contains("--data"), "{err}");
         let err = parse(&["--data", "a.csv", "--seed", "1", "--seed", "2"]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
+        // Every subcommand rejects a repeat instead of keeping the last.
+        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = ServeOptions::parse(&to_args(&["--threads", "2", "--threads", "4"])).unwrap_err();
+        assert!(err.contains("--threads given more than once"), "{err}");
+        let err = JobsOptions::parse(&to_args(&[
+            "watch",
+            "--remote",
+            "http://x:1",
+            "--id",
+            "1",
+            "--timings",
+            "--timings",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--timings given more than once"), "{err}");
+        let err = PredictOptions::parse(&to_args(&[
+            "--remote",
+            "http://x:1",
+            "--model",
+            "a",
+            "--model",
+            "b",
+            "--points",
+            "p.csv",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--model given more than once"), "{err}");
     }
 
     #[test]
@@ -856,6 +920,33 @@ mod tests {
         // Nothing plausible: no suggestion.
         let err = parse(&["--data", "x", "--zzzzqqqq", "4"]).unwrap_err();
         assert!(!err.contains("did you mean"), "{err}");
+        // The subcommands suggest from their own flags.
+        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = ServeOptions::parse(&to_args(&["--max-job", "4"])).unwrap_err();
+        assert!(err.contains("unknown serve flag `--max-job`"), "{err}");
+        assert!(err.contains("did you mean `--max-jobs`"), "{err}");
+        let err = JobsOptions::parse(&to_args(&["list", "--remot", "http://x:1"])).unwrap_err();
+        assert!(err.contains("did you mean `--remote`"), "{err}");
+        let err = PredictOptions::parse(&to_args(&["--point", "p.csv"])).unwrap_err();
+        assert!(err.contains("did you mean `--points`"), "{err}");
+        let err = PredictOptions::parse(&to_args(&["--zzzzqqqq"])).unwrap_err();
+        assert!(!err.contains("did you mean"), "{err}");
+        // Every listed flag has a parser arm: none of them is "unknown".
+        type Parse = fn(&[String]) -> Option<String>;
+        let parsers: [(&[&str], Parse); 4] = [
+            (KNOWN_FLAGS, |a| CliOptions::parse(a).err()),
+            (SERVE_FLAGS, |a| ServeOptions::parse(a).err()),
+            (JOBS_FLAGS, |a| {
+                JobsOptions::parse(&[&["list".to_string()], a].concat()).err()
+            }),
+            (PREDICT_FLAGS, |a| PredictOptions::parse(a).err()),
+        ];
+        for (known, parse) in parsers {
+            for flag in known {
+                let err = parse(&to_args(&[flag])).unwrap_or_default();
+                assert!(!err.contains("unknown"), "{flag}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -1118,7 +1209,7 @@ mod tests {
     #[test]
     fn usage_mentions_every_flag() {
         let u = usage();
-        for flag in super::KNOWN_FLAGS {
+        for flag in [KNOWN_FLAGS, SERVE_FLAGS, JOBS_FLAGS, PREDICT_FLAGS].concat() {
             assert!(u.contains(flag), "usage missing {flag}");
         }
     }

@@ -60,7 +60,7 @@ fn wait_for_state(addr: &str, id: u64, want: &str, deadline: Duration) -> serde_
         // A re-adopted job may briefly sit in the admission queue before
         // a running slot frees.
         assert!(
-            state == "queued" || state == "running" || state == "paused",
+            state == "queued" || state == "running",
             "job {id} ended in `{state}` while waiting for `{want}`: {status:?}"
         );
         assert!(
