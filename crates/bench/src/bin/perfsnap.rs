@@ -33,7 +33,7 @@ use caffeine_core::expr::{eval_basis_all, EvalContext, Tape, TapeVm, LANE_WIDTH}
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::{simplify_model, SagSettings};
 use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, Evaluator, GrammarConfig};
-use caffeine_linalg::{InterceptReflector, Matrix, Qr};
+use caffeine_linalg::{GramSolver, InterceptReflector, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,11 +88,10 @@ struct Snapshot {
     sag_forward_regression: Comparison,
     /// A 243 × 7 design (intercept plus six bases, the OTA data's mean
     /// design size) solved by least squares: row-major QR of an assembled
-    /// matrix vs the fitness path's column-major QR refactored in place
-    /// from the six columns' intercept images, starting at step 1, with
-    /// the reflected targets carried along (images and reflected targets
-    /// made once, as the column cache does). One "op" is one factor +
-    /// solve.
+    /// matrix vs the fitness path's `GramSolver` on the six columns'
+    /// intercept images and the reflected targets (made once, as the
+    /// column cache does): a scaled Gram matrix, its Cholesky factor and
+    /// one refinement step. One "op" is one factor + solve.
     least_squares: Comparison,
     /// NSGA-II environmental selection's sort of 400 GP-shaped
     /// (error, complexity) pairs: `O(N²)` count-down vs sort-and-sweep.
@@ -244,8 +243,9 @@ fn main() {
         },
     );
 
-    // Kernel 4: the least-squares solve of one fitness evaluation. Both
-    // sides give bit-identical solutions (tests/qr_oracle.rs).
+    // Kernel 4: the least-squares solve of one fitness evaluation. The
+    // sides agree to rounding (the Gram path's tolerance oracle is
+    // `caffeine_linalg`'s `gram_path_matches_householder_on_random_designs`).
     let ls_cols: Vec<Vec<f64>> = (0..7)
         .map(|j| {
             if j == 0 {
@@ -269,8 +269,7 @@ fn main() {
     let ls_slices: Vec<&[f64]> = ls_images.iter().map(Vec::as_slice).collect();
     let mut ls_rhs0 = ls_targets.to_vec();
     h0.reflect_rhs(&mut ls_rhs0).unwrap();
-    let mut qr = Qr::default();
-    let mut rhs = Vec::new();
+    let mut solver = GramSolver::default();
     // Enough solves per timed iteration that even a `--smoke` run's single
     // iteration lasts milliseconds, so its ratio is still meaningful.
     let ls_ops = 500;
@@ -285,10 +284,7 @@ fn main() {
         },
         || {
             for _ in 0..ls_ops {
-                rhs.clear();
-                rhs.extend_from_slice(&ls_rhs0);
-                qr.factor_reflected(&h0, &ls_slices, &mut rhs).unwrap();
-                std::hint::black_box(qr.back_substitute(&rhs).unwrap());
+                std::hint::black_box(solver.solve(&h0, &ls_slices, &ls_rhs0).unwrap());
             }
         },
     );

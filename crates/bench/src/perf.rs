@@ -9,8 +9,9 @@
 //! machine — `cargo run --bin perfsnap` compares against them — and so
 //! the property tests in `tests/` can pin the replacements to them bit
 //! for bit. The row-major walk that built the ridge fallback's normal
-//! equations, and the checkpoint save that renamed a fresh file over the
-//! old snapshot, are kept the same way.
+//! equations, the QR weight fit the Gram-space solver replaced (pinned
+//! to it by a tolerance, not bit for bit), and the checkpoint save that
+//! renamed a fresh file over the old snapshot, are kept the same way.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -19,13 +20,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use caffeine_core::expr::{complexity, eval_basis_all, BasisFunction, EvalContext, VarCombo};
-use caffeine_core::fit::{fit_linear_weights, FitOutcome};
+use caffeine_core::fit::{design_matrix, FitOutcome, LinearFit};
 use caffeine_core::gp::{Evaluation, GpOperators, Individual, OperatorSettings};
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::SagSettings;
 use caffeine_core::{nsga2, CaffeineSettings, GrammarConfig, Model};
 use caffeine_doe::Dataset;
-use caffeine_linalg::{press_statistic, solve_square, LinalgError, Matrix};
+use caffeine_linalg::{lstsq, lstsq_ridge, press_statistic, solve_square, LinalgError, Matrix};
 use caffeine_runtime::{IslandRunner, RuntimeCheckpoint, RuntimeConfig, RuntimeError};
 
 /// 243 points × 13 variables with a rational multi-term target — the
@@ -72,9 +73,10 @@ pub fn gp_population(grammar: &GrammarConfig, n: usize, seed: u64) -> Vec<Indivi
         .collect()
 }
 
-/// The pre-tape fitness path: per-individual tree-walk evaluation and
-/// from-scratch design assembly, exactly as `DatasetEvaluator` scored
-/// populations before the compiled evaluator existed. Scores every
+/// The pre-tape fitness path: per-individual tree-walk evaluation,
+/// from-scratch design assembly and [`reference_fit`]'s Householder
+/// solve, exactly as `DatasetEvaluator` scored populations before the
+/// compiled evaluator and the Gram-space solver existed. Scores every
 /// invalidated individual in `population`.
 pub fn reference_fitness_eval(
     population: &mut [Individual],
@@ -88,7 +90,7 @@ pub fn reference_fitness_eval(
             continue;
         }
         let cx = complexity(&ind.bases, &settings.complexity);
-        let eval = match fit_linear_weights(&ind.bases, data.points(), data.targets(), &ctx) {
+        let eval = match reference_fit(&ind.bases, data.points(), data.targets(), &ctx) {
             FitOutcome::Fit(fit) => {
                 let err = settings.metric.compute(&fit.predictions, data.targets());
                 let feasible = err.is_finite();
@@ -111,6 +113,44 @@ pub fn reference_fitness_eval(
             },
         };
         ind.eval = Some(eval);
+    }
+}
+
+/// The weight fit before the Gram-space solver, on the tree-walk
+/// design: Householder QR of the assembled `[1 | f₁ … f_k]` (`lstsq`),
+/// a `1e-9` ridge when QR finds it singular, and predictions by
+/// `Matrix::matvec`. It is `caffeine_core::fit_linear_weights`'s
+/// Householder fallback, bit for bit, run on every design; the tolerance
+/// oracle in `tests/fit_oracle.rs` compares the Gram path with it.
+pub fn reference_fit(
+    bases: &[BasisFunction],
+    points: &[Vec<f64>],
+    targets: &[f64],
+    ctx: &EvalContext,
+) -> FitOutcome {
+    let Some(a) = design_matrix(bases, points, ctx) else {
+        return FitOutcome::Infeasible;
+    };
+    if a.rows() < a.cols() {
+        return FitOutcome::Infeasible;
+    }
+    let coefficients = match lstsq(&a, targets) {
+        Ok(c) => c,
+        Err(LinalgError::Singular { .. }) => match lstsq_ridge(&a, targets, 1e-9) {
+            Ok(c) => c,
+            Err(_) => return FitOutcome::Infeasible,
+        },
+        Err(_) => return FitOutcome::Infeasible,
+    };
+    if coefficients.iter().any(|c| !c.is_finite()) {
+        return FitOutcome::Infeasible;
+    }
+    match a.matvec(&coefficients) {
+        Ok(predictions) => FitOutcome::Fit(LinearFit {
+            coefficients,
+            predictions,
+        }),
+        Err(_) => FitOutcome::Infeasible,
     }
 }
 

@@ -14,7 +14,9 @@
 //!   loop is the caller's job; `caffeine-runtime` drives many states
 //!   (islands) side by side and injects migration between steps.
 //! * [`Evaluator`] abstracts fitness evaluation. The engine only requires
-//!   that after [`Evaluator::evaluate_all`] every individual carries an
+//!   that after [`Evaluator::evaluate_all`] (or
+//!   [`Evaluator::evaluate_streamed`], which the step uses to hand over
+//!   offspring as they are bred) every individual carries an
 //!   [`Evaluation`](crate::gp::Evaluation); *how* the batch is computed —
 //!   serially ([`DatasetEvaluator`]) or fanned out over a worker pool —
 //!   is pluggable. Evaluation is pure per individual, so any scheduling
@@ -168,6 +170,11 @@ impl CaffeineResult {
     }
 }
 
+/// The producer of a streamed batch ([`Evaluator::evaluate_streamed`]):
+/// called once, it hands each individual to its `publish` argument as
+/// soon as the individual exists.
+pub type Produce<'a> = dyn FnMut(&mut dyn FnMut(Individual)) + 'a;
+
 /// Pluggable fitness evaluation.
 ///
 /// Implementations must fill `ind.eval` for every individual whose cached
@@ -178,6 +185,22 @@ impl CaffeineResult {
 pub trait Evaluator {
     /// Evaluates every not-yet-evaluated individual in the slice.
     fn evaluate_all(&self, population: &mut [Individual]);
+
+    /// Evaluates a batch while it is being produced. `produce` is called
+    /// once and hands each individual to `publish` as soon as it exists,
+    /// at most `capacity` of them; they come back evaluated, in publish
+    /// order. An evaluator with worker threads can fit the first
+    /// individuals while the caller is still producing the rest
+    /// ([`EngineState::step`] breeds offspring this way).
+    ///
+    /// The default collects the whole batch, then calls
+    /// [`Evaluator::evaluate_all`].
+    fn evaluate_streamed(&self, capacity: usize, produce: &mut Produce<'_>) -> Vec<Individual> {
+        let mut batch = Vec::with_capacity(capacity);
+        produce(&mut |ind| batch.push(ind));
+        self.evaluate_all(&mut batch);
+        batch
+    }
 
     /// The phase accumulator this evaluator records into, if any.
     /// [`EngineState::step`] uses it to time its own segments; `None`
@@ -447,13 +470,17 @@ impl EngineState {
     }
 
     /// Advances exactly one generation: tournament selection + variation,
-    /// batch evaluation of the offspring through `evaluator`, then elitist
+    /// evaluation of the offspring through `evaluator`, then elitist
     /// NSGA-II environmental selection. Records an [`EvolutionStats`]
     /// snapshot on the configured schedule.
     ///
-    /// Offspring are generated *before* any of them is evaluated, so the
-    /// RNG stream never depends on evaluation scheduling — the hook that
-    /// makes parallel evaluation deterministic.
+    /// Each distinct offspring goes to the evaluator as soon as it is
+    /// bred ([`Evaluator::evaluate_streamed`]), so a parallel evaluator's
+    /// workers fit early offspring while later ones are bred. Breeding
+    /// alone draws from the RNG, and an evaluation reads nothing but its
+    /// own individual, so the RNG stream and every outcome are the same
+    /// under any evaluation schedule — the hook that makes parallel
+    /// evaluation deterministic.
     ///
     /// An offspring whose basis list is bitwise equal to a population
     /// member's, or to an earlier offspring's, takes a clone of that
@@ -469,20 +496,27 @@ impl EngineState {
             self.population.iter().map(Individual::objectives).collect();
         let ranked = nsga2::rank_population(&objectives);
 
-        // Offspring via binary tournament + the operator suite.
-        let mut offspring: Vec<Individual> = Vec::with_capacity(self.settings.population);
-        while offspring.len() < self.settings.population {
-            let p1 = &self.population[ranked.tournament(&mut self.rng)];
-            let p2 = &self.population[ranked.tournament(&mut self.rng)];
-            offspring.push(ops.make_offspring(&mut self.rng, p1, p2));
-        }
-        let reuse = reuse_evaluations(&self.population, &mut offspring);
+        let size = self.settings.population;
+        let mut offspring: Vec<Individual> = Vec::with_capacity(size);
         {
             // Wall-clock telemetry lives entirely outside `self`: it is
             // never serialized, never compared, and never touches the RNG,
             // so instrumented and uninstrumented runs stay bit-identical.
+            // Breeding runs inside the evaluation it feeds, so its time
+            // counts here too.
             let _eval = evaluator.phases().map(|a| a.span(phases::EVAL_WALL));
-            evaluate_distinct(&mut offspring, reuse, evaluator);
+            let (population, rng) = (&self.population, &mut self.rng);
+            let mut reuse = Reuse::new(population);
+            let evaluated = evaluator.evaluate_streamed(size, &mut |publish| {
+                // Offspring via binary tournament + the operator suite.
+                while offspring.len() < size {
+                    let p1 = &population[ranked.tournament(rng)];
+                    let p2 = &population[ranked.tournament(rng)];
+                    let child = ops.make_offspring(rng, p1, p2);
+                    reuse.place(child, &mut offspring, publish);
+                }
+            });
+            reuse.finish(&mut offspring, evaluated, evaluator);
         }
 
         // Elitist environmental selection over parents + offspring.
@@ -539,72 +573,112 @@ fn vacated() -> Individual {
     }
 }
 
-/// Which offspring a step must evaluate, and which repeat an earlier one.
-struct Reuse {
-    /// Offspring to evaluate, ascending; no two are bitwise equal.
+/// Sorts offspring as they are bred into those that reuse an
+/// evaluation and those that need a fit.
+struct Reuse<'p> {
+    population: &'p [Individual],
+    /// Every evaluated member, and every published offspring, under the
+    /// [`bases_bits_key`] of its basis list.
+    seen: HashMap<u64, Seen, BuildHasherDefault<DefaultHasher>>,
+    /// Published offspring, in publish order.
     distinct: Vec<usize>,
-    /// `(copy, source)`: offspring `copy` repeats the earlier offspring
-    /// `source` and takes its evaluation once the batch is done.
+    /// `(copy, source)`: offspring `copy` has the key of the published
+    /// offspring `source` and takes its evaluation once the batch is
+    /// back and the two lists prove bitwise equal.
     repeats: Vec<(usize, usize)>,
 }
 
-/// Gives every offspring whose basis list is bitwise equal to an
-/// evaluated population member a clone of that member's evaluation,
-/// and sorts the rest into distinct offspring and repeats of an earlier
-/// offspring. An evaluation is a pure function of the bases, so this
-/// changes no outcome, only how many fits run. A hash collision between
-/// unequal lists only forgoes a reuse.
-fn reuse_evaluations(population: &[Individual], offspring: &mut [Individual]) -> Reuse {
-    #[derive(Clone, Copy)]
-    enum Seen {
-        Member(usize),
-        Offspring(usize),
-    }
-    let mut seen: HashMap<u64, Seen, BuildHasherDefault<DefaultHasher>> =
-        HashMap::with_capacity_and_hasher(population.len() + offspring.len(), Default::default());
-    for (i, member) in population.iter().enumerate() {
-        if member.eval.is_some() {
-            seen.entry(bases_bits_key(&member.bases))
-                .or_insert(Seen::Member(i));
-        }
-    }
-    let mut reuse = Reuse {
-        distinct: Vec::with_capacity(offspring.len()),
-        repeats: Vec::new(),
-    };
-    for i in 0..offspring.len() {
-        let key = bases_bits_key(&offspring[i].bases);
-        match seen.get(&key).copied() {
-            Some(Seen::Member(j)) if bases_bits_eq(&population[j].bases, &offspring[i].bases) => {
-                offspring[i].eval = population[j].eval.clone();
-            }
-            Some(Seen::Offspring(j)) if bases_bits_eq(&offspring[j].bases, &offspring[i].bases) => {
-                reuse.repeats.push((i, j));
-            }
-            Some(_) => reuse.distinct.push(i),
-            None => {
-                seen.insert(key, Seen::Offspring(i));
-                reuse.distinct.push(i);
-            }
-        }
-    }
-    reuse
+#[derive(Clone, Copy)]
+enum Seen {
+    Member(usize),
+    Offspring(usize),
 }
 
-/// Evaluates the distinct offspring `reuse` names as one batch through
-/// `evaluator`, then hands each repeat its source's evaluation.
-fn evaluate_distinct(offspring: &mut [Individual], reuse: Reuse, evaluator: &dyn Evaluator) {
-    let mut batch: Vec<Individual> = reuse
-        .distinct
-        .iter()
-        .map(|&i| std::mem::replace(&mut offspring[i], vacated()))
-        .collect();
-    evaluator.evaluate_all(&mut batch);
-    for (&i, ind) in reuse.distinct.iter().zip(batch) {
-        offspring[i] = ind;
+impl<'p> Reuse<'p> {
+    fn new(population: &'p [Individual]) -> Reuse<'p> {
+        let mut seen: HashMap<u64, Seen, BuildHasherDefault<DefaultHasher>> =
+            HashMap::with_capacity_and_hasher(2 * population.len(), Default::default());
+        for (i, member) in population.iter().enumerate() {
+            if member.eval.is_some() {
+                seen.entry(bases_bits_key(&member.bases))
+                    .or_insert(Seen::Member(i));
+            }
+        }
+        Reuse {
+            population,
+            seen,
+            distinct: Vec::with_capacity(population.len()),
+            repeats: Vec::new(),
+        }
     }
-    for (copy, source) in reuse.repeats {
-        offspring[copy].eval = offspring[source].eval.clone();
+
+    /// Appends `child` to `offspring`: with a clone of the evaluation of
+    /// a population member whose basis list is bitwise equal, as a
+    /// tentative repeat of an earlier offspring with the same key, or
+    /// else as a placeholder while `child` itself goes to `publish`.
+    /// A key shared by unequal lists only forgoes a reuse.
+    fn place(
+        &mut self,
+        mut child: Individual,
+        offspring: &mut Vec<Individual>,
+        publish: &mut dyn FnMut(Individual),
+    ) {
+        let i = offspring.len();
+        let key = bases_bits_key(&child.bases);
+        match self.seen.get(&key).copied() {
+            Some(Seen::Member(j)) if bases_bits_eq(&self.population[j].bases, &child.bases) => {
+                child.eval = self.population[j].eval.clone();
+                offspring.push(child);
+                return;
+            }
+            // The source is away being evaluated, so equality is checked
+            // in `finish`.
+            Some(Seen::Offspring(j)) => {
+                self.repeats.push((i, j));
+                offspring.push(child);
+                return;
+            }
+            Some(Seen::Member(_)) => {}
+            None => {
+                self.seen.insert(key, Seen::Offspring(i));
+            }
+        }
+        self.distinct.push(i);
+        offspring.push(vacated());
+        publish(child);
+    }
+
+    /// Puts the evaluated offspring (in publish order) back in place and
+    /// hands each confirmed repeat its source's evaluation. Repeats whose
+    /// lists prove unequal (a hash collision) are evaluated afterwards.
+    fn finish(
+        self,
+        offspring: &mut [Individual],
+        evaluated: Vec<Individual>,
+        evaluator: &dyn Evaluator,
+    ) {
+        for (&i, ind) in self.distinct.iter().zip(evaluated) {
+            offspring[i] = ind;
+        }
+        let mut collided = Vec::new();
+        for (copy, source) in self.repeats {
+            if bases_bits_eq(&offspring[source].bases, &offspring[copy].bases) {
+                offspring[copy].eval = offspring[source].eval.clone();
+            } else {
+                collided.push(copy);
+            }
+        }
+        if collided.is_empty() {
+            return;
+        }
+        let mut batch: Vec<Individual> = collided
+            .iter()
+            .map(|&i| std::mem::replace(&mut offspring[i], vacated()))
+            .collect();
+        evaluator.evaluate_all(&mut batch);
+        for (&i, ind) in collided.iter().zip(batch) {
+            offspring[i] = ind;
+        }
     }
 }
 
@@ -867,13 +941,19 @@ mod tests {
         };
         offspring.extend([signed(0.0), signed(-0.0), signed(0.0)]);
 
-        let reuse = reuse_evaluations(members, &mut offspring);
-        let copied_from_members: Vec<usize> = (0..offspring.len())
-            .filter(|&i| offspring[i].eval.is_some())
+        let mut reuse = Reuse::new(members);
+        let mut placed = Vec::new();
+        let mut published = Vec::new();
+        for child in offspring {
+            reuse.place(child, &mut placed, &mut |ind| published.push(ind));
+        }
+        let copied_from_members: Vec<usize> = (0..placed.len())
+            .filter(|&i| placed[i].eval.is_some())
             .collect();
         assert_eq!(copied_from_members, vec![0, 3, 6, 9, 12, 15]);
         assert_eq!(reuse.repeats.len(), 7, "{:?}", reuse.repeats);
-        assert_eq!(reuse.distinct.len(), offspring.len() - 6 - 7);
+        assert_eq!(reuse.distinct.len(), placed.len() - 6 - 7);
+        assert_eq!(published.len(), reuse.distinct.len());
         assert!(reuse.repeats.contains(&(20, 18)), "+0.0 repeats +0.0");
         assert!(reuse.distinct.contains(&19), "-0.0 is its own list");
 
@@ -881,8 +961,36 @@ mod tests {
             inner: evaluator.clone(),
             batches: RefCell::new(Vec::new()),
         };
-        evaluate_distinct(&mut offspring, reuse, &counting);
+        counting.evaluate_all(&mut published);
+        reuse.finish(&mut placed, published, &counting);
         assert_eq!(counting.batches.borrow().len(), 1);
+        for ind in &placed {
+            assert_fresh(&evaluator, ind);
+        }
+    }
+
+    #[test]
+    fn a_repeat_that_collides_is_evaluated_after_the_batch() {
+        let data = dataset(|x| 2.0 * x[0] + 1.0 / x[0], 12, 1);
+        let settings = CaffeineSettings::quick_test();
+        let evaluator =
+            DatasetEvaluator::new(&settings, &GrammarConfig::rational(1), &data).unwrap();
+        let counting = CountingEvaluator {
+            inner: evaluator.clone(),
+            batches: RefCell::new(Vec::new()),
+        };
+        let basis = |e: i32| BasisFunction::from_vc(VarCombo::single(1, 0, e));
+        // Offspring 1 filed as a repeat of offspring 0, as a shared key
+        // would file it, though its basis list differs.
+        let mut reuse = Reuse::new(&[]);
+        reuse.distinct.push(0);
+        reuse.repeats.push((1, 0));
+        let mut offspring = vec![vacated(), Individual::new(vec![basis(-1)])];
+        let mut evaluated = vec![Individual::new(vec![basis(1)])];
+        counting.evaluate_all(&mut evaluated);
+        reuse.finish(&mut offspring, evaluated, &counting);
+        let batches = counting.batches.take();
+        assert_eq!(batches, vec![vec![vec![basis(1)]], vec![vec![basis(-1)]]]);
         for ind in &offspring {
             assert_fresh(&evaluator, ind);
         }

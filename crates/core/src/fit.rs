@@ -7,16 +7,32 @@
 //! fallback for the collinear bases genetic search constantly produces),
 //! and reports predictions.
 //!
-//! Two implementations share one solver, the Householder [`Qr`] kernel of
-//! `caffeine-linalg`:
+//! # The solver
+//!
+//! The least-squares problem is solved in Gram space by
+//! [`GramSolver`]. Each basis column `f_j` is first reflected through the
+//! intercept's Householder reflector `H₀`, which maps the column of ones
+//! to `α·e₀`; the targets are reflected once per problem. Below row 0 the
+//! intercept has no entry, so the weights `w` of `f₁ … f_k` solve the
+//! `k × k` normal equations of the images' rows `1..n`, and row 0 then
+//! gives the intercept: `x₀ = ((H₀y)₀ − Σ_j (H₀f_j)₀·w_j) / α`. The Gram
+//! matrix is scaled to unit diagonal, factored by Cholesky, and the
+//! weights are refined once with the residual computed from the images.
+//! A design that is ill-conditioned (a scaled pivot under `1e-10`) or
+//! that QR's rank test might call singular, or whose solve produces a
+//! non-finite value, is solved by the column-major Householder
+//! [`caffeine_linalg::Qr`] from the same images instead; one that QR
+//! finds singular takes a small ridge on the original columns.
+//!
+//! Two implementations share this solver:
 //!
 //! * [`fit_linear_weights`] — the tree-walk reference path, kept as the
 //!   oracle the compiled path is property-tested against;
 //! * [`fit_linear_weights_cached`] — the production hot path: bases are
 //!   lowered to [`Tape`]s, evaluated by the lane-chunked [`TapeVm`] over
 //!   a [`PointMatrix`], and memoized in a per-generation [`FitScratch`]
-//!   basis-column cache. The design is factored straight from the cached
-//!   column slices, with no row-major matrix in between.
+//!   basis-column cache. The solver reads the cached column slices and
+//!   their cached images, with no design matrix in between.
 //!
 //! Both paths produce bit-identical [`FitOutcome`]s — the tape's NaN
 //! sign/payload latitude (see [`crate::expr::TapeVm`]) cannot leak in,
@@ -43,15 +59,12 @@
 //!    compile to equal tapes and so to equal columns under one
 //!    [`EvalContext`] and one point set — the two things the scratch is
 //!    bound to.
-//! 3. **The intercept's Householder step.** Every design is
-//!    `[1 | f₁ | … | f_k]`; the reflector step 0 of the QR kernel builds
-//!    from the intercept depends only on the row count, and each other
-//!    column's update under it depends only on that column. So the cache
-//!    stores every usable column next to its image under the reflector
-//!    (computed by the kernel's own update), the targets are reflected
-//!    once per problem, and each fit starts the kernel at step 1
-//!    ([`Qr::factor_reflected`], which reflects the targets alongside).
-//!    Predictions and the ridge fallback read the original columns.
+//! 3. **The intercept reflection.** `H₀` depends only on the row count,
+//!    and each column's image under it only on that column. So the cache
+//!    stores every usable column next to its image (computed by the QR
+//!    kernel's own update), and the targets are reflected once per
+//!    problem. Predictions and the ridge fallback read the original
+//!    columns.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -59,9 +72,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use caffeine_doe::PointMatrix;
-use caffeine_linalg::{
-    lstsq, lstsq_ridge, lstsq_ridge_columns, InterceptReflector, LinalgError, Matrix, Qr,
-};
+use caffeine_linalg::{lstsq_ridge_columns, GramSolver, InterceptReflector, LinalgError, Matrix};
 use caffeine_obs::PhaseAccumulator;
 
 use crate::expr::{eval_basis_all, BasisFunction, EvalContext, Tape, TapeVm, WeightConfig};
@@ -97,6 +108,15 @@ pub fn design_matrix(
     points: &[Vec<f64>],
     ctx: &EvalContext,
 ) -> Option<Matrix> {
+    design_columns(bases, points, ctx).map(|columns| Matrix::from_columns(&columns))
+}
+
+/// The columns of [`design_matrix`], intercept first.
+fn design_columns(
+    bases: &[BasisFunction],
+    points: &[Vec<f64>],
+    ctx: &EvalContext,
+) -> Option<Vec<Vec<f64>>> {
     let n = points.len();
     let mut columns: Vec<Vec<f64>> = Vec::with_capacity(bases.len() + 1);
     columns.push(vec![1.0; n]);
@@ -107,7 +127,7 @@ pub fn design_matrix(
         }
         columns.push(col);
     }
-    Some(Matrix::from_columns(&columns))
+    Some(columns)
 }
 
 /// Fits the linear weights of a candidate model (tree-walk reference
@@ -121,73 +141,60 @@ pub fn fit_linear_weights(
     targets: &[f64],
     ctx: &EvalContext,
 ) -> FitOutcome {
-    let Some(a) = design_matrix(bases, points, ctx) else {
+    let Some(columns) = design_columns(bases, points, ctx) else {
         return FitOutcome::Infeasible;
     };
-    if a.rows() < a.cols() {
+    let n = points.len();
+    if n < columns.len() {
         // More bases than samples: refuse rather than interpolate noise.
         return FitOutcome::Infeasible;
     }
-    solve_design(&a, targets)
+    let h0 = InterceptReflector::new(n);
+    let images: Vec<Vec<f64>> = columns[1..]
+        .iter()
+        .map(|col| {
+            let mut image = col.clone();
+            h0.reflect_column(&mut image);
+            image
+        })
+        .collect();
+    let mut rhs0 = targets.to_vec();
+    let rhs0 = h0.reflect_rhs(&mut rhs0).is_ok().then_some(rhs0);
+    let cols: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+    let images: Vec<&[f64]> = images.iter().map(Vec::as_slice).collect();
+    solve_columns(
+        &cols,
+        &images,
+        &h0,
+        rhs0.as_deref(),
+        targets,
+        &mut GramSolver::default(),
+    )
 }
 
 /// Relative ridge of the fallback fit for collinear designs.
 const RIDGE_LAMBDA: f64 = 1e-9;
 
-/// The least-squares stage of the reference path: plain QR with a small
-/// ridge fallback for collinear designs.
-fn solve_design(a: &Matrix, targets: &[f64]) -> FitOutcome {
-    let coefficients = match lstsq(a, targets) {
-        Ok(c) => c,
-        Err(LinalgError::Singular { .. }) => match lstsq_ridge(a, targets, RIDGE_LAMBDA) {
-            Ok(c) => c,
-            Err(_) => return FitOutcome::Infeasible,
-        },
-        Err(_) => return FitOutcome::Infeasible,
-    };
-    if coefficients.iter().any(|c| !c.is_finite()) {
-        return FitOutcome::Infeasible;
-    }
-    let predictions = match a.matvec(&coefficients) {
-        Ok(p) => p,
-        Err(_) => return FitOutcome::Infeasible,
-    };
-    FitOutcome::Fit(LinearFit {
-        coefficients,
-        predictions,
-    })
-}
-
-/// [`solve_design`] on the design `[1 | f₁ | … | f_k]`, given the columns
-/// `cols` (intercept first) and the images of `f₁ … f_k` under the
-/// intercept reflector `h0`, with the targets already reflected (`rhs0`,
-/// `None` when they failed validation). Reuses `qr` and `rhs` across fits.
-///
-/// Bit-identical to [`solve_design`] on the assembled matrix: the folded
-/// factor with its carried right-hand side and the back substitution are
-/// pinned to [`Qr::factor`] + [`Qr::solve_lstsq`] on `[1 | …]`, the ridge
-/// fallback (on the original columns and targets) sums each
-/// normal-equation entry in the same row order, and predictions
-/// follow [`Matrix::matvec`]'s per-row order (`0.0`, then `+ a_ij·x_j` for
-/// ascending `j`).
+/// The least-squares stage of both paths, on the design
+/// `[1 | f₁ | … | f_k]` given by its columns `cols` (intercept first) and
+/// the images of `f₁ … f_k` under the intercept reflector `h0`, with the
+/// targets already reflected (`rhs0`, `None` when they failed
+/// validation): the [`GramSolver`], with a small ridge on the original
+/// columns when its Householder fallback finds the design singular.
+/// Predictions follow [`Matrix::matvec`]'s per-row order (`0.0`, then
+/// `+ a_ij·x_j` for ascending `j`).
 fn solve_columns(
     cols: &[&[f64]],
     images: &[&[f64]],
     h0: &InterceptReflector,
     rhs0: Option<&[f64]>,
     targets: &[f64],
-    qr: &mut Qr,
-    rhs: &mut Vec<f64>,
+    solver: &mut GramSolver,
 ) -> FitOutcome {
     let Some(rhs0) = rhs0 else {
         return FitOutcome::Infeasible;
     };
-    rhs.clear();
-    rhs.extend_from_slice(rhs0);
-    if qr.factor_reflected(h0, images, rhs).is_err() {
-        return FitOutcome::Infeasible;
-    }
-    let coefficients = match qr.back_substitute(rhs) {
+    let coefficients = match solver.solve(h0, images, rhs0) {
         Ok(c) => c,
         Err(LinalgError::Singular { .. }) => {
             match lstsq_ridge_columns(cols, targets, RIDGE_LAMBDA) {
@@ -291,17 +298,17 @@ struct Binding {
 
 /// Reusable state of the compiled fitness path: the lane-chunked tape VM
 /// with its bounded column-buffer pool, one recycled tape, the
-/// per-generation basis-column cache, and the constants of the intercept
-/// reflection.
+/// per-generation basis-column cache, the constants of the intercept
+/// reflection, and the solver's buffers.
 ///
 /// The cache is keyed on each basis itself (its bitwise structural hash,
 /// confirmed by bitwise equality), so a hit costs a hash and a comparison
 /// and only a miss compiles a tape. A miss stores the evaluated column
 /// and, when usable, its image under the intercept's Householder
-/// reflector, so every fit skips QR step 0 (see the [module
-/// docs](self)). Cached state is bound to the [`PointMatrix`] and the
-/// [`EvalContext`] it was computed for: a fit against either one changed
-/// resets the cache instead of serving stale columns. The reflected
+/// reflector, the solver's input (see the [module docs](self)). Cached
+/// state is bound to the [`PointMatrix`] and the [`EvalContext`] it was
+/// computed for: a fit against either one changed resets the cache
+/// instead of serving stale columns. The reflected
 /// targets are kept with a copy of the targets they came from and
 /// recomputed when a fit passes different ones.
 ///
@@ -335,10 +342,8 @@ pub struct FitScratch {
     targets: Vec<f64>,
     /// `H₀·targets`, or `None` when the targets failed validation.
     rhs0: Option<Vec<f64>>,
-    /// The least-squares factorization, refactored in place per fit.
-    qr: Qr,
-    /// Right-hand-side buffer the solve overwrites with `Qᵀy`.
-    rhs: Vec<f64>,
+    /// The least-squares solver, its buffers reused per fit.
+    solver: GramSolver,
     hits: u64,
     misses: u64,
     /// When attached, the fit path records gather/solve wall time into
@@ -511,9 +516,9 @@ impl FitScratch {
 /// are produced by the compiled tapes, which the oracle property test
 /// pins to the interpreter (bit for bit on non-NaN values; non-finite
 /// columns never reach the solver — they are [`FitOutcome::Infeasible`]
-/// in both paths), and both solving stages run the same QR kernel in the
-/// same arithmetic order — the design is factored straight from the
-/// cached columns' intercept images, never assembled into a matrix.
+/// in both paths), and both paths run the same solver on the same column
+/// images — here read straight from the cache, never assembled into a
+/// matrix.
 pub fn fit_linear_weights_cached(
     bases: &[BasisFunction],
     pm: &PointMatrix,
@@ -567,8 +572,7 @@ pub fn fit_linear_weights_cached(
             &scratch.h0,
             scratch.rhs0.as_deref(),
             targets,
-            &mut scratch.qr,
-            &mut scratch.rhs,
+            &mut scratch.solver,
         )
     };
     scratch.finish_fit();

@@ -75,7 +75,7 @@ pub mod sag;
 pub use artifact::{ModelArtifact, MODEL_SCHEMA_VERSION};
 pub use engine::{
     assemble_result, CaffeineResult, CaffeineSettings, DatasetEvaluator, EngineState, Evaluator,
-    EvolutionStats, FitProblem,
+    EvolutionStats, FitProblem, Produce,
 };
 pub use error::CaffeineError;
 pub use fit::{fit_linear_weights, fit_linear_weights_cached, FitOutcome, FitScratch, LinearFit};

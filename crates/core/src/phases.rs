@@ -19,9 +19,10 @@ pub const BASIS_EVAL: &str = "basis_eval";
 /// Design-matrix assembly and the least-squares / ridge solve
 /// (nanoseconds).
 pub const LINEAR_SOLVE: &str = "linear_solve";
-/// Wall time of whole offspring-batch evaluations, as seen by `step()`
-/// (nanoseconds). With parallel evaluation this is wall time while
-/// [`BASIS_EVAL`] / [`LINEAR_SOLVE`] sum CPU time across workers.
+/// Wall time of whole offspring-batch evaluations, as seen by `step()`,
+/// including the breeding that feeds each batch (nanoseconds). With
+/// parallel evaluation this is wall time while [`BASIS_EVAL`] /
+/// [`LINEAR_SOLVE`] sum CPU time across workers.
 pub const EVAL_WALL: &str = "eval_wall";
 /// Ring migration between islands (nanoseconds; recorded by the runtime).
 pub const MIGRATION: &str = "migration";

@@ -7,7 +7,9 @@
 //!   simulator's AC analysis works on complex MNA systems),
 //! * LU factorization with partial pivoting ([`Lu`]) for square solves,
 //! * Householder QR ([`Qr`]) and a robust least-squares driver
-//!   ([`lstsq`], [`lstsq_ridge`]) used to learn the linear basis weights,
+//!   ([`lstsq`], [`lstsq_ridge`]), and the Gram-space solver
+//!   ([`GramSolver`], on [`Cholesky`], falling back to [`Qr`]) that learns
+//!   the linear basis weights of every candidate model,
 //! * non-negative least squares ([`nnls`]) for the posynomial baseline,
 //! * the PRESS statistic and hat-matrix leverages ([`press`]) used by
 //!   CAFFEINE's simplification-after-generation step,
@@ -45,6 +47,7 @@
 mod cholesky;
 mod complex;
 mod error;
+mod gram;
 mod incremental;
 mod lu;
 mod matrix;
@@ -57,6 +60,7 @@ pub mod stats;
 pub use cholesky::Cholesky;
 pub use complex::Complex64;
 pub use error::LinalgError;
+pub use gram::GramSolver;
 pub use incremental::{ColumnTrial, IncrementalQr};
 pub use lu::{solve_square, Lu};
 pub use matrix::Matrix;

@@ -22,7 +22,7 @@ use crate::{LinalgError, Scalar};
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c[(0, 0)], 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix<T = f64> {
     rows: usize,
     cols: usize,
@@ -37,6 +37,15 @@ impl<T: Scalar> Matrix<T> {
             cols,
             data: vec![T::zero(); rows * cols],
         }
+    }
+
+    /// Reshapes to `rows × cols` and fills with zeros, keeping the
+    /// allocation: the storage of factors refactored in place.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, T::zero());
     }
 
     /// Creates the `n × n` identity matrix.

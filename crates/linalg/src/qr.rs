@@ -14,9 +14,10 @@ use crate::{LinalgError, Matrix};
 /// ascending row order, so a factorization is a pure function of the
 /// matrix entries.
 ///
-/// The fitness hot path factors designs `[1 | A]` whose first column is
-/// the intercept. Step 0 of the kernel then depends only on the row count,
-/// so the path keeps one `Qr` per worker and refactors it in place with
+/// The fitness hot path's [`crate::GramSolver`] falls back to this kernel
+/// for ill-conditioned designs `[1 | A]`, whose first column is the
+/// intercept. Step 0 of the kernel then depends only on the row count,
+/// so the solver keeps one `Qr` per worker and refactors it in place with
 /// [`Qr::factor_reflected`]: the columns arrive already reflected through
 /// the intercept's [`InterceptReflector`] (computed once per cached
 /// column), the folded intercept column is installed, the kernel starts
@@ -490,6 +491,12 @@ impl InterceptReflector {
     /// Number of rows of the designs this reflector belongs to.
     pub fn rows(&self) -> usize {
         self.folded.len()
+    }
+
+    /// `α = R₀₀`, the diagonal entry step 0 leaves in the intercept
+    /// column (`−√rows`; panics for zero rows).
+    pub(crate) fn alpha(&self) -> f64 {
+        self.folded[0]
     }
 
     /// Replaces a design column with its image under `H₀`: the values

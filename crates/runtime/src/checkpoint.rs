@@ -85,8 +85,10 @@ pub struct RuntimeCheckpoint {
 }
 
 impl RuntimeCheckpoint {
-    /// Current checkpoint format version.
-    pub const VERSION: u32 = 1;
+    /// Current checkpoint format version. Version 2 came with the
+    /// Gram-space weight fit: a version-1 run resumed by it would
+    /// continue with different arithmetic, so it is refused.
+    pub const VERSION: u32 = 2;
 
     /// Writes the checkpoint as JSON through [`write_durable`]: when this
     /// returns `Ok`, `path` holds the complete, fsynced snapshot, and an
@@ -174,6 +176,41 @@ mod tests {
         std::fs::write(&path, "{\"models\": []}").unwrap();
         let err = RuntimeCheckpoint::load(&path).unwrap_err();
         assert!(err.to_string().contains("missing `version`"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused_naming_both_versions() {
+        use caffeine_core::DatasetEvaluator;
+        use caffeine_doe::Dataset;
+
+        let xs: Vec<Vec<f64>> = (1..=8).map(|i| vec![f64::from(i)]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 2.0 / x[0]).collect();
+        let data = Dataset::new(vec!["x0".into()], xs, ys).unwrap();
+        let mut settings = CaffeineSettings::quick_test();
+        settings.population = 6;
+        let grammar = GrammarConfig::rational(1);
+        let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
+        let state = EngineState::new(settings.clone(), grammar.clone(), &evaluator).unwrap();
+        let checkpoint = RuntimeCheckpoint {
+            version: 1,
+            master: settings,
+            grammar,
+            config: RuntimeConfig::default(),
+            completed: 0,
+            islands: vec![state],
+            n_vars: 1,
+            n_samples: 8,
+        };
+        let dir = std::env::temp_dir().join(format!("caffeine-ckpt-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1.ckpt");
+        checkpoint.save(&path).unwrap();
+        let err = RuntimeCheckpoint::load(&path).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            RuntimeError::Corrupt("checkpoint version 1 (this build reads 2)".into()).to_string()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,15 +12,16 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use caffeine_core::EvolutionStats;
 
 use crate::island::IslandRunner;
 use crate::stats::PhaseBreakdown;
 
-/// What the controller has most recently observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// What the controller has most recently observed. Serializes as its
+/// [`RunPhase::as_str`] label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunPhase {
     /// Advancing generations.
     Running,
@@ -31,6 +32,9 @@ pub enum RunPhase {
 }
 
 impl RunPhase {
+    /// Every phase, in lifecycle order.
+    const ALL: [RunPhase; 3] = [RunPhase::Running, RunPhase::Cancelled, RunPhase::Finished];
+
     /// Lowercase label (for JSON status endpoints).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -38,6 +42,24 @@ impl RunPhase {
             RunPhase::Cancelled => "cancelled",
             RunPhase::Finished => "finished",
         }
+    }
+}
+
+impl Serialize for RunPhase {
+    fn to_value(&self) -> Value {
+        Value::String(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for RunPhase {
+    fn from_value(v: &Value) -> Result<RunPhase, serde::Error> {
+        let label = v
+            .as_str()
+            .ok_or_else(|| serde::Error::msg("expected a run phase label"))?;
+        RunPhase::ALL
+            .into_iter()
+            .find(|p| p.as_str() == label)
+            .ok_or_else(|| serde::Error::msg(format!("unknown run phase `{label}`")))
     }
 }
 
@@ -153,6 +175,29 @@ mod tests {
             data,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn run_phase_serializes_as_its_label_and_round_trips() {
+        for phase in RunPhase::ALL {
+            let value = phase.to_value();
+            assert_eq!(value, Value::String(phase.as_str().to_string()));
+            assert_eq!(RunPhase::from_value(&value), Ok(phase));
+        }
+        let snapshot = ProgressSnapshot {
+            phase: RunPhase::Running,
+            completed_generations: 3,
+            total_generations: 10,
+            latest: None,
+            phases: None,
+        };
+        let json = serde_json::to_string(&snapshot).unwrap();
+        assert!(json.contains(r#""phase":"running""#), "{json}");
+        assert_eq!(
+            serde_json::from_str::<ProgressSnapshot>(&json).unwrap(),
+            snapshot
+        );
+        assert!(RunPhase::from_value(&Value::String("Running".into())).is_err());
     }
 
     #[test]

@@ -4,12 +4,11 @@ use std::any::Any;
 use std::fmt;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use caffeine_core::gp::Individual;
-use caffeine_core::{DatasetEvaluator, Evaluator, FitProblem, FitScratch};
+use caffeine_core::{DatasetEvaluator, Evaluator, FitProblem, FitScratch, Produce};
 use caffeine_obs::PhaseAccumulator;
 
 /// Name of every parked evaluator worker thread.
@@ -36,6 +35,11 @@ const WORKER_NAME: &str = "caffeine-eval";
 /// for any thread count and any claim order. A panic in any thread's
 /// evaluation is re-raised on the caller once every thread has finished
 /// the batch; the workers survive it.
+///
+/// A streamed batch ([`Evaluator::evaluate_streamed`]) is posted to the
+/// workers before the calling thread starts producing it: they claim
+/// each individual as soon as it is published and wait for the next,
+/// while the caller joins in once it has published the last one.
 pub struct ParallelEvaluator<'a> {
     inner: DatasetEvaluator<'a>,
     threads: usize,
@@ -97,28 +101,46 @@ impl Evaluator for ParallelEvaluator<'_> {
         let mut scratch = lock(&self.scratch);
         // The workers outlive this call, so they cannot borrow the slice:
         // the individuals move into the batch and back out afterwards.
-        let batch = Arc::new(Batch {
-            problem: Arc::clone(self.inner.problem()),
-            items: population
-                .iter_mut()
-                .map(|ind| Mutex::new(mem::replace(ind, vacated())))
-                .collect(),
-            next: AtomicUsize::new(0),
+        let batch = Arc::new(Batch::new(
+            Arc::clone(self.inner.problem()),
+            population.len(),
+        ));
+        for ind in population.iter_mut() {
+            batch.publish(mem::replace(ind, vacated()));
+        }
+        batch.close();
+        let outcome = self.pool.run(batch.task(), || batch.run(&mut scratch));
+        for (slot, ind) in population.iter_mut().zip(batch.take()) {
+            *slot = ind;
+        }
+        finish(outcome, scratch);
+    }
+
+    fn evaluate_streamed(&self, capacity: usize, produce: &mut Produce<'_>) -> Vec<Individual> {
+        let mut scratch = lock(&self.scratch);
+        let batch = Arc::new(Batch::new(Arc::clone(self.inner.problem()), capacity));
+        let outcome = self.pool.run(batch.task(), || {
+            {
+                // Closes the batch even if `produce` panics, so the
+                // workers waiting for more can finish.
+                let _closing = Closing(&batch);
+                produce(&mut |ind| batch.publish(ind));
+            }
+            batch.run(&mut scratch);
         });
-        let task: Task = {
-            let batch = Arc::clone(&batch);
-            Arc::new(move |scratch: &mut FitScratch| batch.run(scratch))
-        };
-        let outcome = self.pool.run(task, &mut scratch);
-        for (slot, item) in population.iter_mut().zip(&batch.items) {
-            *slot = mem::replace(&mut *lock(item), vacated());
-        }
-        if let Err(payload) = outcome {
-            // A fit that panicked may have left the scratch mid-update.
-            *scratch = FitScratch::new();
-            drop(scratch);
-            panic::resume_unwind(payload);
-        }
+        let evaluated = batch.take();
+        finish(outcome, scratch);
+        evaluated
+    }
+}
+
+/// Re-raises a batch's panic on the caller, first replacing the calling
+/// thread's scratch: a fit that panicked may have left it mid-update.
+fn finish(outcome: thread::Result<()>, mut scratch: MutexGuard<'_, FitScratch>) {
+    if let Err(payload) = outcome {
+        *scratch = FitScratch::new();
+        drop(scratch);
+        panic::resume_unwind(payload);
     }
 }
 
@@ -139,25 +161,120 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One population batch, owned so that parked workers can reach it.
+/// One population batch, owned so that parked workers can reach it. It
+/// is filled while the threads evaluate it: they claim published
+/// individuals in publish order and wait for more until it is closed.
 struct Batch {
     problem: Arc<FitProblem>,
+    /// Room for every individual the batch can take; the first
+    /// `Cursor::published` hold published ones.
     items: Vec<Mutex<Individual>>,
+    cursor: Mutex<Cursor>,
+    /// Wakes threads waiting for an individual or for the close.
+    more: Condvar,
+}
+
+#[derive(Default)]
+struct Cursor {
+    published: usize,
     /// The next unclaimed index into `items`.
-    next: AtomicUsize,
+    next: usize,
+    closed: bool,
+    /// Threads waiting on `more`: a publish wakes one only when there is
+    /// one, and otherwise costs no system call.
+    waiting: usize,
+}
+
+/// Closes a batch when dropped.
+struct Closing<'a>(&'a Batch);
+
+impl Drop for Closing<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 impl Batch {
-    /// Claims and evaluates one individual at a time until the cursor
-    /// runs off the end. Each index is claimed exactly once, so the item
-    /// locks are never contended.
+    fn new(problem: Arc<FitProblem>, capacity: usize) -> Batch {
+        Batch {
+            problem,
+            items: (0..capacity).map(|_| Mutex::new(vacated())).collect(),
+            cursor: Mutex::new(Cursor::default()),
+            more: Condvar::new(),
+        }
+    }
+
+    /// The work every pool thread runs on this batch.
+    fn task(self: &Arc<Self>) -> Task {
+        let batch = Arc::clone(self);
+        Arc::new(move |scratch: &mut FitScratch| batch.run(scratch))
+    }
+
+    /// Appends an individual for the threads to claim.
+    ///
+    /// # Panics
+    ///
+    /// When the batch already holds as many individuals as it has room
+    /// for.
+    fn publish(&self, ind: Individual) {
+        let mut cursor = lock(&self.cursor);
+        let slot = self
+            .items
+            .get(cursor.published)
+            .expect("a batch holds at most its capacity");
+        // Unpublished, so no thread can be holding this lock.
+        *lock(slot) = ind;
+        cursor.published += 1;
+        if cursor.waiting > 0 {
+            self.more.notify_one();
+        }
+    }
+
+    /// Publishes nothing more: threads that find no individual left stop.
+    fn close(&self) {
+        lock(&self.cursor).closed = true;
+        self.more.notify_all();
+    }
+
+    /// The next published individual nobody has claimed, waiting for one
+    /// until the batch is closed. Each index is claimed exactly once, so
+    /// the item locks are never contended.
+    fn claim(&self) -> Option<MutexGuard<'_, Individual>> {
+        let mut cursor = lock(&self.cursor);
+        loop {
+            if cursor.next < cursor.published {
+                let i = cursor.next;
+                cursor.next += 1;
+                drop(cursor);
+                return Some(lock(&self.items[i]));
+            }
+            if cursor.closed {
+                return None;
+            }
+            cursor.waiting += 1;
+            cursor = self
+                .more
+                .wait(cursor)
+                .unwrap_or_else(PoisonError::into_inner);
+            cursor.waiting -= 1;
+        }
+    }
+
+    /// Claims and evaluates one individual at a time until the batch is
+    /// closed and drained.
     fn run(&self, scratch: &mut FitScratch) {
         scratch.clear_cache();
-        let claims = std::iter::from_fn(|| {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            self.items.get(i).map(lock)
-        });
-        self.problem.evaluate_each(claims, scratch);
+        self.problem
+            .evaluate_each(std::iter::from_fn(|| self.claim()), scratch);
+    }
+
+    /// Moves the published individuals out, in publish order.
+    fn take(&self) -> Vec<Individual> {
+        let published = lock(&self.cursor).published;
+        self.items[..published]
+            .iter()
+            .map(|item| mem::replace(&mut *lock(item), vacated()))
+            .collect()
     }
 }
 
@@ -209,19 +326,18 @@ impl WorkerPool {
         WorkerPool { shared, workers }
     }
 
-    /// Runs `task` once on every worker and once on the calling thread
-    /// (with `scratch`), returning when all of them have finished. The
-    /// first panic — the caller's own, else a worker's — comes back as
-    /// the error.
-    fn run(&self, task: Task, scratch: &mut FitScratch) -> thread::Result<()> {
+    /// Runs `task` once on every worker while the calling thread runs
+    /// `own`, returning when all of them have finished. The first panic —
+    /// the caller's own, else a worker's — comes back as the error.
+    fn run(&self, task: Task, own: impl FnOnce()) -> thread::Result<()> {
         {
             let mut state = lock(&self.shared.state);
             state.epoch += 1;
-            state.task = Some(Arc::clone(&task));
+            state.task = Some(task);
             state.busy = self.workers.len();
         }
         self.shared.posted.notify_all();
-        let own = panic::catch_unwind(AssertUnwindSafe(|| task(scratch)));
+        let own = panic::catch_unwind(AssertUnwindSafe(own));
         let mut state = lock(&self.shared.state);
         while state.busy > 0 {
             state = self
@@ -294,6 +410,7 @@ mod tests {
     use caffeine_doe::Dataset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn data() -> Dataset {
         let xs: Vec<Vec<f64>> = (1..=20).map(|i| vec![0.5 + i as f64 * 0.2]).collect();
@@ -372,6 +489,71 @@ mod tests {
         }
     }
 
+    /// Streams `population` into `evaluator` one individual at a time.
+    fn streamed(evaluator: &dyn Evaluator, population: &[Individual]) -> Vec<Individual> {
+        evaluator.evaluate_streamed(population.len(), &mut |publish| {
+            for ind in population {
+                publish(ind.clone());
+            }
+        })
+    }
+
+    #[test]
+    fn streamed_batches_match_serial_bitwise() {
+        let settings = CaffeineSettings::quick_test();
+        let grammar = GrammarConfig::rational(1);
+        let data = data();
+        let serial = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
+        for threads in [1, 2, 3, 8] {
+            let par = ParallelEvaluator::new(
+                DatasetEvaluator::new(&settings, &grammar, &data).unwrap(),
+                threads,
+            );
+            // Batches of every size up to the capacity, on warm scratches.
+            for (b, n) in [0, 1, 37, 12].into_iter().enumerate() {
+                let population = population(40 + b as u64, n);
+                let mut expect = population.clone();
+                serial.evaluate_all(&mut expect);
+                assert_eq!(streamed(&serial, &population), expect);
+                assert_eq!(
+                    streamed(&par, &population),
+                    expect,
+                    "{threads} threads diverged on batch {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_while_producing_closes_the_stream() {
+        let settings = CaffeineSettings::quick_test();
+        let grammar = GrammarConfig::rational(1);
+        let data = data();
+        let par = ParallelEvaluator::new(
+            DatasetEvaluator::new(&settings, &grammar, &data).unwrap(),
+            3,
+        );
+        let population = population(8, 20);
+        // Workers are waiting for a sixth individual when production
+        // fails; overflowing the capacity fails the same way.
+        for capacity in [20, 4] {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                par.evaluate_streamed(capacity, &mut |publish| {
+                    for ind in &population[..5] {
+                        publish(ind.clone());
+                    }
+                    panic!("breeding failed");
+                })
+            }));
+            assert!(caught.is_err(), "the panic must reach the caller");
+        }
+        // The evaluator survives and stays bit-identical.
+        let serial = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
+        let mut expect = population.clone();
+        serial.evaluate_all(&mut expect);
+        assert_eq!(streamed(&par, &population), expect);
+    }
+
     #[test]
     fn worker_panic_reaches_the_caller_and_the_pool_survives() {
         let pool = WorkerPool::new(3);
@@ -385,7 +567,9 @@ mod tests {
                 panic!("worker task failed");
             }
         });
-        let payload = pool.run(task, &mut scratch).unwrap_err();
+        let payload = pool
+            .run(Arc::clone(&task), || task(&mut scratch))
+            .unwrap_err();
         assert_eq!(payload.downcast_ref(), Some(&"worker task failed"));
 
         // The workers caught their panics and still take the next task.
@@ -393,7 +577,7 @@ mod tests {
         let task: Task = Arc::new(move |_: &mut FitScratch| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
-        pool.run(task, &mut scratch).unwrap();
+        pool.run(Arc::clone(&task), || task(&mut scratch)).unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 4);
 
         // End to end: a basis over a variable the data lacks makes the

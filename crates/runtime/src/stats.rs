@@ -28,11 +28,13 @@ pub struct PhaseBreakdown {
     pub basis_eval: f64,
     /// Design-matrix assembly and least-squares / ridge solves.
     pub linear_solve: f64,
-    /// Evaluation wall time not covered by the two phases above
-    /// (objective assembly, scratch bookkeeping, thread fan-out).
+    /// Evaluation wall time not covered by the two phases above:
+    /// breeding (tournament variation and the duplicate check, which
+    /// feed the evaluation as it runs), objective assembly, scratch
+    /// bookkeeping, thread fan-out.
     pub eval_other: f64,
-    /// Ranking, tournament variation, and environmental selection: what
-    /// remains of `wall` after evaluation and migration.
+    /// Ranking and environmental selection: what remains of `wall` after
+    /// evaluation and migration.
     pub selection: f64,
     /// Ring migration between islands (zero when no generation of the
     /// interval migrated).

@@ -569,61 +569,63 @@ pub fn parse_points_csv(text: &str) -> Result<(Vec<String>, Vec<Vec<f64>>), Stri
 
 /// The usage text.
 pub fn usage() -> &'static str {
-    "caffeine-cli: template-free symbolic modeling (CAFFEINE, DATE 2005)\n\
-     \n\
-     usage: caffeine-cli --data train.csv [options]\n\
-     \n\
-     subcommands:\n\
-       serve   --addr <host:port> --model-dir <dir> --threads <n>\n\
-               [--max-jobs <n>] [--max-running-jobs <n>] [--max-conn-requests <n>]\n\
-               [--idle-timeout-ms <n>] [--log-level <error|warn|info|debug>]\n\
-               [--log-format <text|json>] [--slow-request-ms <n>]\n\
-               [--trace-capacity <n>] [--trace-sample-rate <0..1>]\n\
-               run the caffeine-serve daemon (model registry, batched\n\
-               /predict, async /jobs with FIFO queued admission — at most\n\
-               --max-running-jobs run at once, default = --threads — SSE\n\
-               events off a dedicated streamer thread, HTTP keep-alive,\n\
-               structured access logs with X-Request-Id tracing, span\n\
-               trees per request at /v1/traces (tail-sampled: slow,\n\
-               errored, and explicitly requested traces always kept), a\n\
-               live HTML dashboard at /dashboard, engine phase timings in\n\
-               /metrics, /healthz liveness + /readyz readiness; default\n\
-               addr 127.0.0.1:7878; interrupted jobs found under\n\
-               --model-dir/.jobs are re-adopted on start; see\n\
-               docs/API.md and docs/OBSERVABILITY.md)\n\
-       predict --remote http://host:port --model <id> --points <file.csv>\n\
-               [--version <hash>] [--out <file.json>]\n\
-               query a remote model with a CSV of input points\n\
-       jobs    list   --remote http://host:port [--state <s>]\n\
-               submit --remote http://host:port --spec <file.json>\n\
-               watch  --remote http://host:port --id <job> [--timings]\n\
-               list server jobs / submit a job spec (prints the job id\n\
-               and its trace id) / tail one job's live SSE event stream\n\
-               (--timings renders each progress frame's per-phase\n\
-               breakdown as a one-line summary)\n\
-     \n\
-     options:\n\
-       --data <file>       training CSV (header row = variable names)\n\
-       --target <name>     target column (default: last column)\n\
-       --test <file>       held-out CSV for testing error + SAG filtering\n\
-       --grammar <file>    grammar configuration file\n\
-       --out <file>        write the model front as JSON\n\
-       --pop <n>           population size (default 200)\n\
-       --gens <n>          generations (default 300)\n\
-       --max-bases <n>     max basis functions per model (default 10)\n\
-       --seed <n>          RNG seed (default 0)\n\
-     \n\
-     runtime options (caffeine-runtime):\n\
-       --threads <n>          evaluation worker threads; any n reproduces\n\
-                              the --threads 1 result exactly (default 1)\n\
-       --islands <k>          island-model islands; the population is split\n\
-                              over them (default 1)\n\
-       --migrate-every <n>    ring-migrate nondominated individuals every n\n\
-                              generations, 0 disables (default 25)\n\
-       --checkpoint <file>    write resumable JSON snapshots of the run\n\
-       --checkpoint-every <n> snapshot cadence in generations\n\
-                              (default: only on completion)\n\
-       --resume               continue from --checkpoint if the file exists\n"
+    concat!(
+        "caffeine-cli: template-free symbolic modeling (CAFFEINE, DATE 2005)\n",
+        "\n",
+        "usage: caffeine-cli --data train.csv [options]\n",
+        "\n",
+        "subcommands:\n",
+        "  serve   --addr <host:port> --model-dir <dir> --threads <n>\n",
+        "          [--max-jobs <n>] [--max-running-jobs <n>] [--max-conn-requests <n>]\n",
+        "          [--idle-timeout-ms <n>] [--log-level <error|warn|info|debug>]\n",
+        "          [--log-format <text|json>] [--slow-request-ms <n>]\n",
+        "          [--trace-capacity <n>] [--trace-sample-rate <0..1>]\n",
+        "          run the caffeine-serve daemon (model registry, batched\n",
+        "          /predict, async /jobs with FIFO queued admission — at most\n",
+        "          --max-running-jobs run at once, default = --threads — SSE\n",
+        "          events off a dedicated streamer thread, HTTP keep-alive,\n",
+        "          structured access logs with X-Request-Id tracing, span\n",
+        "          trees per request at /v1/traces (tail-sampled: slow,\n",
+        "          errored, and explicitly requested traces always kept), a\n",
+        "          live HTML dashboard at /dashboard, engine phase timings in\n",
+        "          /metrics, /healthz liveness + /readyz readiness; default\n",
+        "          addr 127.0.0.1:7878; interrupted jobs found under\n",
+        "          --model-dir/.jobs are re-adopted on start; see\n",
+        "          docs/API.md and docs/OBSERVABILITY.md)\n",
+        "  predict --remote http://host:port --model <id> --points <file.csv>\n",
+        "          [--version <hash>] [--out <file.json>]\n",
+        "          query a remote model with a CSV of input points\n",
+        "  jobs    list   --remote http://host:port [--state <s>]\n",
+        "          submit --remote http://host:port --spec <file.json>\n",
+        "          watch  --remote http://host:port --id <job> [--timings]\n",
+        "          list server jobs / submit a job spec (prints the job id\n",
+        "          and its trace id) / tail one job's live SSE event stream\n",
+        "          (--timings renders each progress frame's per-phase\n",
+        "          breakdown as a one-line summary)\n",
+        "\n",
+        "options:\n",
+        "  --data <file>       training CSV (header row = variable names)\n",
+        "  --target <name>     target column (default: last column)\n",
+        "  --test <file>       held-out CSV for testing error + SAG filtering\n",
+        "  --grammar <file>    grammar configuration file\n",
+        "  --out <file>        write the model front as JSON\n",
+        "  --pop <n>           population size (default 200)\n",
+        "  --gens <n>          generations (default 300)\n",
+        "  --max-bases <n>     max basis functions per model (default 10)\n",
+        "  --seed <n>          RNG seed (default 0)\n",
+        "\n",
+        "runtime options (caffeine-runtime):\n",
+        "  --threads <n>          evaluation worker threads; any n reproduces\n",
+        "                         the --threads 1 result exactly (default 1)\n",
+        "  --islands <k>          island-model islands; the population is split\n",
+        "                         over them (default 1)\n",
+        "  --migrate-every <n>    ring-migrate nondominated individuals every n\n",
+        "                         generations, 0 disables (default 25)\n",
+        "  --checkpoint <file>    write resumable JSON snapshots of the run\n",
+        "  --checkpoint-every <n> snapshot cadence in generations\n",
+        "                         (default: only on completion)\n",
+        "  --resume               continue from --checkpoint if the file exists\n",
+    )
 }
 
 /// Parses a simple CSV (comma-separated, header row, no quoting) into a
@@ -1212,5 +1214,13 @@ mod tests {
         for flag in [KNOWN_FLAGS, SERVE_FLAGS, JOBS_FLAGS, PREDICT_FLAGS].concat() {
             assert!(u.contains(flag), "usage missing {flag}");
         }
+    }
+
+    #[test]
+    fn usage_keeps_its_indentation() {
+        let u = usage();
+        assert!(u.contains("\n  serve   --addr <host:port>"), "{u}");
+        assert!(u.contains("\n          [--max-jobs <n>]"), "{u}");
+        assert!(u.contains("\n  --data <file>       training CSV"), "{u}");
     }
 }
