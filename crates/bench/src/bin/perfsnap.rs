@@ -33,7 +33,7 @@ use caffeine_core::expr::{eval_basis_all, EvalContext, Tape, TapeVm, LANE_WIDTH}
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::{simplify_model, SagSettings};
 use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, Evaluator, GrammarConfig};
-use caffeine_linalg::{GramSolver, InterceptReflector, Matrix};
+use caffeine_linalg::{GramColumn, GramSolver, InterceptReflector, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -89,9 +89,10 @@ struct Snapshot {
     /// A 243 × 7 design (intercept plus six bases, the OTA data's mean
     /// design size) solved by least squares: row-major QR of an assembled
     /// matrix vs the fitness path's `GramSolver` on the six columns'
-    /// intercept images and the reflected targets (made once, as the
-    /// column cache does): a scaled Gram matrix, its Cholesky factor and
-    /// one refinement step. One "op" is one factor + solve.
+    /// intercept images with their Gram terms and the reflected targets
+    /// (made once, as the column cache does): a scaled Gram matrix, its
+    /// Cholesky factor and one refinement step. One "op" is one factor +
+    /// solve.
     least_squares: Comparison,
     /// NSGA-II environmental selection's sort of 400 GP-shaped
     /// (error, complexity) pairs: `O(N²)` count-down vs sort-and-sweep.
@@ -266,9 +267,12 @@ fn main() {
             image
         })
         .collect();
-    let ls_slices: Vec<&[f64]> = ls_images.iter().map(Vec::as_slice).collect();
     let mut ls_rhs0 = ls_targets.to_vec();
     h0.reflect_rhs(&mut ls_rhs0).unwrap();
+    let ls_columns: Vec<GramColumn> = ls_images
+        .iter()
+        .map(|g| GramColumn::new(g, &ls_rhs0))
+        .collect();
     let mut solver = GramSolver::default();
     // Enough solves per timed iteration that even a `--smoke` run's single
     // iteration lasts milliseconds, so its ratio is still meaningful.
@@ -284,7 +288,7 @@ fn main() {
         },
         || {
             for _ in 0..ls_ops {
-                std::hint::black_box(solver.solve(&h0, &ls_slices, &ls_rhs0).unwrap());
+                std::hint::black_box(solver.solve(&h0, &ls_columns, &ls_rhs0).unwrap());
             }
         },
     );

@@ -8,7 +8,9 @@
 //! Both are then held to the Householder fit the Gram-space solver
 //! replaced (`caffeine_bench::perf::reference_fit`) on the same random
 //! designs: the same verdict, and relative training errors that agree
-//! within a tolerance wherever the Gram path ran.
+//! within a tolerance wherever the Gram path ran. On designs that hold
+//! one column twice, which the fit sends straight to the ridge, they
+//! agree bit for bit: QR calls every such design singular.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -46,6 +48,16 @@ struct Case {
 
 impl Case {
     fn new(seed: u64) -> Case {
+        Case::generate(seed, false)
+    }
+
+    /// A case whose bases hold one basis twice, with at least one other
+    /// basis between the two copies.
+    fn repeating(seed: u64) -> Case {
+        Case::generate(seed, true)
+    }
+
+    fn generate(seed: u64, repeat: bool) -> Case {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_vars = rng.gen_range(1..=4usize);
         let grammar = match rng.gen_range(0..3u32) {
@@ -73,6 +85,14 @@ impl Case {
             if rng.gen_range(0..3u32) == 0 {
                 bases.push(bases[rng.gen_range(0..bases.len())].clone());
             }
+        }
+        if repeat {
+            while bases.len() < 2 {
+                bases.push(gen.gen_basis(&mut rng));
+            }
+            let first = rng.gen_range(0..bases.len() - 1);
+            let copy = rng.gen_range(first + 2..=bases.len());
+            bases.insert(copy, bases[first].clone());
         }
         Case {
             bases,
@@ -202,6 +222,54 @@ proptest! {
     fn gram_fit_matches_householder_fit_within_tolerance(seed in 0u64..u64::MAX) {
         agreement(seed)?;
     }
+}
+
+/// Designs that repeat a column bit for bit, at random positions with
+/// other columns between the copies: Householder QR (the solve of
+/// [`reference_fit`]) calls every one singular, so sending them straight
+/// to the ridge, as the fit does, changes no bit — the production and
+/// reference paths both equal `reference_fit`, which is the ridge here.
+#[test]
+fn repeated_columns_are_singular_and_take_the_ridge() {
+    let mut scratch = FitScratch::new();
+    let (mut designs, mut fits) = (0, 0);
+    for seed in 0u64.. {
+        if designs == 2000 {
+            break;
+        }
+        let case = Case::repeating(seed);
+        let solvable = design_matrix(&case.bases, &case.points, &case.ctx)
+            .is_some_and(|a| a.rows() >= a.cols());
+        if !solvable {
+            continue;
+        }
+        designs += 1;
+        assert!(
+            case.qr_singular(),
+            "seed {seed}: QR solved a repeated column"
+        );
+        let pm = PointMatrix::from_rows(&case.points);
+        let want = outcome(&reference_fit(
+            &case.bases,
+            &case.points,
+            &case.targets,
+            &case.ctx,
+        ));
+        let got = outcome(&fit_linear_weights_cached(
+            &case.bases,
+            &pm,
+            &case.targets,
+            &case.ctx,
+            &mut scratch,
+        ));
+        assert_eq!(
+            got, want,
+            "seed {seed}: the production fit is not the ridge"
+        );
+        assert_eq!(outcome(&case.fit()), want, "seed {seed}: reference path");
+        fits += usize::from(want.is_some());
+    }
+    assert!(fits >= 1900, "only {fits} of 2000 designs were fit");
 }
 
 /// The property above only means something if collinear designs actually

@@ -272,12 +272,14 @@ impl FitProblem {
         ind.eval = Some(eval);
     }
 
-    /// Evaluates every individual the iterator yields through one
-    /// scratch, so bases repeated across them (ubiquitous after
-    /// crossover) are evaluated once while the scratch's cache lasts.
-    /// The items may be plain `&mut Individual`s or guards of individuals
-    /// claimed one at a time from a shared batch. Cache traffic is counted
-    /// into the phase accumulator when one is attached.
+    /// Evaluates one batch: every individual the iterator yields, through
+    /// one scratch, so bases repeated across them (ubiquitous after
+    /// crossover) are evaluated once. The scratch's cache also keeps the
+    /// columns the scratch's previous batch looked up, and drops the rest
+    /// (see [`FitScratch`]). The items may be plain `&mut Individual`s or
+    /// guards of individuals claimed one at a time from a shared batch.
+    /// Cache traffic is counted into the phase accumulator when one is
+    /// attached.
     pub fn evaluate_each<I>(&self, individuals: I, scratch: &mut FitScratch)
     where
         I: IntoIterator,
@@ -286,6 +288,7 @@ impl FitProblem {
         if let (Some(phases), None) = (&self.phases, scratch.telemetry()) {
             scratch.set_telemetry(Arc::clone(phases));
         }
+        scratch.begin_batch();
         let (hits_before, misses_before) = (scratch.cache_hits(), scratch.cache_misses());
         for mut ind in individuals {
             self.evaluate(&mut ind, scratch);
@@ -374,7 +377,9 @@ impl<'a> DatasetEvaluator<'a> {
 
     /// Evaluates a batch through one shared scratch: the basis-column
     /// cache spans the whole batch, so bases repeated across individuals
-    /// (ubiquitous after crossover) are evaluated once.
+    /// (ubiquitous after crossover) are evaluated once, and keeps what
+    /// the scratch's previous batch looked up
+    /// ([`FitProblem::evaluate_each`]).
     pub fn evaluate_batch(&self, population: &mut [Individual], scratch: &mut FitScratch) {
         self.problem.evaluate_each(population.iter_mut(), scratch);
     }
@@ -393,8 +398,10 @@ impl<'a> DatasetEvaluator<'a> {
 
 impl Evaluator for DatasetEvaluator<'_> {
     fn evaluate_all(&self, population: &mut [Individual]) {
-        // One scratch per batch: the column cache lives for exactly one
-        // generation, matching the population the columns came from.
+        // A fresh scratch per batch: this reference evaluator is shared
+        // by reference and keeps no state, so its cache spans one batch.
+        // The runtime's parallel evaluator keeps one scratch per thread
+        // instead, whose cache also serves columns from the batch before.
         let mut scratch = FitScratch::new();
         self.evaluate_batch(population, &mut scratch);
     }

@@ -22,7 +22,9 @@
 //! that QR's rank test might call singular, or whose solve produces a
 //! non-finite value, is solved by the column-major Householder
 //! [`caffeine_linalg::Qr`] from the same images instead; one that QR
-//! finds singular takes a small ridge on the original columns.
+//! finds singular takes a small ridge on the original columns. A design
+//! that holds one image twice, bit for bit, takes the ridge at once
+//! (level 5 below).
 //!
 //! Two implementations share this solver:
 //!
@@ -30,9 +32,10 @@
 //!   oracle the compiled path is property-tested against;
 //! * [`fit_linear_weights_cached`] — the production hot path: bases are
 //!   lowered to [`Tape`]s, evaluated by the lane-chunked [`TapeVm`] over
-//!   a [`PointMatrix`], and memoized in a per-generation [`FitScratch`]
-//!   basis-column cache. The solver reads the cached column slices and
-//!   their cached images, with no design matrix in between.
+//!   a [`PointMatrix`], and memoized in a [`FitScratch`] basis-column
+//!   cache that lives for the run. The solver reads the cached column
+//!   slices, their cached images and the images' cached Gram terms, with
+//!   no design matrix in between.
 //!
 //! Both paths produce bit-identical [`FitOutcome`]s — the tape's NaN
 //! sign/payload latitude (see [`crate::expr::TapeVm`]) cannot leak in,
@@ -41,8 +44,9 @@
 //!
 //! # Reuse without changing a bit
 //!
-//! GP populations are highly redundant after crossover, so the hot path
-//! skips work it has already done at three levels. Each is exact, because
+//! GP populations are highly redundant after crossover, and each
+//! generation is bred from the last one's survivors, so the hot path
+//! skips work it has already done at five levels. Each is exact, because
 //! each reuses the output of a pure function of inputs it compares bit
 //! for bit:
 //!
@@ -57,14 +61,31 @@
 //!    same bitwise equality, so a tape is compiled only on a miss and a
 //!    hash collision never serves a foreign column. Bitwise-equal bases
 //!    compile to equal tapes and so to equal columns under one
-//!    [`EvalContext`] and one point set — the two things the scratch is
-//!    bound to.
+//!    [`EvalContext`] and one point set — two of the three things the
+//!    scratch is bound to (the targets are the third, for level 4).
+//!    The cache outlives a batch: each batch starts by dropping only the
+//!    columns the previous batch did not look up
+//!    ([`crate::FitProblem::evaluate_each`]), so columns shared by the
+//!    survivors and their offspring are evaluated once while every batch
+//!    keeps using them, not once per generation, and the cache stays
+//!    bounded by two batches' worth of columns.
 //! 3. **The intercept reflection.** `H₀` depends only on the row count,
 //!    and each column's image under it only on that column. So the cache
 //!    stores every usable column next to its image (computed by the QR
 //!    kernel's own update), and the targets are reflected once per
 //!    problem. Predictions and the ridge fallback read the original
 //!    columns.
+//! 4. **Per-column Gram terms.** The Gram matrix's diagonal and the
+//!    normal equations' right-hand side hold one number per column: the
+//!    image's squared norm below row 0 and its dot with the reflected
+//!    targets. A miss stores both after the image ([`GramColumn`]); each
+//!    sums in the solver's own fixed order, so the Gram matrix and the
+//!    right-hand side keep their bits. New targets reset the cache.
+//! 5. **Repeated columns.** A design whose images are bitwise equal (the
+//!    same cache slot, or equal values) is turned down by the Gram path
+//!    and found singular by Householder QR (`tests/fit_oracle.rs` in
+//!    `caffeine-bench` checks QR on 2000 such designs); it goes to the
+//!    ridge without either attempt.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -72,7 +93,9 @@ use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use caffeine_doe::PointMatrix;
-use caffeine_linalg::{lstsq_ridge_columns, GramSolver, InterceptReflector, LinalgError, Matrix};
+use caffeine_linalg::{
+    lstsq_ridge_columns, GramColumn, GramSolver, InterceptReflector, LinalgError, Matrix,
+};
 use caffeine_obs::PhaseAccumulator;
 
 use crate::expr::{eval_basis_all, BasisFunction, EvalContext, Tape, TapeVm, WeightConfig};
@@ -150,6 +173,10 @@ pub fn fit_linear_weights(
         return FitOutcome::Infeasible;
     }
     let h0 = InterceptReflector::new(n);
+    let mut rhs0 = targets.to_vec();
+    if h0.reflect_rhs(&mut rhs0).is_err() {
+        return FitOutcome::Infeasible;
+    }
     let images: Vec<Vec<f64>> = columns[1..]
         .iter()
         .map(|col| {
@@ -158,15 +185,13 @@ pub fn fit_linear_weights(
             image
         })
         .collect();
-    let mut rhs0 = targets.to_vec();
-    let rhs0 = h0.reflect_rhs(&mut rhs0).is_ok().then_some(rhs0);
     let cols: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-    let images: Vec<&[f64]> = images.iter().map(Vec::as_slice).collect();
+    let images: Vec<GramColumn> = images.iter().map(|g| GramColumn::new(g, &rhs0)).collect();
     solve_columns(
         &cols,
         &images,
         &h0,
-        rhs0.as_deref(),
+        &rhs0,
         targets,
         &mut GramSolver::default(),
     )
@@ -177,32 +202,33 @@ const RIDGE_LAMBDA: f64 = 1e-9;
 
 /// The least-squares stage of both paths, on the design
 /// `[1 | f₁ | … | f_k]` given by its columns `cols` (intercept first) and
-/// the images of `f₁ … f_k` under the intercept reflector `h0`, with the
-/// targets already reflected (`rhs0`, `None` when they failed
-/// validation): the [`GramSolver`], with a small ridge on the original
-/// columns when its Householder fallback finds the design singular.
+/// the images of `f₁ … f_k` under the intercept reflector `h0` with their
+/// Gram terms against the reflected targets `rhs0`: the [`GramSolver`],
+/// with a small ridge on the original columns when its Householder
+/// fallback finds the design singular. A design that repeats an image
+/// bit for bit goes to the ridge at once ([`repeats_an_image`]).
 /// Predictions follow [`Matrix::matvec`]'s per-row order (`0.0`, then
 /// `+ a_ij·x_j` for ascending `j`).
 fn solve_columns(
     cols: &[&[f64]],
-    images: &[&[f64]],
+    images: &[GramColumn<'_>],
     h0: &InterceptReflector,
-    rhs0: Option<&[f64]>,
+    rhs0: &[f64],
     targets: &[f64],
     solver: &mut GramSolver,
 ) -> FitOutcome {
-    let Some(rhs0) = rhs0 else {
-        return FitOutcome::Infeasible;
-    };
-    let coefficients = match solver.solve(h0, images, rhs0) {
-        Ok(c) => c,
-        Err(LinalgError::Singular { .. }) => {
-            match lstsq_ridge_columns(cols, targets, RIDGE_LAMBDA) {
-                Ok(c) => c,
-                Err(_) => return FitOutcome::Infeasible,
-            }
+    let ridge = || lstsq_ridge_columns(cols, targets, RIDGE_LAMBDA).ok();
+    let coefficients = if repeats_an_image(images) {
+        ridge()
+    } else {
+        match solver.solve(h0, images, rhs0) {
+            Ok(c) => Some(c),
+            Err(LinalgError::Singular { .. }) => ridge(),
+            Err(_) => None,
         }
-        Err(_) => return FitOutcome::Infeasible,
+    };
+    let Some(coefficients) = coefficients else {
+        return FitOutcome::Infeasible;
     };
     if coefficients.iter().any(|c| !c.is_finite()) {
         return FitOutcome::Infeasible;
@@ -216,6 +242,28 @@ fn solve_columns(
     FitOutcome::Fit(LinearFit {
         coefficients,
         predictions,
+    })
+}
+
+/// `true` when two of the images are equal bit for bit: the same cache
+/// slot, or equal values. The Gram path's pivot floor turns such a
+/// design down, and Householder QR reduces the second copy of the column
+/// to rounding noise under its rank tolerance and calls it singular
+/// (`tests/fit_oracle.rs` in `caffeine-bench` holds QR to that), so
+/// answering with the ridge at once skips both attempts and changes no
+/// bit. The stored terms are compared first, so distinct images rarely
+/// cost more than two integer comparisons.
+fn repeats_an_image(images: &[GramColumn<'_>]) -> bool {
+    let bits = |c: &GramColumn<'_>| c.terms().map(f64::to_bits);
+    images.iter().enumerate().any(|(j, a)| {
+        images[..j].iter().any(|b| {
+            bits(a) == bits(b)
+                && (std::ptr::eq(a.image(), b.image())
+                    || a.image()
+                        .iter()
+                        .zip(b.image())
+                        .all(|(x, y)| x.to_bits() == y.to_bits()))
+        })
     })
 }
 
@@ -259,16 +307,29 @@ fn ctx_bits(ctx: &EvalContext) -> [u64; 2] {
 
 /// One memoized basis column: the basis that produced it (compared
 /// bitwise on lookup, so a hash collision costs a comparison, never
-/// correctness), its values, and whether the column is numerically
-/// usable.
+/// correctness), its values if the column is numerically usable, and the
+/// last batch that read it.
 #[derive(Debug)]
 struct CacheEntry {
     basis: BasisFunction,
-    /// The column over the bound point set; a usable column is followed
-    /// by its image under the intercept reflector. One buffer per entry
-    /// keeps the VM's bounded pool serving every cached column.
-    values: Vec<f64>,
-    ok: bool,
+    /// The column over the bound point set, followed by its image under
+    /// the intercept reflector and the image's two
+    /// [`GramColumn::terms`] (see [`column_parts`]); `None` for an
+    /// unusable column, whose buffer went straight back to the VM's
+    /// pool. One buffer per entry keeps the VM's bounded pool serving
+    /// every cached column.
+    values: Option<Vec<f64>>,
+    /// The number of the last batch ([`FitScratch::begin_batch`]) that
+    /// looked this column up.
+    used_in: u64,
+}
+
+/// The column, its intercept image and the image's Gram terms, from a
+/// usable column's buffer of `2n + 2` values.
+fn column_parts(values: &[f64], n: usize) -> (&[f64], GramColumn<'_>) {
+    let (col, rest) = values.split_at(n);
+    let (image, terms) = rest.split_at(n);
+    (col, GramColumn::with_terms(image, [terms[0], terms[1]]))
 }
 
 /// Where a gathered design column lives during one fit.
@@ -298,26 +359,30 @@ struct Binding {
 
 /// Reusable state of the compiled fitness path: the lane-chunked tape VM
 /// with its bounded column-buffer pool, one recycled tape, the
-/// per-generation basis-column cache, the constants of the intercept
-/// reflection, and the solver's buffers.
+/// basis-column cache, the constants of the intercept reflection, and
+/// the solver's buffers.
 ///
 /// The cache is keyed on each basis itself (its bitwise structural hash,
 /// confirmed by bitwise equality), so a hit costs a hash and a comparison
 /// and only a miss compiles a tape. A miss stores the evaluated column
 /// and, when usable, its image under the intercept's Householder
-/// reflector, the solver's input (see the [module docs](self)). Cached
-/// state is bound to the [`PointMatrix`] and the [`EvalContext`] it was
-/// computed for: a fit against either one changed resets the cache
-/// instead of serving stale columns. The reflected
-/// targets are kept with a copy of the targets they came from and
-/// recomputed when a fit passes different ones.
+/// reflector and the image's two Gram terms, the solver's input (see the
+/// [module docs](self)). Cached state is bound to the [`PointMatrix`] and
+/// the [`EvalContext`] it was computed for, and to the targets the terms
+/// were computed against: a fit against any one of them changed resets
+/// the cache instead of serving stale columns.
+///
+/// The cache lives for the scratch's whole life, bounded by batches:
+/// [`crate::FitProblem::evaluate_each`] starts each batch by dropping the
+/// columns the previous batch did not use, so after a batch the cache
+/// holds only columns that batch or the one before it looked up.
+/// Offspring are bred from the survivors' bases, so a generation finds
+/// most of its columns already cached by the last.
 ///
 /// One scratch serves one thread; [`crate::DatasetEvaluator`] creates one
-/// per batch (so the cache naturally spans exactly one generation), while
-/// each thread of the runtime's parallel evaluator keeps one for its
-/// whole life and clears the cache at the start of every batch, so
-/// memoization stays scoped to a generation while the VM's chunk stack
-/// and buffer pool stay warm.
+/// per batch, while each thread of the runtime's parallel evaluator keeps
+/// one for its whole life, so its cache, the VM's chunk stack and its
+/// buffer pool stay warm from one generation to the next.
 /// Steady-state evaluation through a warm scratch performs no allocation
 /// beyond the solver's and one basis clone per cache miss —
 /// `tests/alloc_growth.rs` pins down that the count does not grow.
@@ -327,10 +392,13 @@ pub struct FitScratch {
     /// The tape a miss compiles into, reused across misses.
     tape: Tape,
     /// Fixed-key hashing (the keys are already structural hashes): the
-    /// drain order of [`FitScratch::clear_cache`] then repeats run to run,
-    /// so which recycled buffer a later column reuses — and hence the
-    /// allocation count `tests/alloc_growth.rs` pins — does too.
+    /// order in which [`FitScratch::begin_batch`] and
+    /// [`FitScratch::clear_cache`] recycle buffers then repeats run to
+    /// run, so which recycled buffer a later column reuses — and hence
+    /// the allocation count `tests/alloc_growth.rs` pins — does too.
     cache: HashMap<u64, CacheEntry, BuildHasherDefault<DefaultHasher>>,
+    /// The number of the current batch.
+    batch: u64,
     bound_to: Option<Binding>,
     temp_cols: Vec<Vec<f64>>,
     slots: Vec<Slot>,
@@ -384,13 +452,31 @@ impl FitScratch {
         self.telemetry.as_ref()
     }
 
+    /// Starts a batch: drops the cached columns the previous batch did
+    /// not look up, recycling their buffers, and keeps the rest for this
+    /// one.
+    pub(crate) fn begin_batch(&mut self) {
+        let previous = self.batch;
+        self.batch += 1;
+        let vm = &mut self.vm;
+        // lint: allow(determinism) — each entry's fate depends on that entry alone; the visit order only decides which recycled buffer a later column reuses, and every reuse overwrites it
+        self.cache.retain(|_, e| {
+            let keep = e.used_in == previous;
+            if !keep {
+                if let Some(values) = e.values.take() {
+                    vm.recycle(values);
+                }
+            }
+            keep
+        });
+    }
+
     /// Empties the basis-column cache, recycling every column buffer for
-    /// reuse. Call at generation boundaries when holding a scratch across
-    /// batches; capacity is retained.
-    pub fn clear_cache(&mut self) {
+    /// reuse; capacity is retained.
+    fn clear_cache(&mut self) {
         // lint: allow(determinism) — drain order only decides which recycled buffer a future column reuses; contents are fully overwritten
-        for (_, e) in self.cache.drain() {
-            self.vm.recycle(e.values);
+        for values in self.cache.drain().filter_map(|(_, e)| e.values) {
+            self.vm.recycle(values);
         }
     }
 
@@ -419,7 +505,8 @@ impl FitScratch {
     }
 
     /// Reflects `targets` through the intercept reflector unless they
-    /// are bitwise the ones reflected last.
+    /// are bitwise the ones reflected last; new targets reset the cache,
+    /// whose Gram terms were computed against the old ones.
     fn bind_targets(&mut self, targets: &[f64]) {
         let same = self.targets.len() == targets.len()
             && self
@@ -430,6 +517,7 @@ impl FitScratch {
         if same {
             return;
         }
+        self.clear_cache();
         self.targets.clear();
         self.targets.extend_from_slice(targets);
         let mut rhs0 = self.rhs0.take().unwrap_or_default();
@@ -439,22 +527,34 @@ impl FitScratch {
     }
 
     /// Evaluates one basis over `pm` into a pooled buffer: the column,
-    /// followed by its intercept image when the column is usable.
+    /// followed by its intercept image and the image's Gram terms against
+    /// the bound targets (NaN when they failed validation; no fit reads
+    /// them then). An unusable column's buffer goes back to the pool.
     fn evaluate(
         &mut self,
         basis: &BasisFunction,
         pm: &PointMatrix,
         ctx: &EvalContext,
-    ) -> (Vec<f64>, bool) {
+    ) -> Option<Vec<f64>> {
         self.tape.compile_into(basis, ctx);
         let mut values = self.vm.eval(&self.tape, pm);
-        let ok = column_ok(&values);
-        if ok {
-            let n = values.len();
-            values.extend_from_within(..);
-            self.h0.reflect_column(&mut values[n..]);
+        let n = values.len();
+        // Room for the image and its terms whether or not the column is
+        // usable, so that any pooled buffer holds any later column
+        // without growing.
+        values.reserve_exact(n + 2);
+        if !column_ok(&values) {
+            self.vm.recycle(values);
+            return None;
         }
-        (values, ok)
+        values.extend_from_within(..);
+        self.h0.reflect_column(&mut values[n..]);
+        let terms = self
+            .rhs0
+            .as_deref()
+            .map_or([f64::NAN; 2], |z| GramColumn::new(&values[n..], z).terms());
+        values.extend_from_slice(&terms);
+        Some(values)
     }
 
     /// Looks up (or evaluates and caches) the column of one basis;
@@ -466,8 +566,11 @@ impl FitScratch {
         ctx: &EvalContext,
     ) -> Option<Slot> {
         let key = basis.bits_key();
-        let lookup = match self.cache.get(&key) {
-            Some(e) if e.basis.bits_eq(basis) => Lookup::Hit(e.ok),
+        let lookup = match self.cache.get_mut(&key) {
+            Some(e) if e.basis.bits_eq(basis) => {
+                e.used_in = self.batch;
+                Lookup::Hit(e.values.is_some())
+            }
             Some(_) => Lookup::Collision,
             None => Lookup::Miss,
         };
@@ -478,23 +581,23 @@ impl FitScratch {
             }
             Lookup::Miss => {
                 self.misses += 1;
-                let (values, ok) = self.evaluate(basis, pm, ctx);
-                let basis = basis.clone();
-                self.cache.insert(key, CacheEntry { basis, values, ok });
+                let values = self.evaluate(basis, pm, ctx);
+                let ok = values.is_some();
+                let entry = CacheEntry {
+                    basis: basis.clone(),
+                    values,
+                    used_in: self.batch,
+                };
+                self.cache.insert(key, entry);
                 ok.then_some(Slot::Cached(key))
             }
             Lookup::Collision => {
                 // A different basis owns this key: evaluate without
                 // caching (astronomically rare; correctness first).
                 self.misses += 1;
-                let (values, ok) = self.evaluate(basis, pm, ctx);
-                if ok {
-                    self.temp_cols.push(values);
-                    Some(Slot::Temp(self.temp_cols.len() - 1))
-                } else {
-                    self.vm.recycle(values);
-                    None
-                }
+                let values = self.evaluate(basis, pm, ctx)?;
+                self.temp_cols.push(values);
+                Some(Slot::Temp(self.temp_cols.len() - 1))
             }
         }
     }
@@ -527,6 +630,7 @@ pub fn fit_linear_weights_cached(
     scratch: &mut FitScratch,
 ) -> FitOutcome {
     scratch.bind(pm, ctx);
+    scratch.bind_targets(targets);
     let telemetry = scratch.telemetry.clone();
     // Evaluate / look up every basis column, bailing on the first
     // unusable one exactly like the reference design-matrix builder.
@@ -550,19 +654,24 @@ pub fn fit_linear_weights_cached(
         scratch.finish_fit();
         return FitOutcome::Infeasible;
     }
+    let Some(rhs0) = scratch.rhs0.as_deref() else {
+        scratch.finish_fit();
+        return FitOutcome::Infeasible;
+    };
     let outcome = {
         let _solve = telemetry.as_deref().map(|t| t.span(phases::LINEAR_SOLVE));
-        scratch.bind_targets(targets);
         let mut cols: Vec<&[f64]> = Vec::with_capacity(k + 1);
-        let mut images: Vec<&[f64]> = Vec::with_capacity(k);
+        let mut images: Vec<GramColumn> = Vec::with_capacity(k);
         cols.push(&scratch.ones);
         for slot in &scratch.slots {
-            // Each buffer holds the column, then its intercept image.
             let values = match *slot {
-                Slot::Cached(key) => &scratch.cache[&key].values,
+                Slot::Cached(key) => scratch.cache[&key]
+                    .values
+                    .as_deref()
+                    .expect("only a usable column gets a slot"),
                 Slot::Temp(i) => &scratch.temp_cols[i],
             };
-            let (col, image) = values.split_at(n);
+            let (col, image) = column_parts(values, n);
             cols.push(col);
             images.push(image);
         }
@@ -570,7 +679,7 @@ pub fn fit_linear_weights_cached(
             &cols,
             &images,
             &scratch.h0,
-            scratch.rhs0.as_deref(),
+            rhs0,
             targets,
             &mut scratch.solver,
         )
@@ -773,6 +882,64 @@ mod tests {
         };
         assert_eq!(fit_b.coefficients, reference.coefficients);
         assert_eq!(fit_b.predictions, reference.predictions);
+    }
+
+    #[test]
+    fn a_batch_keeps_the_columns_the_batch_before_it_looked_up() {
+        let pts = points_1d(8);
+        let targets: Vec<f64> = pts.iter().map(|p| 1.0 + p[0]).collect();
+        let pm = PointMatrix::from_rows(&pts);
+        let basis = |e| BasisFunction::from_vc(VarCombo::single(1, 0, e));
+        let mut scratch = FitScratch::new();
+        let batch = |bases: &[BasisFunction], scratch: &mut FitScratch| {
+            scratch.begin_batch();
+            for b in bases {
+                let _ = fit_linear_weights_cached(
+                    std::slice::from_ref(b),
+                    &pm,
+                    &targets,
+                    &ctx(),
+                    scratch,
+                );
+            }
+            (scratch.cache_misses(), scratch.cached_columns())
+        };
+        assert_eq!(batch(&[basis(1), basis(2)], &mut scratch), (2, 2));
+        // x² is kept from the batch before; x³ joins it.
+        assert_eq!(batch(&[basis(2), basis(3)], &mut scratch), (3, 3));
+        // x, unused last batch, was dropped: evaluated again.
+        assert_eq!(batch(&[basis(3), basis(1)], &mut scratch), (4, 3));
+        // Nothing looked up: only the last batch's columns stay.
+        assert_eq!(batch(&[], &mut scratch), (4, 2));
+        assert_eq!(batch(&[], &mut scratch), (4, 0));
+    }
+
+    #[test]
+    fn scratch_reuse_across_targets_resets_the_cache() {
+        // Each cached column stores its dot with the reflected targets;
+        // a fit against new targets must not read the old dot.
+        let pts = points_1d(7);
+        let bases = vec![
+            BasisFunction::from_vc(VarCombo::single(1, 0, 1)),
+            BasisFunction::from_vc(VarCombo::single(1, 0, -1)),
+        ];
+        let pm = PointMatrix::from_rows(&pts);
+        let mut scratch = FitScratch::new();
+        for slope in [2.0, -3.0] {
+            let targets: Vec<f64> = pts.iter().map(|p| 1.0 + slope * p[0]).collect();
+            let FitOutcome::Fit(fit) =
+                fit_linear_weights_cached(&bases, &pm, &targets, &ctx(), &mut scratch)
+            else {
+                panic!("fit");
+            };
+            let FitOutcome::Fit(reference) = fit_linear_weights(&bases, &pts, &targets, &ctx())
+            else {
+                panic!("reference fit");
+            };
+            assert_eq!(fit.coefficients, reference.coefficients);
+            assert_eq!(fit.predictions, reference.predictions);
+        }
+        assert_eq!(scratch.cache_misses(), 4, "new targets re-evaluate");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Pins the fitness path's allocation discipline: with a reused
-//! [`FitScratch`], repeatedly evaluating a generation-sized batch settles
+//! [`FitScratch`], repeatedly evaluating generation-sized batches settles
 //! into a constant allocation count per round — the scratch's buffer
 //! pool, tape recycling, and cache capacity absorb all per-generation
-//! churn, so allocations do not grow as a run proceeds.
+//! churn (columns the cache drops between batches included), so
+//! allocations do not grow as a run proceeds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,48 +68,62 @@ fn fitness_path_allocations_do_not_grow_per_generation() {
     let grammar = GrammarConfig::paper_full(2);
     let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
 
-    // A generation-sized batch with deliberate cross-individual
-    // redundancy (shared bases), like a real post-crossover population.
+    // Two generation-sized batches with deliberate cross-individual
+    // redundancy (shared bases), like real post-crossover populations.
+    // Each also has bases of its own, which the cache drops while the
+    // other batch runs and evaluates again when its batch returns, as a
+    // run's cache drops the columns a generation no longer uses.
     let gen = RandomExprGen::new(&grammar);
     let mut rng = StdRng::seed_from_u64(9);
     let shared: Vec<_> = (0..6).map(|_| gen.gen_basis(&mut rng)).collect();
-    let population: Vec<Individual> = (0..60)
-        .map(|i| {
-            Individual::new(vec![
-                shared[i % shared.len()].clone(),
-                shared[(i * 3 + 1) % shared.len()].clone(),
-                gen.gen_basis(&mut rng),
-            ])
-        })
-        .collect();
+    let mut population = || -> Vec<Individual> {
+        (0..60)
+            .map(|i| {
+                Individual::new(vec![
+                    shared[i % shared.len()].clone(),
+                    shared[(i * 3 + 1) % shared.len()].clone(),
+                    gen.gen_basis(&mut rng),
+                ])
+            })
+            .collect()
+    };
+    let mut batches = [population(), population()];
 
     let mut scratch = FitScratch::new();
-    let mut batch = population.clone();
-    let rounds: Vec<usize> = (0..8)
-        .map(|_| {
-            // A fresh generation: evaluations invalidated, cache cleared
-            // (the per-generation boundary), scratch retained.
-            for ind in &mut batch {
+    let mut misses = Vec::new();
+    let rounds: Vec<usize> = (0..10)
+        .map(|round| {
+            // A fresh generation: evaluations invalidated, scratch
+            // retained (the batch boundary is the evaluator's).
+            let batch = &mut batches[round % 2];
+            for ind in batch.iter_mut() {
                 ind.eval = None;
             }
-            scratch.clear_cache();
-            let before = allocations();
-            evaluator.evaluate_batch(&mut batch, &mut scratch);
-            allocations() - before
+            let (before, missed) = (allocations(), scratch.cache_misses());
+            evaluator.evaluate_batch(batch, &mut scratch);
+            let allocated = allocations() - before;
+            misses.push(scratch.cache_misses() - missed);
+            allocated
         })
         .collect();
 
-    // Rounds 0–1 warm the pools and map capacity; from then on the count
-    // must be flat — any monotone growth means the scratch is leaking
-    // per-generation allocations.
-    let steady = &rounds[2..];
+    // Rounds 0–3 warm the pools and map capacity; from then on each
+    // batch's count must be flat — any monotone growth means the scratch
+    // is leaking per-generation allocations. The two batches allocate
+    // different amounts, so each round compares with the round two
+    // before, which ran the same batch.
     assert!(
-        steady.windows(2).all(|w| w[1] <= w[0]),
+        (6..rounds.len()).all(|r| rounds[r] <= rounds[r - 2]),
         "allocation count grew across generations: {rounds:?}"
     );
     assert!(
-        steady[steady.len() - 1] <= rounds[1],
+        rounds[8] <= rounds[2] && rounds[9] <= rounds[3],
         "steady state allocates more than warmup: {rounds:?}"
+    );
+    // Every round evaluates the columns the other batch's round dropped.
+    assert!(
+        misses[2..].iter().all(|&m| m > 0),
+        "no column was dropped and evaluated again: {misses:?}"
     );
     // And the cache actually worked: far fewer misses than basis slots.
     assert!(

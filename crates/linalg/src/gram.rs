@@ -15,16 +15,80 @@ const GROUP: usize = 4;
 /// for the adds to pipeline and pair up in vector registers.
 const LANES: usize = 4;
 
+/// One column `a` of an intercept design `[1 | A]` as [`GramSolver`]
+/// reads it: its image `g = H₀·a` under the intercept reflector, with the
+/// image's two Gram terms over rows `1..` (primes drop row 0): its squared
+/// norm `g'ᵀg'` and its dot `g'ᵀz'` with the reflected right-hand side
+/// `z = H₀·b`.
+///
+/// The terms depend on the column and `z` alone, so a caller that solves
+/// many designs over the same columns and right-hand side computes them
+/// once per column ([`GramColumn::new`]), stores them beside the image
+/// ([`GramColumn::terms`]) and hands them back with each later solve
+/// ([`GramColumn::with_terms`]). Each term sums in the same fixed order
+/// as the solver's other dot products, so a stored term equals the one
+/// the solver would have computed, bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct GramColumn<'a> {
+    image: &'a [f64],
+    terms: [f64; 2],
+}
+
+impl<'a> GramColumn<'a> {
+    /// The column with image `image`, its terms computed against the
+    /// reflected right-hand side `rhs0`. When the two lengths differ, or
+    /// are zero, the terms are NaN; [`GramSolver::solve`] rejects such a
+    /// design by its shape before it reads them.
+    pub fn new(image: &'a [f64], rhs0: &[f64]) -> GramColumn<'a> {
+        let terms = if image.len() == rhs0.len() && !image.is_empty() {
+            let below = &image[1..];
+            [
+                dot_chains::<1>(below, [below])[0],
+                dot_chains::<1>(&rhs0[1..], [below])[0],
+            ]
+        } else {
+            [f64::NAN; 2]
+        };
+        GramColumn { image, terms }
+    }
+
+    /// The column with image `image` and the `terms` that
+    /// [`GramColumn::new`] computed for it against the same right-hand
+    /// side.
+    pub fn with_terms(image: &'a [f64], terms: [f64; 2]) -> GramColumn<'a> {
+        GramColumn { image, terms }
+    }
+
+    /// The image `H₀·a`.
+    pub fn image(&self) -> &'a [f64] {
+        self.image
+    }
+
+    /// `[g'ᵀg', g'ᵀz']`.
+    pub fn terms(&self) -> [f64; 2] {
+        self.terms
+    }
+}
+
+/// The image, as [`Qr::factor_reflected`] reads it.
+impl AsRef<[f64]> for GramColumn<'_> {
+    fn as_ref(&self) -> &[f64] {
+        self.image
+    }
+}
+
 /// Least squares on intercept designs `[1 | A]` from the images `H₀·a_j`
 /// of `A`'s columns under the intercept reflector and the reflected
 /// right-hand side `z = H₀·b` — the inputs [`Qr::factor_reflected`]
-/// takes, which the fitness path computes once per cached column.
+/// takes, which the fitness path computes once per cached column, along
+/// with each image's Gram terms ([`GramColumn`]).
 ///
 /// `H₀·[1 | A] = [α·e₀ | G]`, so the problem splits in two. Row 0 is the
 /// only row where the intercept has an entry: it fixes
 /// `x₀ = (z₀ − Σ_j g₀ⱼ·w_j) / α` once the weights `w` of `A`'s columns
 /// are known, and those minimize `‖G'·w − z'‖` over rows `1..` (the primes
-/// drop row 0). The solver forms the Gram matrix `G'ᵀG'` and `G'ᵀz'`,
+/// drop row 0). The solver forms the Gram matrix `G'ᵀG'` and `G'ᵀz'`
+/// (their diagonal and right-hand side are the columns' stored terms),
 /// scales them to unit diagonal (Jacobi), factors the result with
 /// [`Cholesky`], and refines the weights once: the residual `z' − G'·w`
 /// is computed from the images, and its normal-equation correction is
@@ -49,16 +113,17 @@ const LANES: usize = 4;
 /// # Example
 ///
 /// ```
-/// use caffeine_linalg::{GramSolver, InterceptReflector};
+/// use caffeine_linalg::{GramColumn, GramSolver, InterceptReflector};
 ///
 /// # fn main() -> Result<(), caffeine_linalg::LinalgError> {
 /// // y = 1 + 2·x on x = 0, 1, 2, 3.
 /// let h0 = InterceptReflector::new(4);
-/// let mut column = vec![0.0, 1.0, 2.0, 3.0];
-/// h0.reflect_column(&mut column);
+/// let mut image = vec![0.0, 1.0, 2.0, 3.0];
+/// h0.reflect_column(&mut image);
 /// let mut rhs = vec![1.0, 3.0, 5.0, 7.0];
 /// h0.reflect_rhs(&mut rhs)?;
-/// let x = GramSolver::default().solve(&h0, &[&column], &rhs)?;
+/// let column = GramColumn::new(&image, &rhs);
+/// let x = GramSolver::default().solve(&h0, &[column], &rhs)?;
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
@@ -80,9 +145,10 @@ pub struct GramSolver {
 }
 
 impl GramSolver {
-    /// Solves `min ‖[1 | A]·x − b‖₂` given `images` (`H₀·a_j`) and
-    /// `rhs0` (`H₀·b`, as [`InterceptReflector::reflect_rhs`] leaves it);
-    /// returns the intercept followed by one weight per column.
+    /// Solves `min ‖[1 | A]·x − b‖₂` given `A`'s `columns` (images
+    /// `H₀·a_j` with their terms against `rhs0`) and `rhs0` (`H₀·b`, as
+    /// [`InterceptReflector::reflect_rhs`] leaves it); returns the
+    /// intercept followed by one weight per column.
     ///
     /// # Errors
     ///
@@ -93,15 +159,15 @@ impl GramSolver {
     pub fn solve(
         &mut self,
         h0: &InterceptReflector,
-        images: &[&[f64]],
+        columns: &[GramColumn<'_>],
         rhs0: &[f64],
     ) -> Result<Vec<f64>, LinalgError> {
-        if let Some(x) = self.solve_gram(h0, images, rhs0) {
+        if let Some(x) = self.solve_gram(h0, columns, rhs0) {
             return Ok(x);
         }
         self.rhs.clear();
         self.rhs.extend_from_slice(rhs0);
-        self.qr.factor_reflected(h0, images, &mut self.rhs)?;
+        self.qr.factor_reflected(h0, columns, &mut self.rhs)?;
         self.qr.back_substitute(&self.rhs)
     }
 
@@ -109,28 +175,30 @@ impl GramSolver {
     fn solve_gram(
         &mut self,
         h0: &InterceptReflector,
-        images: &[&[f64]],
+        columns: &[GramColumn<'_>],
         z: &[f64],
     ) -> Option<Vec<f64>> {
         let m = h0.rows();
-        let k = images.len();
-        if m <= k || z.len() != m || images.iter().any(|c| c.len() != m) {
+        let k = columns.len();
+        if m <= k || z.len() != m || columns.iter().any(|c| c.image.len() != m) {
             return None;
         }
-        // Lower triangle of G'ᵀG', row by row, then the Jacobi scale.
+        // Lower triangle of G'ᵀG', row by row (the diagonal is each
+        // column's stored norm), then the Jacobi scale.
         self.gram.reset_zeros(k, k);
-        for i in 0..k {
-            dots_below(&images[i][1..], &images[..=i], &mut self.step);
+        for (i, col) in columns.iter().enumerate() {
+            dots_below(&col.image[1..], &columns[..i], &mut self.step);
             for (j, &s) in self.step.iter().enumerate() {
                 self.gram[(i, j)] = s;
             }
+            self.gram[(i, i)] = col.terms[0];
         }
         self.scale.clear();
-        for (j, col) in images.iter().enumerate() {
+        for (j, col) in columns.iter().enumerate() {
             // The pivot of column j against the intercept alone: its
             // image's share below row 0.
             let d = self.gram[(j, j)];
-            if !(d > MIN_PIVOT * (d + col[0] * col[0])) || !d.is_finite() {
+            if !(d > MIN_PIVOT * (d + col.image[0] * col.image[0])) || !d.is_finite() {
                 return None;
             }
             self.scale.push(1.0 / d.sqrt());
@@ -158,27 +226,28 @@ impl GramSolver {
 
         let mut x = Vec::with_capacity(k + 1);
         x.push(0.0);
-        dots_below(&z[1..], images, &mut self.step);
+        self.step.clear();
+        self.step.extend(columns.iter().map(|c| c.terms[1]));
         self.solve_scaled().ok()?;
         x.extend_from_slice(&self.step);
         // One refinement step: the residual from the images, its
         // correction through the same factor.
         self.resid.clear();
         self.resid.extend_from_slice(&z[1..]);
-        for (col, &w) in images.iter().zip(&x[1..]) {
-            for (r, &g) in self.resid.iter_mut().zip(&col[1..]) {
+        for (col, &w) in columns.iter().zip(&x[1..]) {
+            for (r, &g) in self.resid.iter_mut().zip(&col.image[1..]) {
                 *r -= g * w;
             }
         }
-        dots_below(&self.resid, images, &mut self.step);
+        dots_below(&self.resid, columns, &mut self.step);
         self.solve_scaled().ok()?;
         for (w, &dw) in x[1..].iter_mut().zip(&self.step) {
             *w += dw;
         }
         // Row 0 fixes the intercept.
         let mut top = z[0];
-        for (col, &w) in images.iter().zip(&x[1..]) {
-            top -= col[0] * w;
+        for (col, &w) in columns.iter().zip(&x[1..]) {
+            top -= col.image[0] * w;
         }
         x[0] = top / h0.alpha();
         x.iter().all(|v| v.is_finite()).then_some(x)
@@ -199,26 +268,28 @@ impl GramSolver {
 }
 
 /// Replaces `out` with the dot products of `x` with rows `1..` of each
-/// column in `cols` (`x.len() + 1` rows long), [`GROUP`] columns per pass
-/// over `x`.
-fn dots_below(x: &[f64], cols: &[&[f64]], out: &mut Vec<f64>) {
+/// column's image in `cols` (`x.len() + 1` rows long), [`GROUP`] columns
+/// per pass over `x`.
+fn dots_below(x: &[f64], cols: &[GramColumn<'_>], out: &mut Vec<f64>) {
     out.clear();
     for group in cols.chunks(GROUP) {
+        let below = |c: usize| &group[c].image[1..];
         match group.len() {
-            4 => out.extend_from_slice(&dot_chains::<4>(x, group)),
-            3 => out.extend_from_slice(&dot_chains::<3>(x, group)),
-            2 => out.extend_from_slice(&dot_chains::<2>(x, group)),
-            _ => out.extend_from_slice(&dot_chains::<1>(x, group)),
+            4 => out.extend_from_slice(&dot_chains::<4>(x, std::array::from_fn(below))),
+            3 => out.extend_from_slice(&dot_chains::<3>(x, std::array::from_fn(below))),
+            2 => out.extend_from_slice(&dot_chains::<2>(x, std::array::from_fn(below))),
+            _ => out.extend_from_slice(&dot_chains::<1>(x, std::array::from_fn(below))),
         }
     }
 }
 
-/// [`dots_below`] for exactly `G` columns. Each dot product keeps
-/// [`LANES`] partial sums over interleaved rows, adds them in order, then
-/// adds the leftover rows in ascending order.
+/// The dot products of `x` with each of `G` slices at least as long.
+/// Each dot product keeps [`LANES`] partial sums over interleaved rows,
+/// adds them in order, then adds the leftover rows in ascending order;
+/// the other slices in the pass never change its bits.
 #[inline]
-fn dot_chains<const G: usize>(x: &[f64], cols: &[&[f64]]) -> [f64; G] {
-    let ys: [&[f64]; G] = std::array::from_fn(|c| &cols[c][1..=x.len()]);
+fn dot_chains<const G: usize>(x: &[f64], ys: [&[f64]; G]) -> [f64; G] {
+    let ys: [&[f64]; G] = std::array::from_fn(|c| &ys[c][..x.len()]);
     let mut acc = [[0.0; LANES]; G];
     let whole = x.len() - x.len() % LANES;
     for i in (0..whole).step_by(LANES) {
@@ -262,6 +333,11 @@ mod tests {
         (h0, images, z)
     }
 
+    /// The solver's view of `images`, terms computed against `z`.
+    fn columns<'a>(images: &'a [Vec<f64>], z: &[f64]) -> Vec<GramColumn<'a>> {
+        images.iter().map(|g| GramColumn::new(g, z)).collect()
+    }
+
     fn design(cols: &[Vec<f64>]) -> Matrix {
         let mut all = vec![vec![1.0; cols[0].len()]];
         all.extend(cols.iter().cloned());
@@ -289,12 +365,33 @@ mod tests {
             .map(|x| 1.5 + 2.0 * x - 0.25 / x + 0.125 * x * x)
             .collect();
         let (h0, images, z) = reflected(&cols, &b);
-        let images: Vec<&[f64]> = images.iter().map(Vec::as_slice).collect();
+        let images = columns(&images, &z);
         let mut solver = GramSolver::default();
         assert!(solver.solve_gram(&h0, &images, &z).is_some());
         let x = solver.solve(&h0, &images, &z).unwrap();
         for (got, want) in x.iter().zip([1.5, 2.0, -0.25, 0.125]) {
             assert!((got - want).abs() < 1e-10, "{x:?}");
+        }
+    }
+
+    /// A stored term is the dot the solver's grouped passes compute for
+    /// the same pair, bit for bit, whichever columns share the pass.
+    #[test]
+    fn stored_terms_equal_the_grouped_dots() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let m = 23;
+        let cols: Vec<Vec<f64>> = (0..6)
+            .map(|_| (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect())
+            .collect();
+        let b: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let (_, images, z) = reflected(&cols, &b);
+        let columns = columns(&images, &z);
+        let mut dots = Vec::new();
+        for (j, col) in columns.iter().enumerate() {
+            dots_below(&col.image[1..], &columns, &mut dots);
+            assert_eq!(dots[j].to_bits(), col.terms()[0].to_bits());
+            dots_below(&z[1..], &columns, &mut dots);
+            assert_eq!(dots[j].to_bits(), col.terms()[1].to_bits());
         }
     }
 
@@ -306,7 +403,7 @@ mod tests {
         // intercept (its image is zero below row 0).
         for cols in [vec![xs.clone(), xs.clone()], vec![xs.clone(), vec![2.0; 8]]] {
             let (h0, images, z) = reflected(&cols, &b);
-            let images: Vec<&[f64]> = images.iter().map(Vec::as_slice).collect();
+            let images = columns(&images, &z);
             let mut solver = GramSolver::default();
             assert!(solver.solve_gram(&h0, &images, &z).is_none());
             let got = solver.solve(&h0, &images, &z);
@@ -314,9 +411,10 @@ mod tests {
             assert_eq!(got, want);
         }
         // Too few rows: the Householder path's shape error.
-        let (h0, column) = (InterceptReflector::new(2), [1.0, 2.0]);
+        let (h0, rhs) = (InterceptReflector::new(2), [1.0, 2.0]);
+        let column = GramColumn::new(&[1.0, 2.0], &rhs);
         assert!(matches!(
-            GramSolver::default().solve(&h0, &[&column, &column], &[1.0, 2.0]),
+            GramSolver::default().solve(&h0, &[column, column], &rhs),
             Err(LinalgError::DimensionMismatch(_))
         ));
     }
@@ -351,7 +449,7 @@ mod tests {
             }
             let b: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
             let (h0, images, z) = reflected(&cols, &b);
-            let images: Vec<&[f64]> = images.iter().map(Vec::as_slice).collect();
+            let images = columns(&images, &z);
             let Some(x) = GramSolver::default().solve_gram(&h0, &images, &z) else {
                 continue;
             };

@@ -60,7 +60,7 @@ pub mod stats;
 pub use cholesky::Cholesky;
 pub use complex::Complex64;
 pub use error::LinalgError;
-pub use gram::GramSolver;
+pub use gram::{GramColumn, GramSolver};
 pub use incremental::{ColumnTrial, IncrementalQr};
 pub use lu::{solve_square, Lu};
 pub use matrix::Matrix;

@@ -117,28 +117,31 @@ impl Qr {
     ///   columns.
     /// * [`LinalgError::NonFiniteInput`] when an image has NaN/infinite
     ///   entries.
-    pub fn factor_reflected(
+    pub fn factor_reflected<C: AsRef<[f64]>>(
         &mut self,
         h0: &InterceptReflector,
-        images: &[&[f64]],
+        images: &[C],
         rhs: &mut [f64],
     ) -> Result<(), LinalgError> {
         let m = h0.rows();
         let n = images.len() + 1;
-        if images.iter().any(|c| c.len() != m) {
+        if images.iter().any(|c| c.as_ref().len() != m) {
             return Err(LinalgError::DimensionMismatch(
                 "QR columns must all have the same length".into(),
             ));
         }
         check_shape(m, n)?;
         check_rhs(rhs, m)?;
-        if images.iter().any(|c| c.iter().any(|v| !v.is_finite())) {
+        if images
+            .iter()
+            .any(|c| c.as_ref().iter().any(|v| !v.is_finite()))
+        {
             return Err(LinalgError::NonFiniteInput { argument: "a" });
         }
         self.qr.clear();
         self.qr.extend_from_slice(&h0.folded);
         for c in images {
-            self.qr.extend_from_slice(c);
+            self.qr.extend_from_slice(c.as_ref());
         }
         self.householder(m, n, 1, rhs);
         self.betas[0] = h0.folded_beta;

@@ -27,9 +27,13 @@ const WORKER_NAME: &str = "caffeine-eval";
 ///
 /// Each thread keeps its own [`FitScratch`] for the evaluator's lifetime,
 /// so the tape VM's chunk stack, its column-buffer pool and the spare
-/// tapes stay warm from one generation to the next; each thread clears
-/// its basis-column cache once per batch, keeping memoization scoped to
-/// one generation. Per-individual evaluation is pure (no RNG, no
+/// tapes stay warm from one generation to the next, and so does its
+/// basis-column cache: each batch a thread runs keeps the columns the
+/// thread's previous batch looked up and drops the rest. Which thread
+/// fits which individual varies, and with it which columns hit; the
+/// cache only skips work whose result it holds bit for bit. (When K
+/// islands share one evaluator, a column survives from the previous
+/// island's batch.) Per-individual evaluation is pure (no RNG, no
 /// cross-individual state) and the cache never changes outcomes, so the
 /// filled-in evaluations — and hence the whole run — are bit-identical
 /// for any thread count and any claim order. A panic in any thread's
@@ -261,9 +265,9 @@ impl Batch {
     }
 
     /// Claims and evaluates one individual at a time until the batch is
-    /// closed and drained.
+    /// closed and drained: one batch of the thread's scratch, whose cache
+    /// keeps what the thread's previous batch looked up.
     fn run(&self, scratch: &mut FitScratch) {
-        scratch.clear_cache();
         self.problem
             .evaluate_each(std::iter::from_fn(|| self.claim()), scratch);
     }

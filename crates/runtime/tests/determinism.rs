@@ -1,12 +1,20 @@
 //! Determinism guarantees of the runtime: thread count must never change
-//! a result, islands must reduce to the plain serial step loop at K = 1,
-//! and a resumed checkpoint must match the uninterrupted run.
+//! a result, the evaluator's run-long column caches must never change a
+//! bit, islands must reduce to the plain serial step loop at K = 1, and a
+//! resumed checkpoint must match the uninterrupted run.
 
+use std::cell::RefCell;
+use std::collections::HashSet;
+
+use caffeine_core::expr::{complexity, EvalContext};
+use caffeine_core::fit::{fit_linear_weights, FitOutcome};
+use caffeine_core::gp::{Evaluation, Individual};
 use caffeine_core::{
-    assemble_result, CaffeineSettings, DatasetEvaluator, EngineState, GrammarConfig,
+    assemble_result, CaffeineSettings, DatasetEvaluator, EngineState, Evaluator, FitScratch,
+    GrammarConfig, Model,
 };
 use caffeine_doe::Dataset;
-use caffeine_runtime::{IslandRunner, RuntimeCheckpoint, RuntimeConfig};
+use caffeine_runtime::{IslandRunner, ParallelEvaluator, RuntimeCheckpoint, RuntimeConfig};
 
 fn ota_like_dataset() -> Dataset {
     // 3 variables, multiplicative/rational target — the shape of the
@@ -40,6 +48,196 @@ fn front_errors(models: &[caffeine_core::Model]) -> Vec<(u64, u64)> {
         .iter()
         .map(|m| (m.train_error.to_bits(), m.complexity.to_bits()))
         .collect()
+}
+
+/// The reference evaluator: per-individual tree-walk fits, no tapes, no
+/// cache, scored as `DatasetEvaluator` scores (the uncached side of
+/// `caffeine-core`'s `tests/cache_determinism.rs`).
+struct UncachedEvaluator<'a> {
+    data: &'a Dataset,
+    settings: &'a CaffeineSettings,
+    ctx: EvalContext,
+}
+
+impl Evaluator for UncachedEvaluator<'_> {
+    fn evaluate_all(&self, population: &mut [Individual]) {
+        for ind in population.iter_mut().filter(|ind| ind.eval.is_none()) {
+            let cx = complexity(&ind.bases, &self.settings.complexity);
+            let fit = fit_linear_weights(
+                &ind.bases,
+                self.data.points(),
+                self.data.targets(),
+                &self.ctx,
+            );
+            let (coefficients, err) = match fit {
+                FitOutcome::Fit(fit) => {
+                    let err = self
+                        .settings
+                        .metric
+                        .compute(&fit.predictions, self.data.targets());
+                    (fit.coefficients, err)
+                }
+                FitOutcome::Infeasible => (vec![0.0; ind.bases.len() + 1], f64::NAN),
+            };
+            let feasible = err.is_finite();
+            ind.eval = Some(Evaluation {
+                coefficients,
+                train_error: if feasible {
+                    err
+                } else {
+                    self.settings.infeasible_error
+                },
+                complexity: cx,
+                feasible,
+            });
+        }
+    }
+}
+
+/// Every bit of a front's models that a caller reads.
+fn front_bits(models: &[Model]) -> Vec<Vec<u64>> {
+    models
+        .iter()
+        .map(|m| {
+            m.coefficients
+                .iter()
+                .map(|c| c.to_bits())
+                .chain([m.train_error.to_bits(), m.complexity.to_bits()])
+                .collect()
+        })
+        .collect()
+}
+
+/// The persistent evaluator — one scratch per thread, each cache kept
+/// from batch to batch — drives a run byte-identical to the uncached
+/// tree-walk run: population after every generation, statistics and
+/// harvested front.
+#[test]
+fn run_long_caches_match_the_uncached_run_bitwise() {
+    let data = ota_like_dataset();
+    let settings = settings();
+    // The full paper grammar exercises every operator family.
+    let grammar = GrammarConfig::paper_full(3);
+    let uncached = UncachedEvaluator {
+        data: &data,
+        settings: &settings,
+        ctx: EvalContext::new(grammar.weights),
+    };
+    let mut reference = EngineState::new(settings.clone(), grammar.clone(), &uncached).unwrap();
+    let mut populations = Vec::new();
+    while !reference.is_done() {
+        reference.step(&uncached);
+        populations.push(reference.population.clone());
+    }
+    assert!(populations.len() >= 15);
+    let anchor = DatasetEvaluator::new(&settings, &grammar, &data)
+        .unwrap()
+        .constant_model(grammar.weights);
+    let reference_front = assemble_result(reference.harvest(), anchor.clone(), vec![]).unwrap();
+
+    for threads in [1, 3] {
+        let evaluator = ParallelEvaluator::new(
+            DatasetEvaluator::new(&settings, &grammar, &data).unwrap(),
+            threads,
+        );
+        let mut state = EngineState::new(settings.clone(), grammar.clone(), &evaluator).unwrap();
+        for (g, expect) in populations.iter().enumerate() {
+            state.step(&evaluator);
+            assert_eq!(
+                &state.population, expect,
+                "{threads} threads: population diverged at generation {g}"
+            );
+        }
+        assert_eq!(state.stats, reference.stats, "{threads} threads: stats");
+        let front = assemble_result(state.harvest(), anchor.clone(), vec![]).unwrap();
+        assert_eq!(front.models, reference_front.models);
+        assert_eq!(
+            front_bits(&front.models),
+            front_bits(&reference_front.models),
+            "{threads} threads: front bits"
+        );
+    }
+}
+
+/// What one batch of [`Recording`] saw.
+struct BatchRecord {
+    /// The bases of the batch's unevaluated individuals, by their exact
+    /// `Debug` text (which tells `-0.0` from `0.0`).
+    bases: HashSet<String>,
+    /// Columns the scratch held after the batch.
+    cached: usize,
+    /// Cache hits of the batch, and of the same batch on a fresh scratch.
+    hits: u64,
+    fresh_hits: u64,
+}
+
+/// `DatasetEvaluator` through one scratch kept for the whole run, as a
+/// thread of `ParallelEvaluator` keeps its own; records every batch and
+/// checks it against the same batch on a fresh scratch.
+struct Recording<'a> {
+    inner: DatasetEvaluator<'a>,
+    scratch: RefCell<FitScratch>,
+    batches: RefCell<Vec<BatchRecord>>,
+}
+
+impl Evaluator for Recording<'_> {
+    fn evaluate_all(&self, population: &mut [Individual]) {
+        let bases = population
+            .iter()
+            .filter(|ind| ind.eval.is_none())
+            .flat_map(|ind| &ind.bases)
+            .map(|b| format!("{b:?}"))
+            .collect();
+        let mut fresh = FitScratch::new();
+        let mut expect = population.to_vec();
+        self.inner.evaluate_batch(&mut expect, &mut fresh);
+        let mut scratch = self.scratch.borrow_mut();
+        let hits = scratch.cache_hits();
+        self.inner.evaluate_batch(population, &mut scratch);
+        assert_eq!(population, &expect[..], "a kept column changed a fit");
+        self.batches.borrow_mut().push(BatchRecord {
+            bases,
+            cached: scratch.cached_columns(),
+            hits: scratch.cache_hits() - hits,
+            fresh_hits: fresh.cache_hits(),
+        });
+    }
+}
+
+/// The cache stays bounded as it outlives batches: after each batch it
+/// holds no more columns than that batch and the one before it looked up
+/// between them, and the columns it keeps do serve hits.
+#[test]
+fn a_kept_cache_holds_only_the_last_two_batches_columns() {
+    let data = ota_like_dataset();
+    let grammar = GrammarConfig::paper_full(3);
+    let evaluator = Recording {
+        inner: DatasetEvaluator::new(&settings(), &grammar, &data).unwrap(),
+        scratch: RefCell::new(FitScratch::new()),
+        batches: RefCell::new(Vec::new()),
+    };
+    let mut state = EngineState::new(settings(), grammar, &evaluator).unwrap();
+    while !state.is_done() {
+        state.step(&evaluator);
+    }
+    let batches = evaluator.batches.borrow();
+    assert!(batches.len() > 15, "{} batches", batches.len());
+    assert!(batches[0].cached <= batches[0].bases.len());
+    for (b, pair) in batches.windows(2).enumerate() {
+        let seen = pair[0].bases.union(&pair[1].bases).count();
+        assert!(
+            pair[1].cached <= seen,
+            "batch {}: {} columns cached, {seen} bases in it and the batch before",
+            b + 1,
+            pair[1].cached
+        );
+    }
+    let kept: u64 = batches.iter().map(|r| r.hits).sum();
+    let fresh: u64 = batches.iter().map(|r| r.fresh_hits).sum();
+    assert!(
+        kept > fresh,
+        "kept columns served no hits: {kept} vs {fresh}"
+    );
 }
 
 #[test]
