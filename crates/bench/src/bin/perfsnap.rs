@@ -4,8 +4,9 @@
 //! Measures the kernels this codebase lives in — basis evaluation,
 //! population fitness per generation, SAG forward regression, the
 //! least-squares solve behind every fitness evaluation, the
-//! nondominated sort behind every selection, and the checkpoint save
-//! between generations — each as *reference
+//! nondominated sort behind every selection, the checkpoint save
+//! between generations, and the real and complex LU solves behind every
+//! circuit simulation — each as *reference
 //! implementation vs. current implementation*, and writes
 //! the numbers to `BENCH_eval.json` so the repo carries a recorded,
 //! diffable perf trajectory rather than anecdotes.
@@ -28,12 +29,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use caffeine_bench::perf;
+use caffeine_bench::perf::{self, ReferenceScalar};
 use caffeine_core::expr::{eval_basis_all, EvalContext, Tape, TapeVm, LANE_WIDTH};
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::sag::{simplify_model, SagSettings};
-use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, Evaluator, GrammarConfig};
-use caffeine_linalg::{GramColumn, GramSolver, InterceptReflector, Matrix};
+use caffeine_core::{nsga2, CaffeineSettings, DatasetEvaluator, FitScratch, GrammarConfig};
+use caffeine_linalg::{Complex64, GramColumn, GramSolver, InterceptReflector, Lu, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,7 +58,10 @@ struct Snapshot {
     /// Snapshot schema version. Schema 2 added the normalized-throughput
     /// block: `lane_width`, `cores`, `points_per_sec`,
     /// `points_per_sec_per_core`. Schema 3 added `least_squares` and
-    /// `nondominated_sort`. Schema 4 added `checkpoint_save`.
+    /// `nondominated_sort`. Schema 4 added `checkpoint_save`. Schema 5
+    /// added `lu_solve_real` and `lu_solve_complex`, and made
+    /// `fitness_per_generation` replay consecutive generations through
+    /// one kept scratch.
     schema: u32,
     /// Unix timestamp (seconds) of the run.
     unix_time: u64,
@@ -78,9 +82,11 @@ struct Snapshot {
     /// 15 random paper-grammar bases × 243 points: tree-walk vs tape.
     /// One "op" is one basis evaluated over the full point set.
     eval_basis_column: Comparison,
-    /// Population-200 fitness batch over 243 × 13 points: per-individual
-    /// tree-walk vs compiled + column-cached. One "op" is one generation
-    /// batch.
+    /// The offspring batches of 20 consecutive generations of one
+    /// pop-200 search over 243 × 13 points: per-individual tree-walk vs
+    /// compiled and column-cached through one scratch kept across the
+    /// generations, as a run's evaluator thread keeps it (the first
+    /// batch starts cold). One "op" is one generation's batch.
     fitness_per_generation: Comparison,
     /// 26-basis SAG forward regression: from-scratch refactorization per
     /// candidate vs shared incremental QR. One "op" is one full
@@ -104,6 +110,16 @@ struct Snapshot {
     /// inode. Both serialize and fsync. The ratio depends on the
     /// filesystem. One "op" is one save.
     checkpoint_save: Comparison,
+    /// A 20 × 20 MNA-shaped real system (the DC Newton solve): the
+    /// indexed LU on a clone of the matrix vs the flat-row LU in the
+    /// matrix's own storage. Both sides start from a fresh copy, as each
+    /// Newton iteration assembles one. Identical bits
+    /// (`tests/lu_oracle.rs`). One "op" is one factor + solve.
+    lu_solve_real: Comparison,
+    /// The same for a complex 20 × 20 MNA-shaped system (the AC solve),
+    /// where the flat-row LU also divides by one reciprocal per pivot and
+    /// skips `hypot` for entries with a zero part.
+    lu_solve_complex: Comparison,
 }
 
 fn time_per_op(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -131,6 +147,38 @@ fn comparison(
         current_ops_per_sec: 1.0 / current_secs,
         speedup: reference_secs / current_secs,
     }
+}
+
+/// Factor + solve of every system, `rounds` times per timed iteration:
+/// the reference LU (which clones its input) against `Lu::factor` on a
+/// fresh copy.
+fn lu_comparison<T: ReferenceScalar>(
+    iters: u32,
+    rounds: u32,
+    systems: &[(Matrix<T>, Vec<T>)],
+) -> Comparison {
+    comparison(
+        iters,
+        f64::from(rounds) * systems.len() as f64,
+        || {
+            for _ in 0..rounds {
+                for (a, b) in systems {
+                    let a = std::hint::black_box(a.clone());
+                    let lu = perf::ReferenceLu::factor(&a).unwrap();
+                    std::hint::black_box(lu.solve(b).unwrap());
+                }
+            }
+        },
+        || {
+            for _ in 0..rounds {
+                for (a, b) in systems {
+                    let a = std::hint::black_box(a.clone());
+                    let lu = Lu::factor(a).unwrap();
+                    std::hint::black_box(lu.solve(b).unwrap());
+                }
+            }
+        },
+    )
 }
 
 fn main() {
@@ -202,27 +250,28 @@ fn main() {
     let points_per_sec = total_points / sweep_secs;
     let points_per_sec_per_core = points_per_sec / f64::from(cores);
 
-    // Kernel 2: one generation's fitness batch.
-    let base_pop = perf::gp_population(&grammar, 200, 11);
+    // Kernel 2: consecutive generations' fitness batches. The current
+    // side keeps one scratch across the generations of a pass, so the
+    // columns each batch keeps for the next count.
+    let batches = perf::recorded_generations(20);
     let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
     let fitness_per_generation = comparison(
         iterations,
-        1.0,
+        batches.len() as f64,
         || {
-            let mut pop = base_pop.clone();
-            for ind in &mut pop {
-                ind.invalidate();
+            for batch in &batches {
+                let mut pop = batch.clone();
+                perf::reference_fitness_eval(&mut pop, &data, &settings, &grammar);
+                std::hint::black_box(pop.len());
             }
-            perf::reference_fitness_eval(&mut pop, &data, &settings, &grammar);
-            std::hint::black_box(pop.len());
         },
         || {
-            let mut pop = base_pop.clone();
-            for ind in &mut pop {
-                ind.invalidate();
+            let mut scratch = FitScratch::new();
+            for batch in &batches {
+                let mut pop = batch.clone();
+                evaluator.evaluate_batch(&mut pop, &mut scratch);
+                std::hint::black_box(pop.len());
             }
-            evaluator.evaluate_all(&mut pop);
-            std::hint::black_box(pop.len());
         },
     );
 
@@ -329,8 +378,20 @@ fn main() {
     let checkpoint_kb = std::fs::metadata(&current_path).map_or(0, |m| m.len() / 1024);
     std::fs::remove_dir_all(&work_dir).ok();
 
+    // Kernels 7 and 8: the MNA solves of the circuit simulator, over a
+    // few 20 × 20 systems of the simulator's shape.
+    let lu_ops = 200;
+    let real_systems: Vec<_> = (0..8)
+        .map(|seed| perf::mna_like_system(20, seed, |g, _| g))
+        .collect();
+    let lu_solve_real = lu_comparison(iterations, lu_ops, &real_systems);
+    let complex_systems: Vec<_> = (0..8)
+        .map(|seed| perf::mna_like_system(20, seed, Complex64::new))
+        .collect();
+    let lu_solve_complex = lu_comparison(iterations, lu_ops, &complex_systems);
+
     let snapshot = Snapshot {
-        schema: 4,
+        schema: 5,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -347,6 +408,8 @@ fn main() {
         least_squares,
         nondominated_sort,
         checkpoint_save,
+        lu_solve_real,
+        lu_solve_complex,
     };
 
     let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
@@ -371,6 +434,8 @@ fn main() {
         &format!("checkpoint save {checkpoint_kb} KB"),
         &snapshot.checkpoint_save,
     );
+    row("LU solve real 20x20", &snapshot.lu_solve_real);
+    row("LU solve complex 20x20", &snapshot.lu_solve_complex);
     println!(
         "  throughput: {:.3}M points/s over {} core(s) ({:.3}M points/s/core, lane width {})",
         snapshot.points_per_sec / 1e6,

@@ -14,7 +14,8 @@
 //! the `CAFFEINE_PROFILE` environment variable): `paper` uses the paper's
 //! pop 200 × 5000 generations; `standard` (default) is a calibrated
 //! shorter run that preserves every qualitative conclusion; `quick` is a
-//! smoke test.
+//! smoke test. Any other argument, a repeated `--profile`, or an unknown
+//! profile name exits with status 2 and a usage line.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -53,23 +54,60 @@ impl Profile {
         }
     }
 
-    /// Reads the profile from CLI args (`--profile X`) or the
-    /// `CAFFEINE_PROFILE` environment variable; defaults to `Standard`.
+    /// Reads the profile from the process's arguments and the
+    /// `CAFFEINE_PROFILE` environment variable ([`Profile::from_args`]).
+    /// Anything else prints the error and a usage line naming the binary
+    /// to stderr and exits with status 2, so a typo never runs the
+    /// Standard profile in its place.
     pub fn from_env_args() -> Profile {
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--profile" {
-                if let Some(p) = Profile::parse(&w[1]) {
-                    return p;
-                }
+        let mut args = std::env::args_os().map(|a| a.to_string_lossy().into_owned());
+        let binary = args
+            .next()
+            .and_then(|a| {
+                std::path::Path::new(&a)
+                    .file_name()
+                    .map(|f| f.to_string_lossy().into_owned())
+            })
+            .unwrap_or_else(|| "caffeine-bench".into());
+        let args: Vec<String> = args.collect();
+        let env = std::env::var_os("CAFFEINE_PROFILE").map(|v| v.to_string_lossy().into_owned());
+        match Profile::from_args(&args, env.as_deref()) {
+            Ok(profile) => profile,
+            Err(e) => {
+                eprintln!("{binary}: {e}");
+                eprintln!("usage: {binary} [--profile quick|standard|paper]");
+                std::process::exit(2);
             }
         }
-        if let Ok(v) = std::env::var("CAFFEINE_PROFILE") {
-            if let Some(p) = Profile::parse(&v) {
-                return p;
+    }
+
+    /// Parses a paper binary's arguments (program name excluded) and the
+    /// value of `CAFFEINE_PROFILE`, if set. The only argument is
+    /// `--profile quick|standard|paper`, at most once; it wins over the
+    /// variable, which must name a profile too. With neither, the profile
+    /// is `Standard`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the argument or value that is not understood.
+    pub fn from_args(args: &[String], env: Option<&str>) -> Result<Profile, String> {
+        let from_env = env
+            .map(|v| Profile::parse(v).ok_or_else(|| format!("unknown CAFFEINE_PROFILE {v:?}")))
+            .transpose()?;
+        let mut from_flag = None;
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if arg != "--profile" {
+                return Err(format!("unexpected argument {arg:?}"));
             }
+            if from_flag.is_some() {
+                return Err("--profile given more than once".into());
+            }
+            let value = rest.next().ok_or("--profile needs a value")?;
+            from_flag =
+                Some(Profile::parse(value).ok_or_else(|| format!("unknown profile {value:?}"))?);
         }
-        Profile::Standard
+        Ok(from_flag.or(from_env).unwrap_or(Profile::Standard))
     }
 
     /// The engine settings of this profile (paper Sec. 6.1 where stated).
@@ -120,13 +158,7 @@ impl OtaExperiment {
     /// implementation bug, not a data condition).
     pub fn generate() -> OtaExperiment {
         let tb = OtaTestbench::default_07um();
-        let nominal = OtaDesign::nominal().to_vec();
-        let oa = OrthogonalArray::rao_hamming(5).expect("OA(243,121,3,2)");
-
-        let train_cube = ScaledHypercube::relative(&nominal, 0.10).expect("train cube");
-        let test_cube = ScaledHypercube::relative(&nominal, 0.03).expect("test cube");
-        let train_pts = train_cube.map_array(&oa).expect("train mapping");
-        let test_pts = test_cube.map_array(&oa).expect("test mapping");
+        let (train_pts, test_pts) = sampling_plan();
 
         let (train_rows, train_perf, train_failures) = simulate_all(&tb, &train_pts);
         let (test_rows, test_perf, test_failures) = simulate_all(&tb, &test_pts);
@@ -173,6 +205,33 @@ impl OtaExperiment {
     }
 }
 
+/// The paper's sampling plan (Sec. 6.1): the 243 runs of the orthogonal
+/// array `OA(243, 121, 3, 2)` mapped to ±10 % of the nominal design for
+/// training and to ±3 % for testing, as `(train, test)` points.
+///
+/// # Panics
+///
+/// Panics when the array or the cubes cannot be built (an implementation
+/// bug, not a data condition).
+pub fn sampling_plan() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let nominal = OtaDesign::nominal().to_vec();
+    let oa = OrthogonalArray::rao_hamming(5).expect("OA(243,121,3,2)");
+    let train_cube = ScaledHypercube::relative(&nominal, 0.10).expect("train cube");
+    let test_cube = ScaledHypercube::relative(&nominal, 0.03).expect("test cube");
+    (
+        train_cube.map_array(&oa).expect("train mapping"),
+        test_cube.map_array(&oa).expect("test mapping"),
+    )
+}
+
+/// Simulates one sample of the plan; `None` when the point is not a
+/// valid design or its simulation fails (the paper: "some of which did
+/// not converge").
+pub fn simulate_point(tb: &OtaTestbench, point: &[f64]) -> Option<OtaPerformance> {
+    let design = OtaDesign::from_slice(point).ok()?;
+    tb.simulate(&design).ok()
+}
+
 fn simulate_all(
     tb: &OtaTestbench,
     points: &[Vec<f64>],
@@ -181,19 +240,12 @@ fn simulate_all(
     let mut perfs = Vec::with_capacity(points.len());
     let mut failures = 0;
     for p in points {
-        let design = match OtaDesign::from_slice(p) {
-            Ok(d) => d,
-            Err(_) => {
-                failures += 1;
-                continue;
-            }
-        };
-        match tb.simulate(&design) {
-            Ok(perf) => {
+        match simulate_point(tb, p) {
+            Some(perf) => {
                 rows.push(p.clone());
                 perfs.push(perf);
             }
-            Err(_) => failures += 1,
+            None => failures += 1,
         }
     }
     (rows, perfs, failures)
@@ -307,6 +359,32 @@ mod tests {
         assert_eq!(Profile::parse("quick"), Some(Profile::Quick));
         assert_eq!(Profile::parse("PAPER"), Some(Profile::Paper));
         assert_eq!(Profile::parse("nope"), None);
+    }
+
+    #[test]
+    fn profile_arguments_accept_only_a_known_profile_once() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ok = |a: &[&str], env| Profile::from_args(&args(a), env);
+        assert_eq!(ok(&[], None), Ok(Profile::Standard));
+        assert_eq!(ok(&["--profile", "quick"], None), Ok(Profile::Quick));
+        assert_eq!(ok(&[], Some("paper")), Ok(Profile::Paper));
+        assert_eq!(
+            ok(&["--profile", "quick"], Some("paper")),
+            Ok(Profile::Quick)
+        );
+        for bad in [
+            &["--help"][..],
+            &["--profile", "quik"],
+            &["--profile"],
+            &["--profile", "quick", "--profile", "quick"],
+            &["--profile", "quick", "extra"],
+            &["--profile=quick"],
+            &["quick"],
+        ] {
+            assert!(ok(bad, None).is_err(), "{bad:?} accepted");
+        }
+        assert!(ok(&[], Some("quik")).is_err());
+        assert!(ok(&["--profile", "quick"], Some("")).is_err());
     }
 
     #[test]

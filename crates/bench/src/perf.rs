@@ -10,9 +10,12 @@
 //! the property tests in `tests/` can pin the replacements to them bit
 //! for bit. The row-major walk that built the ridge fallback's normal
 //! equations, the QR weight fit the Gram-space solver replaced (pinned
-//! to it by a tolerance, not bit for bit), and the checkpoint save that
-//! renamed a fresh file over the old snapshot, are kept the same way.
+//! to it by a tolerance, not bit for bit), the checkpoint save that
+//! renamed a fresh file over the old snapshot, and the indexed LU the
+//! circuit simulator solved with before the flat-row kernel
+//! ([`ReferenceLu`]), are kept the same way.
 
+use std::cell::RefCell;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -21,12 +24,16 @@ use rand::{Rng, SeedableRng};
 
 use caffeine_core::expr::{complexity, eval_basis_all, BasisFunction, EvalContext, VarCombo};
 use caffeine_core::fit::{design_matrix, FitOutcome, LinearFit};
-use caffeine_core::gp::{Evaluation, GpOperators, Individual, OperatorSettings};
-use caffeine_core::grammar::RandomExprGen;
+use caffeine_core::gp::{Evaluation, Individual};
 use caffeine_core::sag::SagSettings;
-use caffeine_core::{nsga2, CaffeineSettings, GrammarConfig, Model};
+use caffeine_core::{
+    nsga2, CaffeineSettings, DatasetEvaluator, EngineState, Evaluator, FitScratch, GrammarConfig,
+    Model,
+};
 use caffeine_doe::Dataset;
-use caffeine_linalg::{lstsq, lstsq_ridge, press_statistic, solve_square, LinalgError, Matrix};
+use caffeine_linalg::{
+    lstsq, lstsq_ridge, press_statistic, Complex64, LinalgError, Matrix, Scalar,
+};
 use caffeine_runtime::{IslandRunner, RuntimeCheckpoint, RuntimeConfig, RuntimeError};
 
 /// 243 points × 13 variables with a rational multi-term target — the
@@ -46,31 +53,6 @@ pub fn ota_shaped_dataset() -> Dataset {
         .collect();
     let names = (0..n_vars).map(|j| format!("x{j}")).collect();
     Dataset::new(names, xs, ys).unwrap()
-}
-
-/// A population with realistic post-crossover redundancy: a small parent
-/// pool recombined into `n` offspring, the way generations actually look
-/// once the GP operators have been mixing subtrees.
-pub fn gp_population(grammar: &GrammarConfig, n: usize, seed: u64) -> Vec<Individual> {
-    let gen = RandomExprGen::new(grammar);
-    let ops = GpOperators::new(grammar, OperatorSettings::default());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let parents: Vec<Individual> = (0..n / 5)
-        .map(|_| {
-            Individual::new(vec![
-                gen.gen_basis(&mut rng),
-                gen.gen_basis(&mut rng),
-                gen.gen_basis(&mut rng),
-            ])
-        })
-        .collect();
-    (0..n)
-        .map(|_| {
-            let p1 = &parents[rng.gen_range(0..parents.len())];
-            let p2 = &parents[rng.gen_range(0..parents.len())];
-            ops.make_offspring(&mut rng, p1, p2)
-        })
-        .collect()
 }
 
 /// The pre-tape fitness path: per-individual tree-walk evaluation,
@@ -152,6 +134,47 @@ pub fn reference_fit(
         }),
         Err(_) => FitOutcome::Infeasible,
     }
+}
+
+/// The batches the evaluator sees in generations `1..=generations` of one
+/// Standard-shaped search (pop 200, up to 15 bases, the paper grammar)
+/// over [`ota_shaped_dataset`], each as handed over: the distinct
+/// offspring, not yet evaluated. Replaying them in order through one
+/// kept `FitScratch` measures the fitness path as a run drives it, with
+/// the columns each batch keeps for the next.
+pub fn recorded_generations(generations: usize) -> Vec<Vec<Individual>> {
+    /// Records each batch, then evaluates it through one kept scratch.
+    struct Recorder<'a> {
+        inner: DatasetEvaluator<'a>,
+        scratch: RefCell<FitScratch>,
+        batches: RefCell<Vec<Vec<Individual>>>,
+    }
+    impl Evaluator for Recorder<'_> {
+        fn evaluate_all(&self, population: &mut [Individual]) {
+            self.batches.borrow_mut().push(population.to_vec());
+            self.inner
+                .evaluate_batch(population, &mut self.scratch.borrow_mut());
+        }
+    }
+    let data = ota_shaped_dataset();
+    let mut settings = CaffeineSettings::paper();
+    settings.population = 200;
+    settings.generations = generations;
+    settings.max_bases = 15;
+    let grammar = GrammarConfig::paper_full(data.n_vars());
+    let recorder = Recorder {
+        inner: DatasetEvaluator::new(&settings, &grammar, &data).unwrap(),
+        scratch: RefCell::new(FitScratch::new()),
+        batches: RefCell::new(Vec::new()),
+    };
+    let mut state = EngineState::new(settings, grammar, &recorder).unwrap();
+    while !state.is_done() {
+        state.step(&recorder);
+    }
+    let mut batches = recorder.batches.into_inner();
+    // Batch 0 is the random initial population.
+    batches.remove(0);
+    batches
 }
 
 /// A SAG workload: a model with 26 usable monomial bases over the OTA
@@ -410,13 +433,201 @@ impl ReferenceQr {
     }
 }
 
+/// The magnitude [`ReferenceLu`] pivots on: `|x|` for reals, and for
+/// complex numbers the plain `re.hypot(im)` that `Complex64::abs`
+/// computed before it short-cut zero parts.
+pub trait ReferenceScalar: Scalar {
+    /// The pivot magnitude.
+    fn reference_modulus(self) -> f64;
+}
+
+impl ReferenceScalar for f64 {
+    fn reference_modulus(self) -> f64 {
+        self.abs()
+    }
+}
+
+impl ReferenceScalar for Complex64 {
+    fn reference_modulus(self) -> f64 {
+        self.re.hypot(self.im)
+    }
+}
+
+/// The LU factorization with partial pivoting that `caffeine_linalg::Lu`
+/// replaced: a clone of the matrix walked by `(i, j)` indexing, every
+/// multiplier a full division by the pivot. Kept verbatim as the oracle
+/// the flat-row kernel is pinned to bit for bit (`tests/lu_oracle.rs`)
+/// and as the `lu_solve_real` / `lu_solve_complex` baselines of
+/// `perfsnap`.
+#[derive(Debug, Clone)]
+pub struct ReferenceLu<T = f64> {
+    lu: Matrix<T>,
+    perm: Vec<usize>,
+    perm_sign: f64,
+}
+
+impl<T: ReferenceScalar> ReferenceLu<T> {
+    /// Factors a square matrix.
+    ///
+    /// # Errors
+    ///
+    /// As `caffeine_linalg::Lu::factor`, which takes the matrix by value.
+    pub fn factor(a: &Matrix<T>) -> Result<Self, LinalgError> {
+        if a.rows() != a.cols() {
+            return Err(LinalgError::DimensionMismatch(format!(
+                "LU requires a square matrix, got {}x{}",
+                a.rows(),
+                a.cols()
+            )));
+        }
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm_sign = 1.0;
+        let scale = lu
+            .as_slice()
+            .iter()
+            .map(|v| v.reference_modulus())
+            .fold(0.0, f64::max)
+            .max(f64::MIN_POSITIVE);
+        let tiny = scale * 1e-300_f64.max(f64::EPSILON * 1e-4);
+
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut pivot_mag = lu[(k, k)].reference_modulus();
+            for i in (k + 1)..n {
+                let m = lu[(i, k)].reference_modulus();
+                if m > pivot_mag {
+                    pivot_mag = m;
+                    pivot_row = i;
+                }
+            }
+            if pivot_mag <= tiny || !pivot_mag.is_finite() {
+                return Err(LinalgError::Singular { pivot: k });
+            }
+            if pivot_row != k {
+                perm.swap(k, pivot_row);
+                perm_sign = -perm_sign;
+                for j in 0..n {
+                    let tmp = lu[(k, j)];
+                    lu[(k, j)] = lu[(pivot_row, j)];
+                    lu[(pivot_row, j)] = tmp;
+                }
+            }
+            let pivot = lu[(k, k)];
+            for i in (k + 1)..n {
+                let factor = lu[(i, k)] / pivot;
+                lu[(i, k)] = factor;
+                if factor == T::zero() {
+                    continue;
+                }
+                for j in (k + 1)..n {
+                    let ukj = lu[(k, j)];
+                    lu[(i, j)] -= factor * ukj;
+                }
+            }
+        }
+        Ok(ReferenceLu {
+            lu,
+            perm,
+            perm_sign,
+        })
+    }
+
+    /// Solves `A·x = b` using the stored factors.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] when `b` has the wrong length.
+    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, LinalgError> {
+        let n = self.lu.rows();
+        if b.len() != n {
+            return Err(LinalgError::DimensionMismatch(format!(
+                "rhs length {} does not match system dimension {}",
+                b.len(),
+                n
+            )));
+        }
+        let mut x: Vec<T> = (0..n).map(|i| b[self.perm[i]]).collect();
+        for i in 1..n {
+            let mut acc = x[i];
+            for j in 0..i {
+                acc -= self.lu[(i, j)] * x[j];
+            }
+            x[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for j in (i + 1)..n {
+                acc -= self.lu[(i, j)] * x[j];
+            }
+            x[i] = acc / self.lu[(i, i)];
+        }
+        Ok(x)
+    }
+
+    /// Determinant of the original matrix.
+    pub fn det(&self) -> T {
+        let mut d = T::from_f64(self.perm_sign);
+        for i in 0..self.lu.rows() {
+            d *= self.lu[(i, i)];
+        }
+        d
+    }
+}
+
+/// An `n × n` system shaped like the circuit simulator's MNA matrices:
+/// node rows with three random couplings each and a `1e-12` gmin on the
+/// diagonal, and one voltage-source row and column (a `1` at its node,
+/// zero diagonal) per five unknowns, so most entries are exact zeros and row exchanges happen. A
+/// coupling is a conductance `g` (as `entry(g, 0.0)`) or, one time in
+/// three, a susceptance `b` (as `entry(0.0, b)`): `entry` makes the real
+/// DC entry `g` or the complex AC entry `g + j·b`, which leaves most AC
+/// entries with a zero part, as device stamps do. Returns the matrix and
+/// a right-hand side driven by the sources.
+pub fn mna_like_system<T: Scalar>(
+    n: usize,
+    seed: u64,
+    entry: impl Fn(f64, f64) -> T,
+) -> (Matrix<T>, Vec<T>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sources = n / 5;
+    let nodes = n - sources;
+    let mut a = Matrix::zeros(n, n);
+    for i in 0..nodes {
+        for _ in 0..3 {
+            let j = rng.gen_range(0..nodes);
+            let y = if rng.gen_range(0..3u32) == 0 {
+                entry(0.0, rng.gen_range(1e-6..1e-3))
+            } else {
+                entry(rng.gen_range(1e-6..1e-3), 0.0)
+            };
+            a[(i, i)] += y;
+            if j != i {
+                a[(i, j)] -= y;
+                a[(j, j)] += y;
+                a[(j, i)] -= y;
+            }
+        }
+        a[(i, i)] += entry(1e-12, 0.0);
+    }
+    let mut b = vec![T::zero(); n];
+    for s in 0..sources {
+        let (row, node) = (nodes + s, s * nodes / sources);
+        a[(row, node)] += T::one();
+        a[(node, row)] += T::one();
+        b[row] = entry(rng.gen_range(0.5..3.0), 0.0);
+    }
+    (a, b)
+}
+
 /// The row-major walk `caffeine_linalg::lstsq_ridge_columns` built its
 /// normal equations with before it switched to one dot per Gram entry:
 /// every row is gathered out of the columns, then added into `AᵀA` (rows
 /// with a zero entry skipped, as `Matrix::gram` does) and into `Aᵀb`.
-/// Kept verbatim, with the ridge shift and LU solve the library applies
-/// afterwards, as the oracle the column-dot version is pinned to bit for
-/// bit (`tests/qr_oracle.rs`).
+/// Kept verbatim, with the ridge shift and the LU solve (through
+/// [`ReferenceLu`]) the library applies afterwards, as the oracle the
+/// column-dot version is pinned to bit for bit (`tests/qr_oracle.rs`).
 ///
 /// # Errors
 ///
@@ -464,7 +675,7 @@ pub fn reference_lstsq_ridge_columns(
     for i in 0..n {
         g[(i, i)] += shift;
     }
-    solve_square(&g, &atb)
+    ReferenceLu::factor(&g)?.solve(&atb)
 }
 
 /// The `O(N²)` count-down non-dominated sort (Deb et al.) that

@@ -6,7 +6,7 @@
 //! and right-hand side; this module provides the generic stamping
 //! primitives shared by the DC (real) and AC (complex) engines.
 
-use caffeine_linalg::{Matrix, Scalar};
+use caffeine_linalg::{Lu, Matrix, Scalar};
 
 use crate::netlist::NodeId;
 
@@ -144,14 +144,16 @@ impl<T: Scalar> MnaSystem<T> {
     }
 
     /// Solves the assembled system, returning the raw unknown vector
-    /// `[v_1 … v_N, i_1 … i_M]`.
+    /// `[v_1 … v_N, i_1 … i_M]`. The matrix is factored in its own
+    /// storage ([`Lu::factor`]): every analysis assembles a fresh
+    /// system per solve.
     ///
     /// # Errors
     ///
     /// [`caffeine_linalg::LinalgError::Singular`] when the system is
     /// singular (floating node, voltage-source loop).
-    pub fn solve(&self) -> Result<Vec<T>, caffeine_linalg::LinalgError> {
-        caffeine_linalg::solve_square(&self.a, &self.z)
+    pub fn solve(self) -> Result<Vec<T>, caffeine_linalg::LinalgError> {
+        Lu::factor(self.a)?.solve(&self.z)
     }
 
     /// Direct read access to the assembled matrix (for tests/inspection).
@@ -218,7 +220,7 @@ mod tests {
     fn gmin_regularizes_floating_node() {
         let mut sys: MnaSystem<f64> = MnaSystem::new(1, 0);
         // Node 1 floats: singular without gmin.
-        assert!(sys.solve().is_err());
+        assert!(sys.clone().solve().is_err());
         sys.stamp_gmin(1e-12);
         let x = sys.solve().unwrap();
         assert_eq!(x[0], 0.0);

@@ -150,7 +150,7 @@ mod tests {
         let b = vec![1.0, 2.0];
         let mut x_ch = b.clone();
         factored(&a).unwrap().solve(&mut x_ch).unwrap();
-        let x_lu = crate::lu::solve_square(&a, &b).unwrap();
+        let x_lu = crate::Lu::factor(a.clone()).unwrap().solve(&b).unwrap();
         for (u, v) in x_ch.iter().zip(x_lu.iter()) {
             assert!((u - v).abs() < 1e-12);
         }

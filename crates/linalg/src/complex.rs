@@ -55,9 +55,20 @@ impl Complex64 {
     }
 
     /// Modulus (absolute value) `|z|`, computed with `hypot` for stability.
+    ///
+    /// A zero part short-cuts to the other part's absolute value: C99
+    /// Annex F defines `hypot(x, ±0)` as `|x|` (and `hypot` as symmetric),
+    /// so the shortcut gives `hypot`'s bits for every non-NaN input, and a
+    /// NaN for a NaN. Most entries of an MNA matrix have a zero part.
     #[inline]
     pub fn abs(self) -> f64 {
-        self.re.hypot(self.im)
+        if self.im == 0.0 {
+            self.re.abs()
+        } else if self.re == 0.0 {
+            self.im.abs()
+        } else {
+            self.re.hypot(self.im)
+        }
     }
 
     /// Argument (phase) in radians, in `(-π, π]`.

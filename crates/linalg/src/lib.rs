@@ -62,7 +62,7 @@ pub use complex::Complex64;
 pub use error::LinalgError;
 pub use gram::{GramColumn, GramSolver};
 pub use incremental::{ColumnTrial, IncrementalQr};
-pub use lu::{solve_square, Lu};
+pub use lu::Lu;
 pub use matrix::Matrix;
 pub use nnls::{nnls, NnlsSolution};
 pub use press::{hat_diagonal, press_statistic, PressReport};

@@ -12,7 +12,7 @@ use crate::{LinalgError, Matrix, Scalar};
 ///
 /// # fn main() -> Result<(), caffeine_linalg::LinalgError> {
 /// let a: Matrix = Matrix::from_rows(&[vec![0.0, 2.0], vec![1.0, 1.0]]);
-/// let lu = Lu::factor(&a)?;
+/// let lu = Lu::factor(a)?;
 /// let x = lu.solve(&[2.0, 2.0])?;
 /// assert!((x[0] - 1.0).abs() < 1e-12);
 /// assert!((x[1] - 1.0).abs() < 1e-12);
@@ -30,61 +30,70 @@ pub struct Lu<T = f64> {
 }
 
 impl<T: Scalar> Lu<T> {
-    /// Factors a square matrix.
+    /// Factors a square matrix in its own storage: the factors replace
+    /// the entries. A caller that still needs the matrix factors a clone;
+    /// the circuit simulator's freshly assembled MNA systems and the ridge
+    /// fallback's Gram matrix are not needed again.
+    ///
+    /// The elimination walks flat row slices and divides each column by
+    /// its pivot through [`Scalar::prepare_divisor`], computed once per
+    /// column. Every entry goes through the same floating-point operations
+    /// in the same order as an element-by-element Doolittle loop, so the
+    /// factors are that loop's bits exactly.
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::DimensionMismatch`] if `a` is not square.
+    /// * [`LinalgError::DimensionMismatch`] if the matrix is not square.
     /// * [`LinalgError::Singular`] if a pivot is exactly zero or numerically
     ///   negligible relative to the matrix scale.
-    pub fn factor(a: &Matrix<T>) -> Result<Self, LinalgError> {
-        if a.rows() != a.cols() {
+    pub fn factor(mut lu: Matrix<T>) -> Result<Self, LinalgError> {
+        if lu.rows() != lu.cols() {
             return Err(LinalgError::DimensionMismatch(format!(
                 "LU requires a square matrix, got {}x{}",
-                a.rows(),
-                a.cols()
+                lu.rows(),
+                lu.cols()
             )));
         }
-        let n = a.rows();
-        let mut lu = a.clone();
+        let n = lu.rows();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
         let scale = lu.max_abs().max(f64::MIN_POSITIVE);
         let tiny = scale * 1e-300_f64.max(f64::EPSILON * 1e-4);
+        let data = lu.as_mut_slice();
 
         for k in 0..n {
             // Partial pivoting: pick the largest remaining entry in column k.
             let mut pivot_row = k;
-            let mut pivot_mag = lu[(k, k)].modulus();
-            for i in (k + 1)..n {
-                let m = lu[(i, k)].modulus();
+            let mut pivot_mag = data[k * n + k].modulus();
+            let column = data[k * n + k..].iter().step_by(n);
+            for (i, v) in column.enumerate().skip(1) {
+                let m = v.modulus();
                 if m > pivot_mag {
                     pivot_mag = m;
-                    pivot_row = i;
+                    pivot_row = k + i;
                 }
             }
             if pivot_mag <= tiny || !pivot_mag.is_finite() {
                 return Err(LinalgError::Singular { pivot: k });
             }
+            let (above, below) = data.split_at_mut((k + 1) * n);
+            let row_k = &mut above[k * n..];
             if pivot_row != k {
                 perm.swap(k, pivot_row);
                 perm_sign = -perm_sign;
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(pivot_row, j)];
-                    lu[(pivot_row, j)] = tmp;
-                }
+                let off = (pivot_row - k - 1) * n;
+                row_k.swap_with_slice(&mut below[off..off + n]);
             }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
+            let divisor = row_k[k].prepare_divisor();
+            let u = &row_k[k + 1..];
+            for row in below.chunks_exact_mut(n) {
+                let factor = row[k].div_prepared(divisor);
+                row[k] = factor;
                 if factor == T::zero() {
                     continue;
                 }
-                for j in (k + 1)..n {
-                    let ukj = lu[(k, j)];
-                    lu[(i, j)] -= factor * ukj;
+                for (x, &ukj) in row[k + 1..].iter_mut().zip(u) {
+                    *x -= factor * ukj;
                 }
             }
         }
@@ -114,49 +123,50 @@ impl<T: Scalar> Lu<T> {
                 n
             )));
         }
+        let lu = self.lu.as_slice();
         // Apply permutation, then forward substitution (L has unit diagonal).
-        let mut x: Vec<T> = (0..n).map(|i| b[self.perm[i]]).collect();
+        let mut x: Vec<T> = self.perm.iter().map(|&p| b[p]).collect();
         for i in 1..n {
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= self.lu[(i, j)] * x[j];
+            let (solved, rest) = x.split_at_mut(i);
+            let mut acc = rest[0];
+            for (&lij, &xj) in lu[i * n..i * n + i].iter().zip(solved.iter()) {
+                acc -= lij * xj;
             }
-            x[i] = acc;
+            rest[0] = acc;
         }
         // Back substitution with U.
         for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(i, j)] * x[j];
+            let (head, solved) = x.split_at_mut(i + 1);
+            let row = &lu[i * n..(i + 1) * n];
+            let mut acc = head[i];
+            for (&uij, &xj) in row[i + 1..].iter().zip(solved.iter()) {
+                acc -= uij * xj;
             }
-            x[i] = acc / self.lu[(i, i)];
+            head[i] = acc / row[i];
         }
         Ok(x)
     }
 
     /// Determinant of the original matrix.
     pub fn det(&self) -> T {
+        let n = self.dim();
+        let lu = self.lu.as_slice();
         let mut d = T::from_f64(self.perm_sign);
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
+        for i in 0..n {
+            d *= lu[i * n + i];
         }
         d
     }
-}
-
-/// Convenience: factor-and-solve a single square system `A·x = b`.
-///
-/// # Errors
-///
-/// Propagates the factorization and solve errors of [`Lu`].
-pub fn solve_square<T: Scalar>(a: &Matrix<T>, b: &[T]) -> Result<Vec<T>, LinalgError> {
-    Lu::factor(a)?.solve(b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Complex64;
+
+    fn solve_square<T: Scalar>(a: &Matrix<T>, b: &[T]) -> Result<Vec<T>, LinalgError> {
+        Lu::factor(a.clone())?.solve(b)
+    }
 
     fn residual_inf_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.matvec(x).unwrap();
@@ -188,14 +198,14 @@ mod tests {
     #[test]
     fn singular_matrix_is_detected() {
         let a: Matrix = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(matches!(Lu::factor(&a), Err(LinalgError::Singular { .. })));
+        assert!(matches!(Lu::factor(a), Err(LinalgError::Singular { .. })));
     }
 
     #[test]
     fn non_square_is_rejected() {
         let a: Matrix = Matrix::zeros(2, 3);
         assert!(matches!(
-            Lu::factor(&a),
+            Lu::factor(a),
             Err(LinalgError::DimensionMismatch(_))
         ));
     }
@@ -203,14 +213,14 @@ mod tests {
     #[test]
     fn determinant_matches_cofactor_expansion() {
         let a: Matrix = Matrix::from_rows(&[vec![3.0, 8.0], vec![4.0, 6.0]]);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a).unwrap();
         assert!((lu.det() - (3.0 * 6.0 - 8.0 * 4.0)).abs() < 1e-12);
     }
 
     #[test]
     fn determinant_tracks_permutation_sign() {
         let a: Matrix = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a).unwrap();
         assert!((lu.det() + 1.0).abs() < 1e-12);
     }
 
@@ -230,7 +240,7 @@ mod tests {
     #[test]
     fn rhs_length_mismatch_errors() {
         let a: Matrix = Matrix::identity(3);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a).unwrap();
         assert!(matches!(
             lu.solve(&[1.0, 2.0]),
             Err(LinalgError::DimensionMismatch(_))

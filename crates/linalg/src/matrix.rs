@@ -137,6 +137,13 @@ impl<T: Scalar> Matrix<T> {
         &self.data
     }
 
+    /// Mutably borrows the row-major storage: the kernels that factor a
+    /// matrix in place walk it as flat rows.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// Borrows row `i` as a contiguous slice.
     ///
     /// # Panics

@@ -160,7 +160,7 @@ mod tests {
             let mut cols = Vec::new();
             for j in 0..at.cols() {
                 let col = at.column(j);
-                cols.push(crate::lu::solve_square(&g, &col).unwrap());
+                cols.push(crate::Lu::factor(g.clone()).unwrap().solve(&col).unwrap());
             }
             Matrix::from_columns(&cols)
         };

@@ -742,7 +742,8 @@ fn dot_chains<const G: usize>(x: &[f64], ys: &[&[f64]], out: &mut [f64; GROUP]) 
 }
 
 /// Solves `(G + λ·mean(diag G)·I)·x = Aᵀb`, the step both ridge drivers
-/// share once they hold the Gram matrix.
+/// share once they hold the Gram matrix. The shifted matrix is factored
+/// in its own storage.
 fn ridge_solve(mut g: Matrix, atb: &[f64], lambda: f64) -> Result<Vec<f64>, LinalgError> {
     // Scale the ridge with the Gram diagonal so `lambda` is dimensionless.
     let mean_diag = (0..g.cols()).map(|i| g[(i, i)]).sum::<f64>() / g.cols().max(1) as f64;
@@ -750,7 +751,7 @@ fn ridge_solve(mut g: Matrix, atb: &[f64], lambda: f64) -> Result<Vec<f64>, Lina
     for i in 0..g.cols() {
         g[(i, i)] += shift;
     }
-    crate::lu::solve_square(&g, atb)
+    crate::Lu::factor(g)?.solve(atb)
 }
 
 #[cfg(test)]

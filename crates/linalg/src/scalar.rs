@@ -42,6 +42,23 @@ pub trait Scalar:
     fn conj(self) -> Self;
     /// `true` when the value is finite (both parts for complex numbers).
     fn is_finite_scalar(self) -> bool;
+
+    /// `self` in the form [`Scalar::div_prepared`] divides by. A kernel
+    /// that divides many values by one pivot prepares it once.
+    ///
+    /// The default is the value itself (one correctly rounded division
+    /// per quotient, as for `f64`); [`Complex64`] returns its reciprocal,
+    /// because its `Div` is by definition `* recip()`.
+    #[inline]
+    fn prepare_divisor(self) -> Self {
+        self
+    }
+
+    /// `self / d`, bit for bit, given `prepared = d.prepare_divisor()`.
+    #[inline]
+    fn div_prepared(self, prepared: Self) -> Self {
+        self / prepared
+    }
 }
 
 impl Scalar for f64 {
@@ -95,6 +112,14 @@ impl Scalar for Complex64 {
     #[inline]
     fn is_finite_scalar(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
+    }
+    #[inline]
+    fn prepare_divisor(self) -> Self {
+        self.recip()
+    }
+    #[inline]
+    fn div_prepared(self, prepared: Self) -> Self {
+        self * prepared
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use caffeine_linalg::{lstsq, lstsq_ridge, nnls, press_statistic, solve_square, Matrix, Qr};
+use caffeine_linalg::{lstsq, lstsq_ridge, nnls, press_statistic, Lu, Matrix, Qr};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned square matrix (diagonally dominant).
@@ -40,7 +40,7 @@ proptest! {
         a in square_matrix(6),
         b in proptest::collection::vec(-10.0f64..10.0, 6),
     ) {
-        let x = solve_square(&a, &b).unwrap();
+        let x = Lu::factor(a.clone()).unwrap().solve(&b).unwrap();
         let ax = a.matvec(&x).unwrap();
         for (l, r) in ax.iter().zip(b.iter()) {
             prop_assert!((l - r).abs() < 1e-8);
@@ -117,8 +117,8 @@ proptest! {
 
     #[test]
     fn det_is_multiplicative_under_transpose(a in square_matrix(4)) {
-        let d1 = caffeine_linalg::Lu::factor(&a).unwrap().det();
-        let d2 = caffeine_linalg::Lu::factor(&a.transpose()).unwrap().det();
+        let d1 = Lu::factor(a.clone()).unwrap().det();
+        let d2 = Lu::factor(a.transpose()).unwrap().det();
         prop_assert!((d1 - d2).abs() < 1e-6 * d1.abs().max(1.0));
     }
 }
