@@ -12,79 +12,43 @@
 //! Run with `cargo run --release -p caffeine-bench --bin ablation
 //! [--profile quick|standard|paper]`.
 
-use caffeine_bench::{paper_metric, pct, write_artifact, OtaExperiment, Profile};
+use caffeine_bench::{
+    paper_metric, pct, sag_tradeoff, search, write_artifact, OtaExperiment, Profile,
+};
 use caffeine_circuit::ota::PerfId;
-use caffeine_core::sag::{simplify_front, SagSettings};
-use caffeine_core::{pareto, CaffeineSettings, GrammarConfig, Model};
+use caffeine_core::{CaffeineSettings, GrammarConfig, Model};
 use caffeine_doe::SplitDataset;
-use caffeine_runtime::{IslandRunner, RuntimeConfig};
 
 struct Outcome {
-    label: String,
     best_train: f64,
     best_test: f64,
     front_size: usize,
 }
 
-fn evaluate_models(models: &[Model], split: &SplitDataset) -> (f64, f64) {
-    let metric = paper_metric();
-    let mut best_train = f64::INFINITY;
-    let mut best_test = f64::INFINITY;
-    for m in models {
-        best_train = best_train.min(m.train_error);
-        let t = m
-            .test_error
-            .unwrap_or_else(|| m.error_on(split.test.points(), split.test.targets(), &metric));
-        best_test = best_test.min(t);
-    }
-    (best_train, best_test)
-}
-
 fn run_variant(
-    label: &str,
     split: &SplitDataset,
     settings: CaffeineSettings,
     grammar: GrammarConfig,
     apply_sag: bool,
 ) -> Outcome {
-    let result = IslandRunner::new(
-        settings.clone(),
-        grammar,
-        RuntimeConfig::default(),
-        &split.train,
-    )
-    .and_then(|mut runner| runner.run(&split.train))
-    .expect("engine run");
+    let front = search(split, &settings, grammar);
     let models: Vec<Model> = if apply_sag {
-        let sag = SagSettings {
-            metric: settings.metric,
-            complexity: settings.complexity,
-            ..SagSettings::default()
-        };
-        pareto::train_tradeoff(&simplify_front(
-            &result.models,
-            &split.train,
-            &split.test,
-            &sag,
-        ))
+        sag_tradeoff(&front, split, &settings)
     } else {
         // Record test errors without simplification.
         let metric = paper_metric();
-        result
-            .models
-            .iter()
-            .map(|m| {
-                let mut m = m.clone();
+        front
+            .into_iter()
+            .map(|mut m| {
                 m.test_error = Some(m.error_on(split.test.points(), split.test.targets(), &metric));
                 m
             })
             .collect()
     };
-    let (best_train, best_test) = evaluate_models(&models, split);
+    let best = |error: fn(&Model) -> f64| models.iter().map(error).fold(f64::INFINITY, f64::min);
     Outcome {
-        label: label.to_string(),
-        best_train,
-        best_test,
+        best_train: best(|m| m.train_error),
+        best_test: best(|m| m.test_error.unwrap_or(f64::INFINITY)),
         front_size: models.len(),
     }
 }
@@ -95,64 +59,50 @@ fn main() {
     let exp = OtaExperiment::generate();
     let split = exp.split(PerfId::Pm);
     let base = profile.settings(303);
-
-    let mut outcomes: Vec<Outcome> = Vec::new();
-
-    // 1. SAG on/off.
-    outcomes.push(run_variant(
-        "baseline (full grammar, 5x param, SAG)",
-        split,
-        base.clone(),
-        GrammarConfig::paper_full(13),
-        true,
-    ));
-    outcomes.push(run_variant(
-        "no SAG",
-        split,
-        base.clone(),
-        GrammarConfig::paper_full(13),
-        false,
-    ));
-
-    // 2. Parameter-mutation bias.
-    for bias in [0.0, 1.0] {
+    let with = |change: fn(&mut CaffeineSettings)| {
         let mut s = base.clone();
-        s.param_mutation_weight = bias;
-        outcomes.push(run_variant(
-            &format!("param mutation {bias}x"),
-            split,
-            s,
-            GrammarConfig::paper_full(13),
+        change(&mut s);
+        s
+    };
+    let full = GrammarConfig::paper_full(13);
+    let variants = [
+        // 1. SAG on/off.
+        (
+            "baseline (full grammar, 5x param, SAG)",
+            base.clone(),
+            full.clone(),
             true,
-        ));
-    }
-
-    // 3. Grammar restrictions.
-    outcomes.push(run_variant(
-        "rational grammar",
-        split,
-        base.clone(),
-        GrammarConfig::rational(13),
-        true,
-    ));
-    outcomes.push(run_variant(
-        "polynomial grammar",
-        split,
-        base.clone(),
-        GrammarConfig::polynomial(13),
-        true,
-    ));
-
-    // 4. Basis budget.
-    let mut tight = base.clone();
-    tight.max_bases = 5;
-    outcomes.push(run_variant(
-        "max 5 bases",
-        split,
-        tight,
-        GrammarConfig::paper_full(13),
-        true,
-    ));
+        ),
+        ("no SAG", base.clone(), full.clone(), false),
+        // 2. Parameter-mutation bias.
+        (
+            "param mutation 0x",
+            with(|s| s.param_mutation_weight = 0.0),
+            full.clone(),
+            true,
+        ),
+        (
+            "param mutation 1x",
+            with(|s| s.param_mutation_weight = 1.0),
+            full.clone(),
+            true,
+        ),
+        // 3. Grammar restrictions.
+        (
+            "rational grammar",
+            base.clone(),
+            GrammarConfig::rational(13),
+            true,
+        ),
+        (
+            "polynomial grammar",
+            base.clone(),
+            GrammarConfig::polynomial(13),
+            true,
+        ),
+        // 4. Basis budget.
+        ("max 5 bases", with(|s| s.max_bases = 5), full, true),
+    ];
 
     println!();
     println!("=== Ablations on PM ===");
@@ -161,16 +111,17 @@ fn main() {
         "variant", "best qwc", "best qtc", "front"
     );
     let mut artifact = Vec::new();
-    for o in &outcomes {
+    for (label, settings, grammar, apply_sag) in variants {
+        let o = run_variant(split, settings, grammar, apply_sag);
         println!(
             "{:<42} {:>10} {:>10} {:>7}",
-            o.label,
+            label,
             pct(o.best_train),
             pct(o.best_test),
             o.front_size
         );
         artifact.push(serde_json::json!({
-            "variant": o.label,
+            "variant": label,
             "best_qwc": o.best_train,
             "best_qtc": o.best_test,
             "front_size": o.front_size,

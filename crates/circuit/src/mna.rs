@@ -155,16 +155,6 @@ impl<T: Scalar> MnaSystem<T> {
     pub fn solve(self) -> Result<Vec<T>, caffeine_linalg::LinalgError> {
         Lu::factor(self.a)?.solve(&self.z)
     }
-
-    /// Direct read access to the assembled matrix (for tests/inspection).
-    pub fn matrix(&self) -> &Matrix<T> {
-        &self.a
-    }
-
-    /// Direct read access to the assembled right-hand side.
-    pub fn rhs(&self) -> &[T] {
-        &self.z
-    }
 }
 
 /// Expands a raw MNA solution into per-node voltages indexed by `NodeId`
