@@ -144,14 +144,19 @@ pub fn solve_ac(
 /// Finds the unity-gain frequency of `|H|` at `node` by bisection on a log
 /// grid, returning `(fu, phase_at_fu_degrees)`.
 ///
-/// The search brackets the first crossing of `|H| = 1` on the sweep and
-/// refines it with 40 bisection steps, re-solving the AC system each time
-/// (cheap for our circuit sizes).
+/// The search walks the `coarse_points` log-spaced frequencies upward,
+/// solving one at a time, and stops at the first high-to-low crossing of
+/// `|H| = 1`; it then refines that bracket with 40 bisection steps,
+/// re-solving the AC system each time (cheap for our circuit sizes).
+/// Nothing above the crossing is solved, so a system that is singular
+/// only there does not fail the search.
 ///
 /// # Errors
 ///
-/// [`CircuitError::PerformanceExtraction`] when `|H|` never crosses unity
-/// inside the swept band.
+/// * [`CircuitError::PerformanceExtraction`] when `|H|` never crosses
+///   unity inside the swept band.
+/// * [`CircuitError::SingularSystem`] when the system is singular at a
+///   frequency solved on the way.
 pub fn unity_gain_crossing(
     netlist: &Netlist,
     dc: &DcSolution,
@@ -161,14 +166,13 @@ pub fn unity_gain_crossing(
     coarse_points: usize,
 ) -> Result<(f64, f64), CircuitError> {
     let freqs = log_frequencies(f_start, f_stop, coarse_points);
-    let sweep = solve_ac(netlist, dc, &freqs)?;
-    let mags: Vec<f64> = sweep.response_at(node).iter().map(|h| h.abs()).collect();
-
-    // Locate the first high-to-low crossing of 1.0.
+    let mut mags: Vec<f64> = Vec::with_capacity(freqs.len());
     let mut bracket = None;
-    for i in 1..mags.len() {
-        if mags[i - 1] >= 1.0 && mags[i] < 1.0 {
-            bracket = Some((freqs[i - 1], freqs[i]));
+    for (i, &f) in freqs.iter().enumerate() {
+        let mag = solve_ac(netlist, dc, &[f])?.node_voltages[0][node.0].abs();
+        mags.push(mag);
+        if i > 0 && mags[i - 1] >= 1.0 && mag < 1.0 {
+            bracket = Some((freqs[i - 1], f));
             break;
         }
     }

@@ -34,13 +34,13 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Map, Serialize, Value};
 
 use caffeine_doe::{Dataset, PointMatrix};
 use caffeine_obs::PhaseAccumulator;
 
 use crate::expr::{bases_bits_eq, bases_bits_key, complexity, ComplexityWeights, EvalContext};
-use crate::fit::{fit_linear_weights_cached, FitOutcome, FitScratch};
+use crate::fit::{fit_bound, FitOutcome, FitScratch};
 use crate::gp::{Evaluation, GpOperators, Individual, OperatorSettings};
 use crate::metrics::ErrorMetric;
 use crate::model::Model;
@@ -237,21 +237,16 @@ impl FitProblem {
     }
 
     /// Fits the linear weights and fills the cached evaluation of one
-    /// individual (no-op when already evaluated). Pure: depends only on
-    /// the individual and this problem — the scratch is memoization only
-    /// and never changes outcomes.
+    /// individual (no-op when already evaluated), through a scratch bound
+    /// to this problem. Pure: depends only on the individual and this
+    /// problem — the scratch is memoization only and never changes
+    /// outcomes.
     fn evaluate(&self, ind: &mut Individual, scratch: &mut FitScratch) {
         if ind.eval.is_some() {
             return;
         }
         let cx = complexity(&ind.bases, &self.complexity);
-        let eval = match fit_linear_weights_cached(
-            &ind.bases,
-            &self.pm,
-            &self.targets,
-            &self.ctx,
-            scratch,
-        ) {
+        let eval = match fit_bound(&ind.bases, &self.pm, &self.targets, &self.ctx, scratch) {
             FitOutcome::Fit(fit) => {
                 let err = self.metric.compute(&fit.predictions, &self.targets);
                 let feasible = err.is_finite();
@@ -278,6 +273,7 @@ impl FitProblem {
     /// columns the scratch's previous batch looked up, and drops the rest
     /// (see [`FitScratch`]). The items may be plain `&mut Individual`s or
     /// guards of individuals claimed one at a time from a shared batch.
+    /// The scratch is bound to this problem once, for the whole batch.
     /// Cache traffic is counted into the phase accumulator when one is
     /// attached.
     pub fn evaluate_each<I>(&self, individuals: I, scratch: &mut FitScratch)
@@ -289,6 +285,7 @@ impl FitProblem {
             scratch.set_telemetry(Arc::clone(phases));
         }
         scratch.begin_batch();
+        scratch.bind_problem(&self.pm, &self.ctx, &self.targets);
         let (hits_before, misses_before) = (scratch.cache_hits(), scratch.cache_misses());
         for mut ind in individuals {
             self.evaluate(&mut ind, scratch);
@@ -416,7 +413,17 @@ impl Evaluator for DatasetEvaluator<'_> {
 /// Serializable: a snapshot of this struct *is* a checkpoint, and because
 /// the vendored RNG's stream is a stability contract, deserializing a
 /// snapshot and continuing reproduces the uninterrupted run exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Beside the population it carries a bitwise key of each member's
+/// basis list, which [`EngineState::step`] needs to spot offspring that
+/// repeat a member. The keys are never serialized: loading a snapshot
+/// recomputes them. Replace members through
+/// [`EngineState::replace_member`], which keeps the keys current; after
+/// any other edit of `population` that keeps its length, keys go stale
+/// until the next load. That can only forgo reuses (every key match is
+/// confirmed bit for bit) and never moves a bit of the run; debug
+/// builds assert at each step that the keys are current.
+#[derive(Debug, Clone)]
 pub struct EngineState {
     /// The run settings this state evolves under.
     pub settings: CaffeineSettings,
@@ -430,6 +437,51 @@ pub struct EngineState {
     pub rng: StdRng,
     /// Progress snapshots recorded so far.
     pub stats: Vec<EvolutionStats>,
+    /// [`bases_bits_key`] of each member of `population`, in order.
+    keys: Vec<u64>,
+}
+
+/// The six public fields, as a derive would write them; the carried keys
+/// stay out (the vendored derive has no `skip`).
+impl Serialize for EngineState {
+    fn to_value(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("settings".into(), self.settings.to_value());
+        m.insert("grammar".into(), self.grammar.to_value());
+        m.insert("generation".into(), self.generation.to_value());
+        m.insert("population".into(), self.population.to_value());
+        m.insert("rng".into(), self.rng.to_value());
+        m.insert("stats".into(), self.stats.to_value());
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for EngineState {
+    fn from_value(v: &Value) -> Result<EngineState, serde::Error> {
+        let settings = serde::get_field(v, "settings")?;
+        let grammar = serde::get_field(v, "grammar")?;
+        let generation = serde::get_field(v, "generation")?;
+        let population: Vec<Individual> = serde::get_field(v, "population")?;
+        let rng = serde::get_field(v, "rng")?;
+        let stats = serde::get_field(v, "stats")?;
+        Ok(EngineState {
+            settings,
+            grammar,
+            generation,
+            keys: member_keys(&population),
+            population,
+            rng,
+            stats,
+        })
+    }
+}
+
+/// The [`bases_bits_key`] of every member.
+fn member_keys(population: &[Individual]) -> Vec<u64> {
+    population
+        .iter()
+        .map(|ind| bases_bits_key(&ind.bases))
+        .collect()
 }
 
 impl EngineState {
@@ -465,10 +517,24 @@ impl EngineState {
             settings,
             grammar,
             generation: 0,
+            keys: member_keys(&population),
             population,
             rng,
             stats: Vec::new(),
         })
+    }
+
+    /// Puts `member` at `slot` of the population (migration's
+    /// replacement of a worst member), keeping the carried keys current.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` is out of range.
+    pub fn replace_member(&mut self, slot: usize, member: Individual) {
+        if self.keys.len() == self.population.len() {
+            self.keys[slot] = bases_bits_key(&member.bases);
+        }
+        self.population[slot] = member;
     }
 
     /// `true` once `settings.generations` generations have completed.
@@ -494,10 +560,19 @@ impl EngineState {
     /// evaluation instead of a fit; only the distinct rest reach
     /// `evaluator`. Evaluation is a pure function of the bases, so the
     /// resulting population is the same as if every offspring were fitted
-    /// (see [`crate::fit`] for all levels of this reuse).
+    /// (see [`crate::fit`] for all levels of this reuse). The members'
+    /// keys are carried from the step that placed them; each offspring's
+    /// is computed once, as it is placed.
     pub fn step(&mut self, evaluator: &dyn Evaluator) {
         let generation = self.generation;
         let ops = GpOperators::new(&self.grammar, op_settings(&self.settings));
+        if self.keys.len() != self.population.len() {
+            self.keys = member_keys(&self.population);
+        }
+        debug_assert!(
+            self.keys == member_keys(&self.population),
+            "carried member keys are stale"
+        );
 
         let objectives: Vec<[f64; 2]> =
             self.population.iter().map(Individual::objectives).collect();
@@ -505,7 +580,7 @@ impl EngineState {
 
         let size = self.settings.population;
         let mut offspring: Vec<Individual> = Vec::with_capacity(size);
-        {
+        let mut offspring_keys = {
             // Wall-clock telemetry lives entirely outside `self`: it is
             // never serialized, never compared, and never touches the RNG,
             // so instrumented and uninstrumented runs stay bit-identical.
@@ -513,7 +588,7 @@ impl EngineState {
             // counts here too.
             let _eval = evaluator.phases().map(|a| a.span(phases::EVAL_WALL));
             let (population, rng) = (&self.population, &mut self.rng);
-            let mut reuse = Reuse::new(population);
+            let mut reuse = Reuse::new(population, &self.keys);
             let evaluated = evaluator.evaluate_streamed(size, &mut |publish| {
                 // Offspring via binary tournament + the operator suite.
                 while offspring.len() < size {
@@ -523,17 +598,20 @@ impl EngineState {
                     reuse.place(child, &mut offspring, publish);
                 }
             });
-            reuse.finish(&mut offspring, evaluated, evaluator);
-        }
+            reuse.finish(&mut offspring, evaluated, evaluator)
+        };
 
         // Elitist environmental selection over parents + offspring.
         let mut combined = std::mem::take(&mut self.population);
         combined.append(&mut offspring);
+        let mut combined_keys = std::mem::take(&mut self.keys);
+        combined_keys.append(&mut offspring_keys);
         let combined_objs: Vec<[f64; 2]> = combined.iter().map(Individual::objectives).collect();
         let survivors = nsga2::environmental_selection(&combined_objs, self.settings.population);
         // Survivor indices are distinct: move each one out instead of
         // cloning it. The placeholders left behind allocate nothing and
         // are dropped with `combined`.
+        self.keys = survivors.iter().map(|&i| combined_keys[i]).collect();
         self.population = survivors
             .into_iter()
             .map(|i| std::mem::replace(&mut combined[i], vacated()))
@@ -587,6 +665,8 @@ struct Reuse<'p> {
     /// Every evaluated member, and every published offspring, under the
     /// [`bases_bits_key`] of its basis list.
     seen: HashMap<u64, Seen, BuildHasherDefault<DefaultHasher>>,
+    /// The key of each placed offspring, in offspring order.
+    keys: Vec<u64>,
     /// Published offspring, in publish order.
     distinct: Vec<usize>,
     /// `(copy, source)`: offspring `copy` has the key of the published
@@ -602,18 +682,20 @@ enum Seen {
 }
 
 impl<'p> Reuse<'p> {
-    fn new(population: &'p [Individual]) -> Reuse<'p> {
+    /// Files every evaluated member under its key (`keys`, aligned with
+    /// `population`).
+    fn new(population: &'p [Individual], keys: &[u64]) -> Reuse<'p> {
         let mut seen: HashMap<u64, Seen, BuildHasherDefault<DefaultHasher>> =
             HashMap::with_capacity_and_hasher(2 * population.len(), Default::default());
-        for (i, member) in population.iter().enumerate() {
+        for (i, (member, &key)) in population.iter().zip(keys).enumerate() {
             if member.eval.is_some() {
-                seen.entry(bases_bits_key(&member.bases))
-                    .or_insert(Seen::Member(i));
+                seen.entry(key).or_insert(Seen::Member(i));
             }
         }
         Reuse {
             population,
             seen,
+            keys: Vec::with_capacity(population.len()),
             distinct: Vec::with_capacity(population.len()),
             repeats: Vec::new(),
         }
@@ -632,6 +714,7 @@ impl<'p> Reuse<'p> {
     ) {
         let i = offspring.len();
         let key = bases_bits_key(&child.bases);
+        self.keys.push(key);
         match self.seen.get(&key).copied() {
             Some(Seen::Member(j)) if bases_bits_eq(&self.population[j].bases, &child.bases) => {
                 child.eval = self.population[j].eval.clone();
@@ -658,12 +741,13 @@ impl<'p> Reuse<'p> {
     /// Puts the evaluated offspring (in publish order) back in place and
     /// hands each confirmed repeat its source's evaluation. Repeats whose
     /// lists prove unequal (a hash collision) are evaluated afterwards.
+    /// Returns the offspring's keys, in offspring order.
     fn finish(
         self,
         offspring: &mut [Individual],
         evaluated: Vec<Individual>,
         evaluator: &dyn Evaluator,
-    ) {
+    ) -> Vec<u64> {
         for (&i, ind) in self.distinct.iter().zip(evaluated) {
             offspring[i] = ind;
         }
@@ -675,17 +759,17 @@ impl<'p> Reuse<'p> {
                 collided.push(copy);
             }
         }
-        if collided.is_empty() {
-            return;
+        if !collided.is_empty() {
+            let mut batch: Vec<Individual> = collided
+                .iter()
+                .map(|&i| std::mem::replace(&mut offspring[i], vacated()))
+                .collect();
+            evaluator.evaluate_all(&mut batch);
+            for (&i, ind) in collided.iter().zip(batch) {
+                offspring[i] = ind;
+            }
         }
-        let mut batch: Vec<Individual> = collided
-            .iter()
-            .map(|&i| std::mem::replace(&mut offspring[i], vacated()))
-            .collect();
-        evaluator.evaluate_all(&mut batch);
-        for (&i, ind) in collided.iter().zip(batch) {
-            offspring[i] = ind;
-        }
+        self.keys
     }
 }
 
@@ -839,6 +923,44 @@ mod tests {
         assert_eq!(original.population, restored.population);
     }
 
+    #[test]
+    fn carried_keys_equal_recomputed_keys() {
+        let data = dataset(|x| x[0] + 2.0 / x[1], 18, 2);
+        let mut settings = CaffeineSettings::quick_test();
+        settings.population = 16;
+        let grammar = GrammarConfig::paper_full(2);
+        let evaluator = DatasetEvaluator::new(&settings, &grammar, &data).unwrap();
+        let current = |state: &EngineState| state.keys == member_keys(&state.population);
+        let mut state = EngineState::new(settings.clone(), grammar.clone(), &evaluator).unwrap();
+        assert!(current(&state));
+        for _ in 0..5 {
+            state.step(&evaluator);
+            assert!(current(&state), "after a step");
+        }
+
+        let value = serde::Serialize::to_value(&state);
+        assert!(value.as_object().unwrap().iter().all(|(k, _)| k != "keys"));
+        let mut restored: EngineState = serde::Deserialize::from_value(&value).unwrap();
+        assert!(current(&restored), "after a load");
+        assert_eq!(restored.keys, state.keys);
+
+        // A migrant from another run, as `IslandRunner` migration writes it.
+        settings.seed = 77;
+        let other = EngineState::new(settings, grammar, &evaluator).unwrap();
+        for (slot, member) in [(3, 0), (0, 5), (15, 9)] {
+            restored.replace_member(slot, other.population[member].clone());
+            assert!(current(&restored), "after a migration");
+        }
+        restored.step(&evaluator);
+        assert!(current(&restored), "after a step past a migration");
+
+        // A population edited past `replace_member` to another length is
+        // rekeyed by the next step.
+        restored.population.truncate(10);
+        restored.step(&evaluator);
+        assert!(current(&restored), "after a length change");
+    }
+
     /// Wraps the dataset evaluator and records the basis lists of every
     /// batch it is handed.
     struct CountingEvaluator<'a> {
@@ -948,7 +1070,7 @@ mod tests {
         };
         offspring.extend([signed(0.0), signed(-0.0), signed(0.0)]);
 
-        let mut reuse = Reuse::new(members);
+        let mut reuse = Reuse::new(members, &member_keys(members));
         let mut placed = Vec::new();
         let mut published = Vec::new();
         for child in offspring {
@@ -989,7 +1111,7 @@ mod tests {
         let basis = |e: i32| BasisFunction::from_vc(VarCombo::single(1, 0, e));
         // Offspring 1 filed as a repeat of offspring 0, as a shared key
         // would file it, though its basis list differs.
-        let mut reuse = Reuse::new(&[]);
+        let mut reuse = Reuse::new(&[], &[]);
         reuse.distinct.push(0);
         reuse.repeats.push((1, 0));
         let mut offspring = vec![vacated(), Individual::new(vec![basis(-1)])];

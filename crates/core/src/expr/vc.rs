@@ -1,4 +1,6 @@
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+use serde::{Deserialize, Error, Map, Serialize, Value};
 
 use super::ops::powi_small;
 
@@ -17,17 +19,40 @@ use super::ops::powi_small;
 /// assert_eq!(vc.eval(&[2.0, 9.0, 2.0, 3.0]), 2.0 * 3.0 / 4.0);
 /// assert_eq!(vc.degree_sum(), 4); // Σ|exp|
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The exponents are shared, copy-on-write: cloning a combo (and so a
+/// basis function or a whole individual) only bumps a reference count,
+/// and [`VarCombo::exponent_mut`] and [`VarCombo::clamp_exponents`] copy
+/// the vector only when another combo still shares it. Equal sharing
+/// combos compare by pointer first. None of this shows outside: the
+/// hash and the JSON form are those of a plain exponent vector.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VarCombo {
-    exponents: Vec<i32>,
+    /// `Arc<[i32]>`'s `==` compares the pointers before the values.
+    exponents: Arc<[i32]>,
+}
+
+/// `{"exponents": [..]}`, as a derived `Vec<i32>` field wrote it (the
+/// vendored serde has no `Arc` impls).
+impl Serialize for VarCombo {
+    fn to_value(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("exponents".into(), self.exponents[..].to_value());
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for VarCombo {
+    fn from_value(v: &Value) -> Result<VarCombo, Error> {
+        let exponents: Vec<i32> = serde::get_field(v, "exponents")?;
+        Ok(VarCombo::from_exponents(exponents))
+    }
 }
 
 impl VarCombo {
     /// The identity combo (all exponents zero) over `n_vars` variables.
     pub fn identity(n_vars: usize) -> VarCombo {
-        VarCombo {
-            exponents: vec![0; n_vars],
-        }
+        VarCombo::from_exponents(vec![0; n_vars])
     }
 
     /// A single-variable combo `x_var^exp`.
@@ -39,12 +64,14 @@ impl VarCombo {
         assert!(var < n_vars, "variable index {var} out of range {n_vars}");
         let mut exponents = vec![0; n_vars];
         exponents[var] = exp;
-        VarCombo { exponents }
+        VarCombo::from_exponents(exponents)
     }
 
     /// Builds a combo from an explicit exponent vector.
     pub fn from_exponents(exponents: Vec<i32>) -> VarCombo {
-        VarCombo { exponents }
+        VarCombo {
+            exponents: exponents.into(),
+        }
     }
 
     /// The exponent vector.
@@ -52,13 +79,14 @@ impl VarCombo {
         &self.exponents
     }
 
-    /// Mutable access to one exponent.
+    /// Mutable access to one exponent; copies the exponents first when
+    /// another combo shares them.
     ///
     /// # Panics
     ///
     /// Panics when `var` is out of range.
     pub fn exponent_mut(&mut self, var: usize) -> &mut i32 {
-        &mut self.exponents[var]
+        &mut Arc::make_mut(&mut self.exponents)[var]
     }
 
     /// Number of design variables.
@@ -101,8 +129,17 @@ impl VarCombo {
 
     /// Clamps every exponent into `[−max_exp, max_exp]`.
     pub fn clamp_exponents(&mut self, max_exp: i32) {
-        for e in &mut self.exponents {
-            *e = (*e).clamp(-max_exp, max_exp);
+        self.map_exponents(|e| e.clamp(-max_exp, max_exp));
+    }
+
+    /// Replaces every exponent `e` by `f(e)`. Copies the exponents only
+    /// when some exponent changes and another combo shares them.
+    pub(crate) fn map_exponents(&mut self, f: impl Fn(i32) -> i32) {
+        if self.exponents.iter().all(|&e| f(e) == e) {
+            return;
+        }
+        for e in Arc::make_mut(&mut self.exponents) {
+            *e = f(*e);
         }
     }
 
@@ -116,12 +153,12 @@ impl VarCombo {
     pub fn one_point_crossover(&self, other: &VarCombo, cut: usize) -> (VarCombo, VarCombo) {
         assert_eq!(self.n_vars(), other.n_vars(), "length mismatch");
         assert!(cut <= self.n_vars(), "cut out of range");
-        let mut a = self.exponents.clone();
-        let mut b = other.exponents.clone();
+        let mut a = self.exponents.to_vec();
+        let mut b = other.exponents.to_vec();
         for i in cut..a.len() {
             std::mem::swap(&mut a[i], &mut b[i]);
         }
-        (VarCombo { exponents: a }, VarCombo { exponents: b })
+        (VarCombo::from_exponents(a), VarCombo::from_exponents(b))
     }
 }
 
@@ -191,5 +228,31 @@ mod tests {
         let mut vc = VarCombo::identity(2);
         *vc.exponent_mut(1) += 2;
         assert_eq!(vc.exponents(), &[0, 2]);
+    }
+
+    #[test]
+    fn edits_copy_shared_exponents_and_leave_the_original() {
+        let original = VarCombo::from_exponents(vec![3, -1, 0]);
+        let mut edited = original.clone();
+        *edited.exponent_mut(0) = 1;
+        let mut clamped = original.clone();
+        clamped.clamp_exponents(2);
+        assert_eq!(original.exponents(), &[3, -1, 0]);
+        assert_eq!(edited.exponents(), &[1, -1, 0]);
+        assert_eq!(clamped.exponents(), &[2, -1, 0]);
+        // A clamp that changes nothing keeps sharing.
+        let mut untouched = original.clone();
+        untouched.clamp_exponents(5);
+        assert!(Arc::ptr_eq(&untouched.exponents, &original.exponents));
+    }
+
+    #[test]
+    fn json_is_a_plain_exponent_vector() {
+        let vc = VarCombo::from_exponents(vec![1, 0, -2, 1]);
+        let json = serde_json::to_string(&vc).unwrap();
+        assert_eq!(json, r#"{"exponents":[1,0,-2,1]}"#);
+        let back: VarCombo = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, vc);
+        assert!(serde_json::from_str::<VarCombo>(r#"{"exponent":[1]}"#).is_err());
     }
 }

@@ -33,7 +33,9 @@
 //! * [`fit_linear_weights_cached`] — the production hot path: bases are
 //!   lowered to [`Tape`]s, evaluated by the lane-chunked [`TapeVm`] over
 //!   a [`PointMatrix`], and memoized in a [`FitScratch`] basis-column
-//!   cache that lives for the run. The solver reads the cached column
+//!   cache that lives for the run ([`crate::FitProblem::evaluate_each`]
+//!   binds the scratch once per batch and runs the same body per fit).
+//!   The solver reads the cached column
 //!   slices, their cached images and the images' cached Gram terms, with
 //!   no design matrix in between.
 //!
@@ -55,7 +57,10 @@
 //!    compared by `to_bits`) to a population member or an earlier
 //!    offspring a copy of that evaluation, and sends only the distinct
 //!    rest to the evaluator. An evaluation is a pure function of the
-//!    bases, the problem being fixed.
+//!    bases, the problem being fixed. The lists are found by a bitwise
+//!    key of each: an offspring's is hashed once, when it is placed, and
+//!    carried with it through selection, so the members' keys are not
+//!    hashed again (the state recomputes them only on load).
 //! 2. **Basis columns.** [`FitScratch`] keys its column cache on the same
 //!    bitwise hash of each [`BasisFunction`] and confirms a hit with the
 //!    same bitwise equality, so a tape is compiled only on a miss and a
@@ -63,12 +68,12 @@
 //!    compile to equal tapes and so to equal columns under one
 //!    [`EvalContext`] and one point set — two of the three things the
 //!    scratch is bound to (the targets are the third, for level 4).
-//!    The cache outlives a batch: each batch starts by dropping only the
-//!    columns the previous batch did not look up
-//!    ([`crate::FitProblem::evaluate_each`]), so columns shared by the
-//!    survivors and their offspring are evaluated once while every batch
-//!    keeps using them, not once per generation, and the cache stays
-//!    bounded by two batches' worth of columns.
+//!    The cache outlives a batch: each batch binds the scratch once and
+//!    starts by dropping only the columns the previous batch did not
+//!    look up ([`crate::FitProblem::evaluate_each`]), so columns shared
+//!    by the survivors and their offspring are evaluated once while
+//!    every batch keeps using them, not once per generation, and the
+//!    cache stays bounded by two batches' worth of columns.
 //! 3. **The intercept reflection.** `H₀` depends only on the row count,
 //!    and each column's image under it only on that column. So the cache
 //!    stores every usable column next to its image (computed by the QR
@@ -504,6 +509,14 @@ impl FitScratch {
         }
     }
 
+    /// Binds the scratch to everything a fit reads besides the bases:
+    /// [`FitScratch::bind`] then [`FitScratch::bind_targets`]. A batch
+    /// binds once for all its fits ([`crate::FitProblem::evaluate_each`]).
+    pub(crate) fn bind_problem(&mut self, pm: &PointMatrix, ctx: &EvalContext, targets: &[f64]) {
+        self.bind(pm, ctx);
+        self.bind_targets(targets);
+    }
+
     /// Reflects `targets` through the intercept reflector unless they
     /// are bitwise the ones reflected last; new targets reset the cache,
     /// whose Gram terms were computed against the old ones.
@@ -629,8 +642,19 @@ pub fn fit_linear_weights_cached(
     ctx: &EvalContext,
     scratch: &mut FitScratch,
 ) -> FitOutcome {
-    scratch.bind(pm, ctx);
-    scratch.bind_targets(targets);
+    scratch.bind_problem(pm, ctx, targets);
+    fit_bound(bases, pm, targets, ctx, scratch)
+}
+
+/// [`fit_linear_weights_cached`] through a scratch already bound to `pm`,
+/// `ctx` and `targets` ([`FitScratch::bind_problem`]).
+pub(crate) fn fit_bound(
+    bases: &[BasisFunction],
+    pm: &PointMatrix,
+    targets: &[f64],
+    ctx: &EvalContext,
+    scratch: &mut FitScratch,
+) -> FitOutcome {
     let telemetry = scratch.telemetry.clone();
     // Evaluate / look up every basis column, bailing on the first
     // unusable one exactly like the reference design-matrix builder.

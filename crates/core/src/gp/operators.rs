@@ -18,7 +18,7 @@
 use rand::Rng;
 
 use super::individual::Individual;
-use super::sites::{count_sites, get_site, set_site, SiteKind, Subtree};
+use super::sites::{count_sites, for_each_vc_mut, get_site, set_site, SiteKind, Subtree};
 use crate::expr::{cauchy_gamma_default, BasisFunction};
 use crate::grammar::RandomExprGen;
 use crate::GrammarConfig;
@@ -199,15 +199,14 @@ impl<'g> GpOperators<'g> {
         p1: &Individual,
         p2: &Individual,
     ) -> Individual {
-        let mut child = p1.clone();
         for _ in 0..self.settings.max_retries {
-            let bi = rng.gen_range(0..child.bases.len());
+            let bi = rng.gen_range(0..p1.bases.len());
             let donor = &p2.bases[rng.gen_range(0..p2.bases.len())];
             // Random same-root kind present in both trees.
             let mut kinds = SiteKind::ALL;
             shuffle(rng, &mut kinds);
             let Some((kind, dst_n, src_n)) = kinds.iter().find_map(|&k| {
-                let dst = count_sites(&child.bases[bi], k);
+                let dst = count_sites(&p1.bases[bi], k);
                 let src = count_sites(donor, k);
                 if dst > 0 && src > 0 {
                     Some((k, dst, src))
@@ -222,13 +221,12 @@ impl<'g> GpOperators<'g> {
             let Some(sub) = get_site(donor, kind, src_idx) else {
                 continue;
             };
-            let mut candidate = child.bases[bi].clone();
+            let mut candidate = p1.bases[bi].clone();
             if set_site(&mut candidate, kind, dst_idx, sub)
                 && candidate.depth() <= self.grammar().max_depth
                 && !candidate.is_trivial()
             {
-                child.bases[bi] = candidate;
-                return child;
+                return with_basis(p1, bi, candidate);
             }
         }
         // All retries rejected: degrade to parameter mutation.
@@ -236,16 +234,16 @@ impl<'g> GpOperators<'g> {
     }
 
     fn weight_mutation<R: Rng + ?Sized>(&self, rng: &mut R, p1: &Individual) -> Individual {
-        let mut child = p1.clone();
         let g = self.grammar();
         // Find a basis that actually has weight sites.
-        let with_weights: Vec<usize> = (0..child.bases.len())
-            .filter(|&i| count_sites(&child.bases[i], SiteKind::Weight) > 0)
+        let with_weights: Vec<usize> = (0..p1.bases.len())
+            .filter(|&i| count_sites(&p1.bases[i], SiteKind::Weight) > 0)
             .collect();
         let Some(&bi) = pick(rng, &with_weights) else {
             // Pure-VC model: no weights to mutate; mutate an exponent.
             return self.vc_exponent_mutation(rng, p1);
         };
+        let mut child = child_of(p1);
         let n = count_sites(&child.bases[bi], SiteKind::Weight);
         let idx = rng.gen_range(0..n);
         let Some(Subtree::Weight(w)) = get_site(&child.bases[bi], SiteKind::Weight, idx) else {
@@ -263,7 +261,7 @@ impl<'g> GpOperators<'g> {
     }
 
     fn vc_exponent_mutation<R: Rng + ?Sized>(&self, rng: &mut R, p1: &Individual) -> Individual {
-        let mut child = p1.clone();
+        let mut child = child_of(p1);
         let g = self.grammar();
         let bi = rng.gen_range(0..child.bases.len());
         let n = count_sites(&child.bases[bi], SiteKind::Vc);
@@ -292,7 +290,7 @@ impl<'g> GpOperators<'g> {
         p1: &Individual,
         p2: &Individual,
     ) -> Individual {
-        let mut child = p1.clone();
+        let mut child = child_of(p1);
         let bi = rng.gen_range(0..child.bases.len());
         let donor = &p2.bases[rng.gen_range(0..p2.bases.len())];
         let n_dst = count_sites(&child.bases[bi], SiteKind::Vc);
@@ -314,9 +312,8 @@ impl<'g> GpOperators<'g> {
     }
 
     fn subtree_replace<R: Rng + ?Sized>(&self, rng: &mut R, p1: &Individual) -> Individual {
-        let mut child = p1.clone();
         let g = self.grammar();
-        let bi = rng.gen_range(0..child.bases.len());
+        let bi = rng.gen_range(0..p1.bases.len());
         let budget = g.max_depth.saturating_sub(2).max(1);
         let has_ops = !g.unary_ops.is_empty() || !g.binary_ops.is_empty() || g.lte || g.lte_zero;
         let mut kinds: Vec<SiteKind> = vec![SiteKind::Product, SiteKind::Vc, SiteKind::Weight];
@@ -326,7 +323,7 @@ impl<'g> GpOperators<'g> {
         }
         shuffle(rng, &mut kinds);
         for &kind in &kinds {
-            let n = count_sites(&child.bases[bi], kind);
+            let n = count_sites(&p1.bases[bi], kind);
             if n == 0 {
                 continue;
             }
@@ -340,18 +337,17 @@ impl<'g> GpOperators<'g> {
                 SiteKind::Vc => Subtree::Vc(self.generator.gen_nonidentity_vc(rng)),
                 SiteKind::Weight => Subtree::Weight(self.generator.gen_weight(rng)),
             };
-            let mut candidate = child.bases[bi].clone();
+            let mut candidate = p1.bases[bi].clone();
             if set_site(&mut candidate, kind, idx, replacement) && candidate.depth() <= g.max_depth
             {
-                child.bases[bi] = candidate;
-                break;
+                return with_basis(p1, bi, candidate);
             }
         }
-        child
+        child_of(p1)
     }
 
     fn add_basis<R: Rng + ?Sized>(&self, rng: &mut R, p1: &Individual) -> Individual {
-        let mut child = p1.clone();
+        let mut child = child_of(p1);
         if child.bases.len() < self.settings.max_bases {
             child.bases.push(self.generator.gen_basis(rng));
         }
@@ -359,12 +355,13 @@ impl<'g> GpOperators<'g> {
     }
 
     fn delete_basis<R: Rng + ?Sized>(&self, rng: &mut R, p1: &Individual) -> Individual {
-        let mut child = p1.clone();
-        if child.bases.len() > 1 {
-            let i = rng.gen_range(0..child.bases.len());
-            child.bases.remove(i);
+        if p1.bases.len() <= 1 {
+            return child_of(p1);
         }
-        child
+        let i = rng.gen_range(0..p1.bases.len());
+        let mut bases = p1.bases[..i].to_vec();
+        bases.extend_from_slice(&p1.bases[i + 1..]);
+        Individual::new(bases)
     }
 
     fn copy_basis<R: Rng + ?Sized>(
@@ -373,7 +370,7 @@ impl<'g> GpOperators<'g> {
         p1: &Individual,
         p2: &Individual,
     ) -> Individual {
-        let mut child = p1.clone();
+        let mut child = child_of(p1);
         if child.bases.len() < self.settings.max_bases {
             let donor = &p2.bases[rng.gen_range(0..p2.bases.len())];
             child.bases.push(donor.clone());
@@ -401,28 +398,37 @@ impl<'g> GpOperators<'g> {
     }
 }
 
-fn clamp_exponents(basis: &mut BasisFunction, g: &GrammarConfig) {
-    let n = count_sites(basis, SiteKind::Vc);
-    for i in 0..n {
-        if let Some(Subtree::Vc(mut vc)) = get_site(basis, SiteKind::Vc, i) {
-            let mut changed = false;
-            for e in 0..vc.n_vars() {
-                let v = vc.exponents()[e];
-                let clamped = if !g.negative_exponents && v < 0 {
-                    0
-                } else {
-                    v.clamp(-g.max_exponent, g.max_exponent)
-                };
-                if clamped != v {
-                    *vc.exponent_mut(e) = clamped;
-                    changed = true;
-                }
-            }
-            if changed {
-                set_site(basis, SiteKind::Vc, i, Subtree::Vc(vc));
-            }
-        }
+/// An unevaluated child with `parent`'s bases. The clone shares every
+/// exponent vector with the parent (copy-on-write, see
+/// [`crate::expr::VarCombo`]) and leaves the parent's evaluation behind.
+fn child_of(parent: &Individual) -> Individual {
+    Individual {
+        bases: parent.bases.clone(),
+        eval: None,
     }
+}
+
+/// An unevaluated child with `parent`'s bases, basis `bi` replaced by
+/// `basis` (see [`child_of`]).
+fn with_basis(parent: &Individual, bi: usize, basis: BasisFunction) -> Individual {
+    let mut bases = Vec::with_capacity(parent.bases.len());
+    bases.extend_from_slice(&parent.bases[..bi]);
+    bases.push(basis);
+    bases.extend_from_slice(&parent.bases[bi + 1..]);
+    Individual { bases, eval: None }
+}
+
+/// Clamps every exponent of `basis` into the grammar's range, in one walk.
+fn clamp_exponents(basis: &mut BasisFunction, g: &GrammarConfig) {
+    for_each_vc_mut(basis, |vc| {
+        vc.map_exponents(|v| {
+            if !g.negative_exponents && v < 0 {
+                0
+            } else {
+                v.clamp(-g.max_exponent, g.max_exponent)
+            }
+        });
+    });
 }
 
 fn shuffle<R: Rng + ?Sized, T>(rng: &mut R, slice: &mut [T]) {

@@ -81,7 +81,7 @@ pub fn get_site(basis: &BasisFunction, kind: SiteKind, index: usize) -> Option<S
     let mut found = None;
     let _ = walk_basis(basis, kind, &mut |node| {
         if i == index {
-            found = Some(node);
+            found = Some(node.to_owned());
             ControlFlow::Break(())
         } else {
             i += 1;
@@ -89,6 +89,16 @@ pub fn get_site(basis: &BasisFunction, kind: SiteKind, index: usize) -> Option<S
         }
     });
     found
+}
+
+/// Calls `f` on every variable combo of `basis`, in preorder.
+pub(crate) fn for_each_vc_mut(basis: &mut BasisFunction, mut f: impl FnMut(&mut VarCombo)) {
+    let _ = walk_basis_mut(basis, SiteKind::Vc, &mut |slot| {
+        if let SlotMut::Vc(vc) = slot {
+            f(vc);
+        }
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 /// Replaces the `index`-th site of `kind` with `replacement`. Returns
@@ -125,19 +135,40 @@ pub fn set_site(
 }
 
 // ---------------------------------------------------------------------
-// Immutable walk: calls `f` with a cloned subtree for each site of `kind`.
+// Immutable walk: calls `f` with a borrowed node for each site of `kind`.
 // ---------------------------------------------------------------------
 
-fn walk_basis<B>(
-    basis: &BasisFunction,
+/// A borrowed site; [`get_site`] clones only the one it returns.
+enum SiteRef<'a> {
+    Product(&'a BasisFunction),
+    Op(&'a OpApplication),
+    Sum(&'a WeightedSum),
+    Vc(&'a VarCombo),
+    Weight(Weight),
+}
+
+impl SiteRef<'_> {
+    fn to_owned(&self) -> Subtree {
+        match *self {
+            SiteRef::Product(p) => Subtree::Product(p.clone()),
+            SiteRef::Op(o) => Subtree::Op(o.clone()),
+            SiteRef::Sum(s) => Subtree::Sum(s.clone()),
+            SiteRef::Vc(v) => Subtree::Vc(v.clone()),
+            SiteRef::Weight(w) => Subtree::Weight(w),
+        }
+    }
+}
+
+fn walk_basis<'a, B>(
+    basis: &'a BasisFunction,
     kind: SiteKind,
-    f: &mut impl FnMut(Subtree) -> ControlFlow<B>,
+    f: &mut impl FnMut(SiteRef<'a>) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     if kind == SiteKind::Product {
-        f(Subtree::Product(basis.clone()))?;
+        f(SiteRef::Product(basis))?;
     }
     if kind == SiteKind::Vc {
-        f(Subtree::Vc(basis.vc.clone()))?;
+        f(SiteRef::Vc(&basis.vc))?;
     }
     for op in &basis.factors {
         walk_op(op, kind, f)?;
@@ -145,13 +176,13 @@ fn walk_basis<B>(
     ControlFlow::Continue(())
 }
 
-fn walk_op<B>(
-    op: &OpApplication,
+fn walk_op<'a, B>(
+    op: &'a OpApplication,
     kind: SiteKind,
-    f: &mut impl FnMut(Subtree) -> ControlFlow<B>,
+    f: &mut impl FnMut(SiteRef<'a>) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     if kind == SiteKind::Op {
-        f(Subtree::Op(op.clone()))?;
+        f(SiteRef::Op(op))?;
     }
     match op {
         OpApplication::Unary { arg, .. } => walk_sum(arg, kind, f),
@@ -170,20 +201,20 @@ fn walk_op<B>(
     }
 }
 
-fn walk_sum<B>(
-    sum: &WeightedSum,
+fn walk_sum<'a, B>(
+    sum: &'a WeightedSum,
     kind: SiteKind,
-    f: &mut impl FnMut(Subtree) -> ControlFlow<B>,
+    f: &mut impl FnMut(SiteRef<'a>) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     if kind == SiteKind::Sum {
-        f(Subtree::Sum(sum.clone()))?;
+        f(SiteRef::Sum(sum))?;
     }
     if kind == SiteKind::Weight {
-        f(Subtree::Weight(sum.offset))?;
+        f(SiteRef::Weight(sum.offset))?;
     }
     for t in &sum.terms {
         if kind == SiteKind::Weight {
-            f(Subtree::Weight(t.weight))?;
+            f(SiteRef::Weight(t.weight))?;
         }
         walk_basis(&t.term, kind, f)?;
     }

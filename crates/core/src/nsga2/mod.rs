@@ -53,13 +53,27 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     strictly_better
 }
 
-/// Lexicographic order on `[error, complexity]`. `partial_cmp`, not
-/// `total_cmp`: `-0.0` and `+0.0` must tie, or a point could sort after
-/// one it dominates.
-fn lex_cmp(a: &[f64; 2], b: &[f64; 2]) -> Ordering {
-    a[0].partial_cmp(&b[0])
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| a[1].partial_cmp(&b[1]).unwrap_or(Ordering::Equal))
+/// An integer whose order is `partial_cmp`'s on NaN-free values: `-0.0`
+/// and `+0.0` map to one key (they must tie, or a point could sort after
+/// one it dominates), and a negative value's bits are inverted so that
+/// it orders below every larger one.
+fn order_key(x: f64) -> u64 {
+    // `-0.0 + 0.0` is `+0.0`; every other value keeps its bits.
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// `0..len` sorted by `key` ascending, ties in index order: the order a
+/// stable `sort_by` on the keyed values gives, at the cost of an
+/// unstable sort of integers.
+fn stable_order(len: usize, key: impl Fn(usize) -> u64) -> Vec<usize> {
+    let mut keyed: Vec<(u64, usize)> = (0..len).map(|i| (key(i), i)).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Fast non-dominated sort: partitions indices into fronts; front 0 is the
@@ -73,18 +87,32 @@ fn lex_cmp(a: &[f64; 2], b: &[f64; 2]) -> Ordering {
 /// front `i + 1` is dominated by front `i`), so each point finds its front
 /// by binary search over the tails.
 pub fn fast_nondominated_sort(objectives: &[[f64; 2]]) -> Vec<Vec<usize>> {
+    leading_fronts(objectives, objectives.len())
+}
+
+/// The leading fronts of [`fast_nondominated_sort`], equal to its own
+/// and in its order, up to the first that brings their total size to
+/// `need` (every front when `need` is never reached). Every point is
+/// still assigned its front; only the ordering of the fronts past that
+/// one, which costs the most, is skipped.
+fn leading_fronts(objectives: &[[f64; 2]], need: usize) -> Vec<Vec<usize>> {
     debug_assert!(
         objectives.iter().flatten().all(|v| !v.is_nan()),
         "NaN objective"
     );
-    let mut lex: Vec<usize> = (0..objectives.len()).collect();
-    lex.sort_by(|&a, &b| lex_cmp(&objectives[a], &objectives[b]));
+    // Lexicographic order on `[error, complexity]`, ties by index.
+    let mut lex: Vec<(u64, u64, usize)> = objectives
+        .iter()
+        .enumerate()
+        .map(|(i, &[error, cx])| (order_key(error), order_key(cx), i))
+        .collect();
+    lex.sort_unstable();
 
     // Members of each front in lexicographic order, and each front's tail
     // `(least complexity, error where it was first reached)`.
     let mut by_lex: Vec<Vec<usize>> = Vec::new();
     let mut tails: Vec<(f64, f64)> = Vec::new();
-    for &p in &lex {
+    for &(_, _, p) in &lex {
         let [error, cx] = objectives[p];
         let f = tails.partition_point(|&(t_cx, t_err)| t_cx < cx || (t_cx == cx && t_err < error));
         if f == tails.len() {
@@ -104,6 +132,7 @@ pub fn fast_nondominated_sort(objectives: &[[f64; 2]]) -> Vec<Vec<usize>> {
     };
     let mut front0 = first.clone();
     front0.sort_unstable();
+    let mut covered = front0.len();
     fronts.push(front0);
 
     // Within a front, lexicographic order has error non-decreasing and
@@ -115,6 +144,9 @@ pub fn fast_nondominated_sort(objectives: &[[f64; 2]]) -> Vec<Vec<usize>> {
     let mut position = vec![0usize; objectives.len()];
     let mut window: VecDeque<usize> = VecDeque::new();
     for i in 0..by_lex.len() - 1 {
+        if covered >= need {
+            break;
+        }
         for (pos, &p) in fronts[i].iter().enumerate() {
             position[p] = pos;
         }
@@ -146,6 +178,7 @@ pub fn fast_nondominated_sort(objectives: &[[f64; 2]]) -> Vec<Vec<usize>> {
             keyed.push((position[prev[*last]], q));
         }
         keyed.sort_unstable();
+        covered += keyed.len();
         fronts.push(keyed.into_iter().map(|(_, q)| q).collect());
     }
     fronts
@@ -164,11 +197,11 @@ pub fn crowding_distances(objectives: &[[f64; 2]], front: &[usize]) -> Vec<f64> 
     let mut distance = vec![0.0f64; m];
     let mut order: Vec<usize> = (0..m).collect();
     for k in 0..2 {
-        order.sort_by(|&a, &b| {
-            objectives[front[a]][k]
-                .partial_cmp(&objectives[front[b]][k])
-                .unwrap_or(Ordering::Equal)
-        });
+        // Stable: ties keep the previous objective's order.
+        order = stable_order(m, |pos| order_key(objectives[front[order[pos]]][k]))
+            .into_iter()
+            .map(|pos| order[pos])
+            .collect();
         distance[order[0]] = f64::INFINITY;
         distance[order[m - 1]] = f64::INFINITY;
         let lo = objectives[front[order[0]]][k];
@@ -242,17 +275,21 @@ impl RankedPopulation {
 
 /// NSGA-II environmental selection: picks `n` survivors from the combined
 /// parent+offspring population, filling whole fronts and truncating the
-/// last one by crowding distance.
+/// last one by crowding distance. Only the fronts that contribute a
+/// survivor are ordered.
 pub fn environmental_selection(objectives: &[[f64; 2]], n: usize) -> Vec<usize> {
-    let fronts = fast_nondominated_sort(objectives);
+    let fronts = leading_fronts(objectives, n);
     let mut survivors = Vec::with_capacity(n);
     for front in fronts {
+        if survivors.len() == n {
+            break;
+        }
         if survivors.len() + front.len() <= n {
             survivors.extend_from_slice(&front);
         } else {
             let dist = crowding_distances(objectives, &front);
-            let mut by_crowding: Vec<usize> = (0..front.len()).collect();
-            by_crowding.sort_by(|&a, &b| dist[b].partial_cmp(&dist[a]).unwrap_or(Ordering::Equal));
+            // Largest distance first, ties in front order.
+            let by_crowding = stable_order(front.len(), |i| !order_key(dist[i]));
             for &i in by_crowding.iter().take(n - survivors.len()) {
                 survivors.push(front[i]);
             }

@@ -1,13 +1,17 @@
 //! Property-based tests of the CAFFEINE core: grammar closure of every
-//! evolutionary operator, evaluation robustness, complexity monotonicity,
-//! and NSGA-II ordering laws.
+//! evolutionary operator, parents untouched by their children's edits,
+//! evaluation robustness, complexity monotonicity, and NSGA-II ordering
+//! laws.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use caffeine_core::expr::{complexity, eval_basis, ComplexityWeights, EvalContext};
-use caffeine_core::gp::{GpOperators, Individual, OperatorKind, OperatorSettings};
+use caffeine_core::gp::{
+    count_sites, get_site, set_site, GpOperators, Individual, OperatorKind, OperatorSettings,
+    SiteKind, Subtree,
+};
 use caffeine_core::grammar::validate::validate_basis;
 use caffeine_core::grammar::RandomExprGen;
 use caffeine_core::{nsga2, GrammarConfig};
@@ -48,6 +52,50 @@ proptest! {
             prop_assert!(validate_basis(b, &grammar).is_ok(),
                 "{kind:?} violated the grammar");
         }
+    }
+
+    /// A child shares its parents' exponent vectors copy-on-write. No
+    /// operator, no repair (here clamping exponents the parents' grammar
+    /// allowed into a tighter one) and no later edit of the child's
+    /// exponents may change a bit of either parent.
+    #[test]
+    fn children_never_write_through_to_their_parents(
+        seed in 0u64..10_000,
+        op_index in 0usize..9,
+        n1 in 1usize..5,
+        n2 in 1usize..5,
+        tighten in 0u8..2,
+    ) {
+        let grammar = GrammarConfig::paper_full(3);
+        let mut bred_under = grammar.clone();
+        if tighten == 1 {
+            bred_under.max_exponent = 1;
+            bred_under.negative_exponents = false;
+        }
+        let ops = GpOperators::new(&bred_under, OperatorSettings::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p1 = random_individual(&grammar, &mut rng, n1);
+        let p2 = random_individual(&grammar, &mut rng, n2);
+        let bits = |ind: &Individual| serde_json::to_string(ind).unwrap();
+        let (before1, before2) = (bits(&p1), bits(&p2));
+        let kind = OperatorKind::ALL[op_index];
+        let mut child = ops.apply(&mut rng, kind, &p1, &p2);
+        prop_assert!(bits(&p1) == before1, "{kind:?} changed the first parent");
+        prop_assert!(bits(&p2) == before2, "{kind:?} changed the second parent");
+        for basis in &mut child.bases {
+            let n = count_sites(basis, SiteKind::Vc);
+            for i in 0..n {
+                let Some(Subtree::Vc(mut vc)) = get_site(basis, SiteKind::Vc, i) else {
+                    unreachable!("site {i} of {n}");
+                };
+                *vc.exponent_mut(0) += 1;
+                vc.clamp_exponents(0);
+                prop_assert!(set_site(basis, SiteKind::Vc, i, Subtree::Vc(vc)));
+            }
+            *basis.vc.exponent_mut(1) -= 2;
+        }
+        prop_assert!(bits(&p1) == before1, "editing a {kind:?} child changed a parent");
+        prop_assert!(bits(&p2) == before2, "editing a {kind:?} child changed a parent");
     }
 
     /// Rational-grammar expressions evaluate finite on strictly positive

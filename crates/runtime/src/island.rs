@@ -450,7 +450,7 @@ impl IslandRunner {
             let order = crowded_order(&island.population);
             // Worst first: walk the crowded order from the back.
             for (mover, &slot) in movers.into_iter().zip(order.iter().rev()) {
-                island.population[slot] = mover;
+                island.replace_member(slot, mover);
             }
         }
     }

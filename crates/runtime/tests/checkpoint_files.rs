@@ -1,6 +1,8 @@
 //! Checkpoint files on disk: every save publishes a complete snapshot,
 //! recovers from whatever a crash mid-save left behind, and reuses the
-//! superseded snapshot's inode instead of freeing it.
+//! superseded snapshot's inode instead of freeing it. The bytes of one
+//! small snapshot are pinned (`tests/golden/checkpoint.json`), so a change
+//! to how any part of the state serializes shows.
 
 use std::path::{Path, PathBuf};
 
@@ -176,4 +178,62 @@ fn saves_alternate_between_two_inodes() {
         assert_eq!(inode(), expected, "save {} reused no inode", round + 3);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint of a short two-island run under the paper's full grammar,
+/// so its individuals hold operators and weights beside exponents, taken
+/// after a migration.
+fn golden_checkpoint() -> RuntimeCheckpoint {
+    let xs: Vec<Vec<f64>> = (1..=16)
+        .map(|i| vec![0.5 + i as f64 * 0.2, 2.0 - i as f64 * 0.05])
+        .collect();
+    let ys: Vec<f64> = xs.iter().map(|x| 1.0 + x[0] / x[1]).collect();
+    let data = Dataset::new(vec!["x0".into(), "x1".into()], xs, ys).unwrap();
+    let mut settings = CaffeineSettings::quick_test();
+    settings.population = 8;
+    settings.generations = 3;
+    settings.max_bases = 3;
+    settings.seed = 11;
+    let config = RuntimeConfig {
+        islands: 2,
+        migrate_every: 2,
+        migrants: 1,
+        ..RuntimeConfig::default()
+    };
+    let mut runner =
+        IslandRunner::new(settings, GrammarConfig::paper_full(2), config, &data).unwrap();
+    runner.run_generations(&data, 2).unwrap();
+    runner.checkpoint(&data)
+}
+
+/// The committed snapshot of [`golden_checkpoint`].
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/checkpoint.json");
+
+/// A save writes exactly the committed bytes: the checkpoint format —
+/// settings, grammar, every individual's bases, evaluation and exponents,
+/// the RNG — has not moved. On a mismatch the test writes what it saved
+/// under `CARGO_TARGET_TMPDIR` and names the file; copy it over the golden
+/// only for a deliberate format change, which also needs a
+/// [`RuntimeCheckpoint::VERSION`] bump.
+#[test]
+fn a_save_writes_the_committed_bytes() {
+    let dir = test_dir("golden");
+    let path = dir.join("run.ckpt");
+    golden_checkpoint().save(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let golden = std::fs::read(GOLDEN).expect("read the golden");
+    if saved != golden {
+        let written = Path::new(env!("CARGO_TARGET_TMPDIR")).join("checkpoint.json");
+        std::fs::write(&written, &saved).unwrap();
+        panic!(
+            "the saved checkpoint ({} bytes) differs from {GOLDEN} ({} bytes); \
+             it was written to {}",
+            saved.len(),
+            golden.len(),
+            written.display()
+        );
+    }
+    let loaded = RuntimeCheckpoint::load(Path::new(GOLDEN)).unwrap();
+    assert_eq!(json(&loaded).into_bytes(), golden);
 }

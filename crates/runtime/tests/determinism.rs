@@ -371,6 +371,39 @@ fn resumed_checkpoint_matches_uninterrupted_run() {
     assert_eq!(reference.stats, result.stats);
 }
 
+/// Migration replaces members through `EngineState::replace_member`, so
+/// every island's carried basis-list keys stay current. Debug builds
+/// assert that at the start of every step (`EngineState::step`), and here
+/// every generation migrates; a resume from a checkpoint taken right
+/// after a migration, whose keys are recomputed on load, reproduces the
+/// uninterrupted run.
+#[test]
+fn migration_keeps_the_carried_keys_current() {
+    let data = ota_like_dataset();
+    let grammar = GrammarConfig::paper_full(3);
+    let config = RuntimeConfig {
+        islands: 3,
+        migrate_every: 1,
+        migrants: 3,
+        ..RuntimeConfig::default()
+    };
+    let mut full = IslandRunner::new(settings(), grammar.clone(), config.clone(), &data).unwrap();
+    let reference = full.run(&data).unwrap();
+
+    let mut first = IslandRunner::new(settings(), grammar, config, &data).unwrap();
+    first.run_generations(&data, 6).unwrap();
+    let json = serde_json::to_string(&first.checkpoint(&data)).unwrap();
+    let checkpoint: RuntimeCheckpoint = serde_json::from_str(&json).unwrap();
+    let result = IslandRunner::from_checkpoint(checkpoint, &data)
+        .unwrap()
+        .run(&data)
+        .unwrap();
+    assert_eq!(
+        front_errors(&reference.models),
+        front_errors(&result.models)
+    );
+}
+
 #[test]
 fn checkpoint_file_round_trip_and_validation() {
     let data = ota_like_dataset();
