@@ -567,6 +567,7 @@ impl<T: ReferenceScalar> ReferenceLu<T> {
     }
 
     /// Determinant of the original matrix.
+    // lint: allow(test-only-api) — lu_oracle compares Lu::det's bits with this reference's
     pub fn det(&self) -> T {
         let mut d = T::from_f64(self.perm_sign);
         for i in 0..self.lu.rows() {
@@ -632,6 +633,7 @@ pub fn mna_like_system<T: Scalar>(
 /// # Errors
 ///
 /// As `caffeine_linalg::lstsq_ridge_columns`.
+// lint: allow(test-only-api) — qr_oracle pins the column-built ridge fallback to this walk
 pub fn reference_lstsq_ridge_columns(
     columns: &[&[f64]],
     b: &[f64],

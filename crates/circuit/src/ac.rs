@@ -30,6 +30,7 @@ impl AcSweep {
     }
 
     /// Magnitude in dB at `node` across the sweep.
+    // lint: allow(test-only-api) — ac's roll-off test reads the Bode magnitude through it
     pub fn magnitude_db(&self, node: NodeId) -> Vec<f64> {
         self.response_at(node)
             .iter()

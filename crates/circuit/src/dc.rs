@@ -66,6 +66,7 @@ pub struct DcSolution {
 
 impl DcSolution {
     /// Voltage of a node.
+    // lint: allow(test-only-api) — circuit integration and proptests read node voltages by id
     pub fn voltage(&self, n: NodeId) -> f64 {
         self.node_voltages[n.0]
     }

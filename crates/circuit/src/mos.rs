@@ -173,6 +173,7 @@ impl MosInstance {
     /// # Errors
     ///
     /// [`CircuitError::InvalidDevice`] for a non-positive factor.
+    // lint: allow(test-only-api) — the current-mirror integration test sizes its devices with it
     pub fn scaled_width(&self, factor: f64) -> Result<MosInstance, CircuitError> {
         if !(factor > 0.0) || !factor.is_finite() {
             return Err(CircuitError::InvalidDevice(format!(

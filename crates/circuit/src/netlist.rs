@@ -170,11 +170,6 @@ impl Netlist {
         &self.elements
     }
 
-    /// Mutable element access (used to retune sources between analyses).
-    pub fn element_mut(&mut self, idx: usize) -> &mut Element {
-        &mut self.elements[idx]
-    }
-
     /// Number of independent voltage sources (= extra MNA branches).
     pub fn n_vsources(&self) -> usize {
         self.elements

@@ -701,6 +701,7 @@ impl OtaTestbench {
     ///
     /// Same conditions as [`OtaTestbench::simulate`], plus transient
     /// non-convergence.
+    // lint: allow(test-only-api) — the slew integration test cross-checks the analytic slew rates
     pub fn simulate_slew_transient(&self, design: &OtaDesign) -> Result<(f64, f64), CircuitError> {
         use crate::tran::{solve_tran, TranOptions};
 

@@ -268,14 +268,15 @@ mod tests {
     use super::*;
     use crate::dc::{solve_dc, DcOptions};
 
-    fn rc_step() -> (Netlist, NodeId) {
+    /// A source at `dc` volts driving an RC low-pass.
+    fn rc_step(dc: f64) -> (Netlist, NodeId) {
         let mut nl = Netlist::new();
         let vin = nl.node("in");
         let out = nl.node("out");
         nl.add(Element::VSource {
             pos: vin,
             neg: NodeId::GROUND,
-            dc: 0.0,
+            dc,
             ac: 0.0,
         });
         nl.add(Element::Resistor {
@@ -293,7 +294,7 @@ mod tests {
 
     #[test]
     fn rc_step_matches_exponential() {
-        let (nl, out) = rc_step();
+        let (nl, out) = rc_step(0.0);
         let dc = solve_dc(&nl, &DcOptions::default()).unwrap();
         let tau = 1e3 * 1e-9;
         let opts = TranOptions {
@@ -318,12 +319,8 @@ mod tests {
 
     #[test]
     fn constant_bias_stays_at_dc() {
-        let (nl, out) = rc_step();
         // Pre-charge: source at 0.7 V, start from its DC solution.
-        let mut nl2 = nl.clone();
-        if let Element::VSource { dc, .. } = nl2.element_mut(0) {
-            *dc = 0.7;
-        }
+        let (nl2, out) = rc_step(0.7);
         let dc = solve_dc(&nl2, &DcOptions::default()).unwrap();
         let opts = TranOptions {
             t_stop: 1e-6,
@@ -380,7 +377,7 @@ mod tests {
 
     #[test]
     fn bad_options_rejected() {
-        let (nl, _) = rc_step();
+        let (nl, _) = rc_step(0.0);
         let dc = solve_dc(&nl, &DcOptions::default()).unwrap();
         let bad = TranOptions {
             dt: 0.0,
@@ -391,7 +388,7 @@ mod tests {
 
     #[test]
     fn time_varying_stimulus_is_applied_per_step() {
-        let (nl, out) = rc_step();
+        let (nl, out) = rc_step(0.0);
         let dc = solve_dc(&nl, &DcOptions::default()).unwrap();
         let tau = 1e-6;
         let opts = TranOptions {

@@ -32,6 +32,7 @@ impl BasisFunction {
 
     /// A basis function that is a single operator application (with an
     /// identity VC).
+    // lint: allow(test-only-api) — core's unit tests build hand-written bases with it
     pub fn from_op(n_vars: usize, op: OpApplication) -> BasisFunction {
         BasisFunction {
             vc: VarCombo::identity(n_vars),

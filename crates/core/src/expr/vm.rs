@@ -106,6 +106,7 @@ impl TapeVm {
     }
 
     /// Number of buffers currently pooled (diagnostic).
+    // lint: allow(test-only-api) — vm's tests assert the buffer pool stays bounded
     pub fn pooled_buffers(&self) -> usize {
         self.pool.len()
     }

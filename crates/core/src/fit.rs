@@ -30,14 +30,16 @@
 //!
 //! * [`fit_linear_weights`] — the tree-walk reference path, kept as the
 //!   oracle the compiled path is property-tested against;
-//! * [`fit_linear_weights_cached`] — the production hot path: bases are
-//!   lowered to [`Tape`]s, evaluated by the lane-chunked [`TapeVm`] over
-//!   a [`PointMatrix`], and memoized in a [`FitScratch`] basis-column
-//!   cache that lives for the run ([`crate::FitProblem::evaluate_each`]
-//!   binds the scratch once per batch and runs the same body per fit).
-//!   The solver reads the cached column
-//!   slices, their cached images and the images' cached Gram terms, with
-//!   no design matrix in between.
+//! * the compiled hot path, which production runs as
+//!   [`crate::FitProblem::evaluate_each`] → `fit_bound`: bases are lowered
+//!   to [`Tape`]s, evaluated by the lane-chunked [`TapeVm`] over a
+//!   [`PointMatrix`], and memoized in a [`FitScratch`] basis-column cache
+//!   that lives for the run (`evaluate_each` binds the scratch once per
+//!   batch, then runs `fit_bound` per fit). The solver reads the cached
+//!   column slices, their cached images and the images' cached Gram
+//!   terms, with no design matrix in between. [`fit_linear_weights_cached`]
+//!   binds a scratch and runs `fit_bound` once: it is the oracle tests'
+//!   public entry to this path.
 //!
 //! Both paths produce bit-identical [`FitOutcome`]s — the tape's NaN
 //! sign/payload latitude (see [`crate::expr::TapeVm`]) cannot leak in,
@@ -159,10 +161,11 @@ fn design_columns(
 }
 
 /// Fits the linear weights of a candidate model (tree-walk reference
-/// path — see [`fit_linear_weights_cached`] for the production hot path).
+/// path — see the module docs for the compiled hot path).
 ///
 /// Collinear bases fall back to a small ridge; any other failure (or a
 /// non-finite design column) yields [`FitOutcome::Infeasible`].
+// lint: allow(test-only-api) — fit, tape and determinism oracle tests fit bases through it
 pub fn fit_linear_weights(
     bases: &[BasisFunction],
     points: &[Vec<f64>],
@@ -442,6 +445,7 @@ impl FitScratch {
     }
 
     /// Number of distinct basis columns currently cached.
+    // lint: allow(test-only-api) — fit's and runtime's determinism tests observe the column cache
     pub fn cached_columns(&self) -> usize {
         self.cache.len()
     }
@@ -635,6 +639,7 @@ impl FitScratch {
 /// in both paths), and both paths run the same solver on the same column
 /// images — here read straight from the cache, never assembled into a
 /// matrix.
+// lint: allow(test-only-api) — tape_oracle and fit_oracle reach fit_bound's cached path by it
 pub fn fit_linear_weights_cached(
     bases: &[BasisFunction],
     pm: &PointMatrix,

@@ -18,6 +18,7 @@ use crate::{CaffeineError, GrammarConfig};
 ///
 /// [`CaffeineError::InvalidGrammar`] describing the first violated
 /// constraint.
+// lint: allow(test-only-api) — core's proptests check generated and varied bases against it
 pub fn validate_basis(basis: &BasisFunction, grammar: &GrammarConfig) -> Result<(), CaffeineError> {
     if basis.n_vars() != grammar.n_vars {
         return Err(CaffeineError::InvalidGrammar(format!(

@@ -15,7 +15,7 @@
 //! the design from scratch (`O(n·k²)`) per candidate.
 
 use caffeine_doe::Dataset;
-use caffeine_linalg::{press_statistic, ColumnTrial, IncrementalQr, Matrix};
+use caffeine_linalg::{lstsq, ColumnTrial, IncrementalQr, Matrix};
 
 use crate::expr::{BasisFunction, ComplexityWeights, EvalContext, Tape, TapeVm};
 use crate::metrics::ErrorMetric;
@@ -147,14 +147,14 @@ pub fn simplify_model(
             usable[selected[j - 1]].1[i]
         }
     });
-    let report = press_statistic(&design, targets)?;
-    let predictions = design.matvec(&report.coefficients)?;
+    let coefficients = lstsq(&design, targets)?;
+    let predictions = design.matvec(&coefficients)?;
 
     let bases: Vec<BasisFunction> = selected
         .iter()
         .map(|&s| model.bases[usable[s].0].clone())
         .collect();
-    let mut pruned = Model::new(bases, report.coefficients, model.weight_config);
+    let mut pruned = Model::new(bases, coefficients, model.weight_config);
     pruned.train_error = settings.metric.compute(&predictions, targets);
     pruned.recompute_complexity(&settings.complexity);
     Ok(pruned)

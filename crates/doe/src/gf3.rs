@@ -12,8 +12,6 @@ impl Gf3 {
     pub const ZERO: Gf3 = Gf3(0);
     /// The multiplicative identity.
     pub const ONE: Gf3 = Gf3(1);
-    /// The element two (= −1 in GF(3)).
-    pub const TWO: Gf3 = Gf3(2);
 
     /// Creates an element, reducing the input modulo 3.
     #[inline]
@@ -43,20 +41,6 @@ impl Gf3 {
     #[inline]
     pub const fn neg(self) -> Gf3 {
         Gf3((3 - self.0) % 3)
-    }
-
-    /// Multiplicative inverse.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on zero.
-    #[inline]
-    pub fn inv(self) -> Gf3 {
-        match self.0 {
-            1 => Gf3(1),
-            2 => Gf3(2), // 2·2 = 4 ≡ 1 (mod 3)
-            _ => panic!("zero has no multiplicative inverse in GF(3)"),
-        }
     }
 
     /// Iterator over all three field elements.
@@ -97,18 +81,21 @@ pub fn all_vectors(k: usize) -> Vec<Vec<Gf3>> {
 mod tests {
     use super::*;
 
+    /// The element two (= −1 in GF(3)).
+    const TWO: Gf3 = Gf3(2);
+
     #[test]
     fn addition_table() {
-        assert_eq!(Gf3::ONE.add(Gf3::TWO), Gf3::ZERO);
-        assert_eq!(Gf3::TWO.add(Gf3::TWO), Gf3::ONE);
+        assert_eq!(Gf3::ONE.add(TWO), Gf3::ZERO);
+        assert_eq!(TWO.add(TWO), Gf3::ONE);
         assert_eq!(Gf3::ZERO.add(Gf3::ONE), Gf3::ONE);
     }
 
     #[test]
     fn multiplication_table() {
-        assert_eq!(Gf3::TWO.mul(Gf3::TWO), Gf3::ONE);
-        assert_eq!(Gf3::ONE.mul(Gf3::TWO), Gf3::TWO);
-        assert_eq!(Gf3::ZERO.mul(Gf3::TWO), Gf3::ZERO);
+        assert_eq!(TWO.mul(TWO), Gf3::ONE);
+        assert_eq!(Gf3::ONE.mul(TWO), TWO);
+        assert_eq!(Gf3::ZERO.mul(TWO), Gf3::ZERO);
     }
 
     #[test]
@@ -119,19 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_is_multiplicative_inverse() {
-        for v in [Gf3::ONE, Gf3::TWO] {
-            assert_eq!(v.mul(v.inv()), Gf3::ONE);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no multiplicative inverse")]
-    fn zero_inverse_panics() {
-        let _ = Gf3::ZERO.inv();
-    }
-
-    #[test]
     fn new_reduces_mod_three() {
         assert_eq!(Gf3::new(7), Gf3::ONE);
         assert_eq!(Gf3::new(3), Gf3::ZERO);
@@ -139,8 +113,8 @@ mod tests {
 
     #[test]
     fn dot_product_is_bilinear() {
-        let a = [Gf3::ONE, Gf3::TWO, Gf3::ZERO];
-        let b = [Gf3::TWO, Gf3::TWO, Gf3::ONE];
+        let a = [Gf3::ONE, TWO, Gf3::ZERO];
+        let b = [TWO, TWO, Gf3::ONE];
         // 1·2 + 2·2 + 0·1 = 2 + 4 = 6 ≡ 0
         assert_eq!(dot(&a, &b), Gf3::ZERO);
     }

@@ -10,9 +10,8 @@
 //! * [`OrthogonalArray`] — strength-2 orthogonal arrays `OA(3^k, q, 3, 2)`
 //!   via the Rao–Hamming construction (243 runs ⇒ up to 121 columns, of
 //!   which the OTA testbench uses 13),
-//! * [`full_factorial`] and [`latin_hypercube`] — alternative plans,
 //! * [`ScaledHypercube`] — mapping level indices to physical design-variable
-//!   values around a nominal point, and
+//!   values around a nominal point,
 //! * [`Dataset`] / [`SplitDataset`] — the `{x(t), y(t)}` sample tables the
 //!   modeling algorithms consume, and
 //! * [`PointMatrix`] — the column-major (structure-of-arrays) view of a
@@ -34,17 +33,13 @@
 
 mod dataset;
 mod error;
-mod factorial;
 pub mod gf3;
-mod lhs;
 mod oa;
 mod points;
 mod scaling;
 
 pub use dataset::{Dataset, SplitDataset};
 pub use error::DoeError;
-pub use factorial::full_factorial;
-pub use lhs::latin_hypercube;
 pub use oa::OrthogonalArray;
 pub use points::PointMatrix;
 pub use scaling::ScaledHypercube;

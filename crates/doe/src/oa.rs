@@ -129,6 +129,7 @@ impl OrthogonalArray {
     /// Checks the strength-2 property on the given columns: every ordered
     /// pair of levels appears equally often in every pair of distinct
     /// columns.
+    // lint: allow(test-only-api) — doe's proptests and crate doc test check the OA property
     pub fn verify_strength_two(&self, columns: &[usize]) -> bool {
         let expected = self.runs / 9;
         for (ai, &a) in columns.iter().enumerate() {
@@ -154,6 +155,7 @@ impl OrthogonalArray {
 
     /// Checks level balance in a single column (each level appears
     /// `runs / 3` times).
+    // lint: allow(test-only-api) — doe's proptests check each column's level balance
     pub fn verify_balance(&self, column: usize) -> bool {
         if column >= self.columns {
             return false;

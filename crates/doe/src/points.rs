@@ -128,6 +128,7 @@ impl PointMatrix {
     /// # Panics
     ///
     /// Panics when `t >= n_points` or `out.len() != n_vars`.
+    // lint: allow(test-only-api) — points' and predict's tests rebuild rows from the columns
     pub fn point_into(&self, t: usize, out: &mut [f64]) {
         assert!(t < self.n_points, "point index {t} out of range");
         assert_eq!(out.len(), self.n_vars, "output length mismatch");

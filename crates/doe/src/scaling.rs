@@ -56,40 +56,6 @@ impl ScaledHypercube {
         })
     }
 
-    /// Creates a hypercube with explicit absolute half-ranges.
-    ///
-    /// # Errors
-    ///
-    /// * [`DoeError::EmptyDesign`] for empty input.
-    /// * [`DoeError::InvalidParameter`] on length mismatch, non-finite
-    ///   values, or negative half-ranges.
-    pub fn absolute(nominal: &[f64], half_range: &[f64]) -> Result<Self, DoeError> {
-        if nominal.is_empty() {
-            return Err(DoeError::EmptyDesign);
-        }
-        if nominal.len() != half_range.len() {
-            return Err(DoeError::InvalidParameter(format!(
-                "nominal has {} entries but half_range has {}",
-                nominal.len(),
-                half_range.len()
-            )));
-        }
-        if !nominal
-            .iter()
-            .chain(half_range.iter())
-            .all(|v| v.is_finite())
-            || half_range.iter().any(|&h| h < 0.0)
-        {
-            return Err(DoeError::InvalidParameter(
-                "nominal/half_range must be finite and half_range non-negative".into(),
-            ));
-        }
-        Ok(ScaledHypercube {
-            nominal: nominal.to_vec(),
-            half_range: half_range.to_vec(),
-        })
-    }
-
     /// Dimensionality of the design space.
     pub fn dim(&self) -> usize {
         self.nominal.len()
@@ -177,13 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn absolute_cube_respects_ranges() {
-        let cube = ScaledHypercube::absolute(&[5.0, 1.0], &[0.5, 0.0]).unwrap();
-        let x = cube.map_run(&[0, 2], 3).unwrap();
-        assert_eq!(x, vec![4.5, 1.0]); // zero half-range pins the variable
-    }
-
-    #[test]
     fn map_array_covers_all_runs() {
         let oa = OrthogonalArray::rao_hamming(2).unwrap();
         let cube = ScaledHypercube::relative(&[1.0, 2.0, 3.0, 4.0], 0.03).unwrap();
@@ -200,8 +159,6 @@ mod tests {
         assert!(ScaledHypercube::relative(&[1.0], 0.0).is_err());
         assert!(ScaledHypercube::relative(&[1.0], 1.5).is_err());
         assert!(ScaledHypercube::relative(&[f64::NAN], 0.1).is_err());
-        assert!(ScaledHypercube::absolute(&[1.0], &[0.1, 0.2]).is_err());
-        assert!(ScaledHypercube::absolute(&[1.0], &[-0.1]).is_err());
     }
 
     #[test]

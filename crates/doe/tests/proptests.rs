@@ -1,6 +1,6 @@
 //! Property-based tests for the DOE substrate.
 
-use caffeine_doe::{full_factorial, latin_hypercube, OrthogonalArray, ScaledHypercube};
+use caffeine_doe::{OrthogonalArray, ScaledHypercube};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,38 +24,6 @@ proptest! {
             prop_assert!(oa.verify_strength_two(&[a, b]));
         }
         prop_assert!(oa.verify_balance(a));
-    }
-
-    #[test]
-    fn full_factorial_count_is_product(levels in proptest::collection::vec(1usize..4, 1..5)) {
-        let runs = full_factorial(&levels).unwrap();
-        let expect: usize = levels.iter().product();
-        prop_assert_eq!(runs.len(), expect);
-        // Every run in bounds and all runs distinct.
-        let mut sorted = runs.clone();
-        sorted.sort();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), expect);
-        for run in &runs {
-            for (f, &l) in run.iter().enumerate() {
-                prop_assert!(l < levels[f]);
-            }
-        }
-    }
-
-    #[test]
-    fn lhs_stratification(n in 1usize..40, d in 1usize..5, seed in 0u64..100) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pts = latin_hypercube(n, d, &mut rng).unwrap();
-        for dim in 0..d {
-            let mut hit = vec![false; n];
-            for p in &pts {
-                let s = (p[dim] * n as f64).floor() as usize;
-                prop_assert!(s < n);
-                prop_assert!(!hit[s]);
-                hit[s] = true;
-            }
-        }
     }
 
     #[test]

@@ -65,6 +65,6 @@ pub use incremental::{ColumnTrial, IncrementalQr};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use nnls::{nnls, NnlsSolution};
-pub use press::{hat_diagonal, press_statistic, PressReport};
+pub use press::{press_statistic, PressReport};
 pub use qr::{lstsq, lstsq_ridge, lstsq_ridge_columns, InterceptReflector, Qr};
 pub use scalar::Scalar;

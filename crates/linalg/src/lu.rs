@@ -148,6 +148,7 @@ impl<T: Scalar> Lu<T> {
     }
 
     /// Determinant of the original matrix.
+    // lint: allow(test-only-api) — proptests check det(A) = det(Aᵀ); lu_oracle pins its bits
     pub fn det(&self) -> T {
         let n = self.dim();
         let lu = self.lu.as_slice();

@@ -208,6 +208,7 @@ impl<T: Scalar> Matrix<T> {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
+    // lint: allow(test-only-api) — linalg's tests rebuild A from its factors to check them
     pub fn matmul(&self, rhs: &Matrix<T>) -> Result<Matrix<T>, LinalgError> {
         if self.cols != rhs.rows {
             return Err(LinalgError::DimensionMismatch(format!(

@@ -10,7 +10,9 @@
 //! PRESS = Σ_t ( e_t / (1 − h_tt) )²,   h = diag(A (AᵀA)⁻¹ Aᵀ)
 //! ```
 //!
-//! where `e` are the ordinary least-squares residuals. No refits are needed.
+//! where `e` are the ordinary least-squares residuals and `h_tt = ‖Q[t, :]‖²`
+//! from the thin-Q factor (numerically stable, O(m·n²)). No refits are
+//! needed.
 
 use crate::{LinalgError, Matrix, Qr};
 
@@ -28,24 +30,6 @@ pub struct PressReport {
     pub press: f64,
     /// Residual sum of squares of the ordinary fit.
     pub rss: f64,
-}
-
-/// Computes the hat-matrix diagonal `h_tt` of the projector onto `col(A)`.
-///
-/// Uses the thin-Q factor: `h_tt = ‖Q[t, :]‖²`, which is numerically stable
-/// and O(m·n²).
-///
-/// # Errors
-///
-/// Propagates [`Qr::factor`] errors (wide or non-finite input).
-pub fn hat_diagonal(a: &Matrix) -> Result<Vec<f64>, LinalgError> {
-    let qr = Qr::factor(a)?;
-    let q = qr.thin_q();
-    let mut h = vec![0.0; a.rows()];
-    for (t, ht) in h.iter_mut().enumerate() {
-        *ht = q.row(t).iter().map(|v| v * v).sum::<f64>().clamp(0.0, 1.0);
-    }
-    Ok(h)
 }
 
 /// Fits `A·x ≈ b` by least squares and reports PRESS alongside the fit.
@@ -150,9 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn hat_diagonal_matches_explicit_projector() {
-        let (a, _) = demo_system();
-        let h = hat_diagonal(&a).unwrap();
+    fn leverages_match_explicit_projector() {
+        let (a, b) = demo_system();
+        let h = press_statistic(&a, &b).unwrap().leverages;
         // H = A (AᵀA)⁻¹ Aᵀ computed densely.
         let g = a.gram();
         let ginv_at = {

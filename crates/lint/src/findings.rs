@@ -9,6 +9,7 @@ pub enum Rule {
     PanicFreedom,
     Hygiene,
     DocLinks,
+    TestOnlyApi,
     /// Meta-rule: a malformed or reason-less allow annotation. Cannot
     /// itself be allowed.
     BadAllow,
@@ -24,6 +25,7 @@ impl Rule {
             Rule::PanicFreedom => "panic-freedom",
             Rule::Hygiene => "hygiene",
             Rule::DocLinks => "doc-links",
+            Rule::TestOnlyApi => "test-only-api",
             Rule::BadAllow => "bad-allow",
             Rule::Internal => "internal",
         }
@@ -35,7 +37,12 @@ impl Rule {
     pub fn allowable(name: &str) -> bool {
         matches!(
             name,
-            "determinism" | "lock-order" | "panic-freedom" | "hygiene" | "doc-links"
+            "determinism"
+                | "lock-order"
+                | "panic-freedom"
+                | "hygiene"
+                | "doc-links"
+                | "test-only-api"
         )
     }
 }

@@ -65,6 +65,11 @@ impl Token {
         }
     }
 
+    /// True for line and block comments (doc comments included).
+    pub fn is_comment(&self) -> bool {
+        self.kind == TokKind::LineComment || self.kind == TokKind::BlockComment
+    }
+
     /// True when this token is the identifier `word`.
     pub fn is_ident(&self, src: &[u8], word: &str) -> bool {
         self.kind == TokKind::Ident && self.text(src) == word.as_bytes()

@@ -2,7 +2,7 @@
 //! workspace's hardest-won invariants.
 //!
 //! Tests catch violations *when they run the violating path*; this crate
-//! makes four whole violation classes unwritable at commit time, in
+//! makes five whole violation classes unwritable at commit time, in
 //! milliseconds, over the workspace's own source:
 //!
 //! * **determinism** — no wall clocks or hash-map iteration in the
@@ -13,7 +13,10 @@
 //! * **panic-freedom** — no `unwrap`/`expect`/`panic!` in serve's
 //!   request-path modules (a panic kills a worker or poisons a lock);
 //! * **hygiene** — every crate pins `#![deny(unsafe_code)]`, and every
-//!   relative markdown link resolves.
+//!   relative markdown link resolves;
+//! * **test-only-api** — every `pub` item of a library crate is named by
+//!   some non-test code (a binary, an example, perfbench or another
+//!   library), so API that only tests call is deleted or justified.
 //!
 //! Intentional exceptions are silenced only by an inline
 //! `// lint: allow(<rule>) — <reason>` annotation; a reason-less allow is
@@ -40,20 +43,27 @@ use source::SourceFile;
 
 /// Run every applicable rule against one Rust source file identified by
 /// its workspace-relative path.
+///
+/// The cross-file `test-only-api` rule needs the whole workspace, so it
+/// runs only in [`run_workspace`].
 pub fn check_rust_source(rel_path: &str, bytes: &[u8], cfg: &Config) -> Vec<Finding> {
-    let sf = SourceFile::new(rel_path, bytes);
+    check_source(&SourceFile::new(rel_path, bytes), cfg)
+}
+
+fn check_source(sf: &SourceFile<'_>, cfg: &Config) -> Vec<Finding> {
+    let rel_path = sf.path;
     let mut out = Vec::new();
     if determinism_applies(rel_path, cfg) {
-        rules::determinism::check(&sf, &mut out);
+        rules::determinism::check(sf, &mut out);
     }
     if cfg.panic_freedom_files.iter().any(|f| f == rel_path) {
-        rules::panic_freedom::check(&sf, &mut out);
+        rules::panic_freedom::check(sf, &mut out);
     }
     if cfg.lock_order_files.iter().any(|f| f == rel_path) {
-        rules::lock_order::check(&sf, cfg, &mut out);
+        rules::lock_order::check(sf, cfg, &mut out);
     }
     if is_crate_root(rel_path) {
-        rules::hygiene::check(&sf, &mut out);
+        rules::hygiene::check(sf, &mut out);
     }
     out.extend(sf.bad_allow_findings());
     out
@@ -94,26 +104,45 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
     config::parse(&text).map_err(|e| e.to_string())
 }
 
-/// Lint the whole workspace under `root`. IO failures become `internal`
-/// findings rather than aborting the run.
+/// Lint the whole workspace under `root`: the per-file rules over every
+/// Rust file, then the cross-file `test-only-api` rule over all of them
+/// plus `perfbench/src`, which is read for uses but not linted (it lives
+/// outside the workspace, yet calls workspace API). IO failures become
+/// `internal` findings rather than aborting the run.
 pub fn run_workspace(root: &Path, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut rust_files = Vec::new();
-    for top in ["crates", "src", "tests", "examples", "benches"] {
+    for top in [
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        "benches",
+        "perfbench/src",
+    ] {
         collect_files(&root.join(top), root, cfg, "rs", &mut rust_files);
     }
     rust_files.sort();
-    for rel in &rust_files {
-        match std::fs::read(root.join(rel)) {
-            Ok(bytes) => out.extend(check_rust_source(rel, &bytes, cfg)),
+    let mut sources = Vec::new();
+    for rel in rust_files {
+        match std::fs::read(root.join(&rel)) {
+            Ok(bytes) => sources.push((rel, bytes)),
             Err(e) => out.push(Finding::new(
                 Rule::Internal,
-                rel,
+                &rel,
                 0,
                 format!("cannot read file: {e}"),
             )),
         }
     }
+    let files: Vec<SourceFile<'_>> = sources
+        .iter()
+        .map(|(rel, bytes)| SourceFile::new(rel, bytes))
+        .collect();
+    for sf in files.iter().filter(|sf| !sf.path.starts_with("perfbench/")) {
+        out.extend(check_source(sf, cfg));
+    }
+    rules::test_only_api::check(&files, &mut out);
     let mut md_files = Vec::new();
     for doc_root in &cfg.doc_roots {
         let p = root.join(doc_root);

@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 
 use crate::findings::{Finding, Rule};
-use crate::lexer::TokKind;
+use crate::lexer::{TokKind, Token};
 use crate::source::SourceFile;
 
 const ITER_METHODS: &[&str] = &[
@@ -42,22 +42,12 @@ const WRAPPERS: &[&str] = &[
 
 pub fn check(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
     let src = sf.bytes;
-    let toks = &sf.tokens;
     let map_names = collect_map_names(sf);
+    let toks = sf.code_tokens();
+    let tok = |k: usize| toks.get(k).copied();
 
-    let code = |i: usize| {
-        toks.get(i)
-            .filter(|t| t.kind != TokKind::LineComment && t.kind != TokKind::BlockComment)
-    };
-    // Dense index of non-comment tokens so adjacency patterns skip
-    // interleaved comments.
-    let idx: Vec<usize> = (0..toks.len()).filter(|&i| code(i).is_some()).collect();
-    let tok = |k: usize| idx.get(k).map(|&i| (&toks[i], i));
-
-    let mut k = 0usize;
-    while let Some((t, raw_i)) = tok(k) {
-        if sf.in_test_code(raw_i) {
-            k += 1;
+    for (k, &t) in toks.iter().enumerate() {
+        if sf.byte_in_test(t.lo) {
             continue;
         }
         // SystemTime anywhere (even an import is a liability here).
@@ -74,7 +64,7 @@ pub fn check(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
         if t.is_ident(src, "Instant")
             && punct(sf, tok(k + 1)) == Some(b':')
             && punct(sf, tok(k + 2)) == Some(b':')
-            && tok(k + 3).is_some_and(|(n, _)| n.is_ident(src, "now"))
+            && tok(k + 3).is_some_and(|n| n.is_ident(src, "now"))
         {
             out.extend(sf.filtered(Finding::new(
                 Rule::Determinism,
@@ -86,7 +76,7 @@ pub fn check(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
         }
         // name . iter_method (
         if t.kind == TokKind::Ident && map_names.contains(t.text(src)) {
-            if let (Some(b'.'), Some((m, _)), Some(b'(')) =
+            if let (Some(b'.'), Some(m), Some(b'(')) =
                 (punct(sf, tok(k + 1)), tok(k + 2), punct(sf, tok(k + 3)))
             {
                 if m.kind == TokKind::Ident {
@@ -110,30 +100,29 @@ pub fn check(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
         }
         // for pat in [&[mut]] name {   (implicit IntoIterator on a map)
         if t.is_ident(src, "for") {
-            if let Some(f) = check_for_loop(sf, &idx, k, &map_names) {
+            if let Some(f) = check_for_loop(sf, &toks, k, &map_names) {
                 out.extend(sf.filtered(f));
             }
         }
-        k += 1;
     }
 }
 
-fn punct(sf: &SourceFile<'_>, t: Option<(&crate::lexer::Token, usize)>) -> Option<u8> {
-    t.and_then(|(t, _)| t.punct(sf.bytes))
+fn punct(sf: &SourceFile<'_>, t: Option<&Token>) -> Option<u8> {
+    t.and_then(|t| t.punct(sf.bytes))
 }
 
-/// From a `for` keyword at dense index `k`, find the `in` at
+/// From a `for` keyword at code-token index `k`, find the `in` at
 /// paren/bracket depth 0 within a short window and test whether the
 /// iterated expression is exactly a tracked map name (optionally behind
 /// `&`/`&mut`), ending the loop header.
 fn check_for_loop(
     sf: &SourceFile<'_>,
-    idx: &[usize],
+    toks: &[&Token],
     k: usize,
     map_names: &BTreeSet<Vec<u8>>,
 ) -> Option<Finding> {
     let src = sf.bytes;
-    let at = |j: usize| idx.get(j).map(|&i| &sf.tokens[i]);
+    let at = |j: usize| toks.get(j).copied();
     let mut depth = 0i32;
     let mut j = k + 1;
     // Bounded scan: loop patterns are short; 40 tokens is generous.
@@ -188,11 +177,7 @@ fn check_for_loop(
 /// `name: Arc<Mutex<HashMap<…>>>`, ….
 fn collect_map_names(sf: &SourceFile<'_>) -> BTreeSet<Vec<u8>> {
     let src = sf.bytes;
-    let toks: Vec<&crate::lexer::Token> = sf
-        .tokens
-        .iter()
-        .filter(|t| t.kind != TokKind::LineComment && t.kind != TokKind::BlockComment)
-        .collect();
+    let toks = sf.code_tokens();
     let mut names = BTreeSet::new();
     for (k, t) in toks.iter().enumerate() {
         if !(t.is_ident(src, "HashMap") || t.is_ident(src, "HashSet")) {

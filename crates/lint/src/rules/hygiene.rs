@@ -11,11 +11,7 @@ use crate::source::SourceFile;
 
 pub fn check(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
     let src = sf.bytes;
-    let toks: Vec<&crate::lexer::Token> = sf
-        .tokens
-        .iter()
-        .filter(|t| t.kind != TokKind::LineComment && t.kind != TokKind::BlockComment)
-        .collect();
+    let toks = sf.code_tokens();
     let pat: &[&str] = &["#", "!", "[", "deny", "(", "unsafe_code", ")", "]"];
     let found = toks.windows(pat.len()).any(|w| {
         w.iter().zip(pat).all(|(t, p)| match t.kind {

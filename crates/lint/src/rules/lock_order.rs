@@ -43,11 +43,7 @@ pub struct PairEvent {
 /// All nested-acquisition events in a file (for `--locks` and the rule).
 pub fn pairs(sf: &SourceFile<'_>, cfg: &Config) -> Vec<PairEvent> {
     let src = sf.bytes;
-    let toks: Vec<&Token> = sf
-        .tokens
-        .iter()
-        .filter(|t| t.kind != TokKind::LineComment && t.kind != TokKind::BlockComment)
-        .collect();
+    let toks = sf.code_tokens();
     let impl_ctx = impl_context(src, &toks);
     let mut events = Vec::new();
     let mut k = 0usize;

@@ -24,22 +24,13 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 
 pub fn check(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
     let src = sf.bytes;
-    let idx: Vec<usize> = (0..sf.tokens.len())
-        .filter(|&i| {
-            let k = sf.tokens[i].kind;
-            k != TokKind::LineComment && k != TokKind::BlockComment
-        })
-        .collect();
-    for (k, &raw_i) in idx.iter().enumerate() {
-        if sf.in_test_code(raw_i) {
+    let toks = sf.code_tokens();
+    for (k, &t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident || sf.byte_in_test(t.lo) {
             continue;
         }
-        let t = &sf.tokens[raw_i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let next_punct = |ahead: usize| idx.get(k + ahead).and_then(|&i| sf.tokens[i].punct(src));
-        let prev_punct = || (k > 0).then(|| sf.tokens[idx[k - 1]].punct(src)).flatten();
+        let next_punct = |ahead: usize| toks.get(k + ahead).and_then(|t| t.punct(src));
+        let prev_punct = || (k > 0).then(|| toks[k - 1].punct(src)).flatten();
         let text = t.text(src);
         if PANIC_METHODS.iter().any(|m| text == m.as_bytes())
             && prev_punct() == Some(b'.')

@@ -41,11 +41,10 @@ impl<'a> SourceFile<'a> {
         }
     }
 
-    /// True when the token at `idx` lies inside test-only code.
-    pub fn in_test_code(&self, idx: usize) -> bool {
-        self.tokens
-            .get(idx)
-            .is_some_and(|tok| self.byte_in_test(tok.lo))
+    /// The token stream without comments, so adjacency patterns skip
+    /// interleaved comments and code quoted in doc comments never counts.
+    pub fn code_tokens(&self) -> Vec<&Token> {
+        self.tokens.iter().filter(|t| !t.is_comment()).collect()
     }
 
     /// True when byte offset `lo` lies inside test-only code.
@@ -85,7 +84,7 @@ impl<'a> SourceFile<'a> {
                     a.line,
                     format!(
                         "allow names unknown rule `{}` (known: determinism, lock-order, \
-                         panic-freedom, hygiene, doc-links)",
+                         panic-freedom, hygiene, doc-links, test-only-api)",
                         a.rule
                     ),
                 ));
@@ -111,7 +110,7 @@ impl<'a> SourceFile<'a> {
 fn scan_allows(src: &[u8], tokens: &[Token]) -> Vec<Allow> {
     let mut out = Vec::new();
     for t in tokens {
-        if t.kind != TokKind::LineComment && t.kind != TokKind::BlockComment {
+        if !t.is_comment() {
             continue;
         }
         let text = String::from_utf8_lossy(t.text(src));
@@ -180,9 +179,7 @@ fn scan_test_ranges(src: &[u8], tokens: &[Token]) -> Vec<(usize, usize)> {
                     {
                         let (_, next) = attr_is_test(src, tokens, j + 1);
                         j = next;
-                    } else if tokens.get(j).is_some_and(|t| {
-                        t.kind == TokKind::LineComment || t.kind == TokKind::BlockComment
-                    }) {
+                    } else if tokens.get(j).is_some_and(Token::is_comment) {
                         j += 1;
                     } else {
                         break;
@@ -299,61 +296,43 @@ mod tests {
         SourceFile::new("x.rs", src.as_bytes())
     }
 
+    /// Is the first identifier `word` in `src` inside test-only code?
+    fn in_test(src: &str, word: &str) -> bool {
+        let f = file(src);
+        let tok = f
+            .tokens
+            .iter()
+            .find(|t| t.is_ident(src.as_bytes(), word))
+            .unwrap();
+        f.byte_in_test(tok.lo)
+    }
+
     #[test]
     fn cfg_test_mod_is_skipped() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n  fn helper() {}\n}\nfn also_live() {}";
-        let f = file(src);
-        let idx_of = |word: &str| {
-            f.tokens
-                .iter()
-                .position(|t| t.is_ident(src.as_bytes(), word))
-                .unwrap()
-        };
-        assert!(!f.in_test_code(idx_of("live")));
-        assert!(f.in_test_code(idx_of("helper")));
-        assert!(!f.in_test_code(idx_of("also_live")));
+        assert!(!in_test(src, "live"));
+        assert!(in_test(src, "helper"));
+        assert!(!in_test(src, "also_live"));
     }
 
     #[test]
     fn cfg_not_test_is_not_skipped() {
-        let src = "#[cfg(not(test))]\nfn shipped() {}";
-        let f = file(src);
-        let idx = f
-            .tokens
-            .iter()
-            .position(|t| t.is_ident(src.as_bytes(), "shipped"))
-            .unwrap();
-        assert!(!f.in_test_code(idx));
+        assert!(!in_test("#[cfg(not(test))]\nfn shipped() {}", "shipped"));
     }
 
     #[test]
     fn cfg_any_test_is_skipped() {
-        let src = "#[cfg(any(test, feature = \"x\"))]\nfn gated() {}";
-        let f = file(src);
-        let idx = f
-            .tokens
-            .iter()
-            .position(|t| t.is_ident(src.as_bytes(), "gated"))
-            .unwrap();
-        assert!(f.in_test_code(idx));
+        assert!(in_test(
+            "#[cfg(any(test, feature = \"x\"))]\nfn gated() {}",
+            "gated"
+        ));
     }
 
     #[test]
     fn test_attr_with_stacked_attrs() {
         let src = "#[test]\n#[ignore]\nfn t() { body(); }\nfn live() {}";
-        let f = file(src);
-        let body = f
-            .tokens
-            .iter()
-            .position(|t| t.is_ident(src.as_bytes(), "body"))
-            .unwrap();
-        let live = f
-            .tokens
-            .iter()
-            .position(|t| t.is_ident(src.as_bytes(), "live"))
-            .unwrap();
-        assert!(f.in_test_code(body));
-        assert!(!f.in_test_code(live));
+        assert!(in_test(src, "body"));
+        assert!(!in_test(src, "live"));
     }
 
     #[test]

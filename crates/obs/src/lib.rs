@@ -266,6 +266,7 @@ impl Logger {
     }
 
     /// A logger writing into memory, plus the handle that reads it back.
+    // lint: allow(test-only-api) — obs's and serve's tests read emitted log lines back
     pub fn capture(level: Level, format: LogFormat) -> (Logger, LogCapture) {
         let buf = Arc::new(Mutex::new(String::new()));
         (

@@ -110,11 +110,6 @@ impl TraceContext {
     pub fn trace_id_hex(&self) -> String {
         format!("{:032x}", self.trace_id)
     }
-
-    /// The span id as its canonical 16-char lowercase hex form.
-    pub fn span_id_hex(&self) -> String {
-        format!("{:016x}", self.span_id)
-    }
 }
 
 /// Strict fixed-width hex: every byte must be a hex digit (no sign, no

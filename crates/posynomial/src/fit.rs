@@ -1,5 +1,5 @@
 use caffeine_doe::Dataset;
-use caffeine_linalg::{lstsq_ridge, nnls, Matrix};
+use caffeine_linalg::{nnls, Matrix};
 
 use crate::model::{MonomialTerm, PosynomialModel};
 use crate::template::TemplateSpec;
@@ -89,38 +89,6 @@ pub fn fit_posynomial(
     Ok(PosynomialModel {
         terms,
         negated,
-        signomial: false,
-        var_names: data.names().to_vec(),
-    })
-}
-
-/// Fits a *signomial* model (signed coefficients, ridge-regularized least
-/// squares) over the same template — a strictly more flexible baseline
-/// used in the ablation experiments.
-///
-/// # Errors
-///
-/// Same as [`fit_posynomial`], except no NNLS convergence concern.
-pub fn fit_signomial(
-    data: &Dataset,
-    spec: &TemplateSpec,
-) -> Result<PosynomialModel, PosynomialError> {
-    let (a, exponents) = template_matrix(data, spec)?;
-    let (scaled, norms) = normalize_columns(&a);
-    let coef = lstsq_ridge(&scaled, data.targets(), 1e-10)?;
-    let terms = exponents
-        .into_iter()
-        .zip(coef.iter().zip(norms.iter()))
-        .filter(|(_, (&c, _))| c != 0.0)
-        .map(|(e, (&c, &n))| MonomialTerm {
-            coefficient: c / n,
-            exponents: e,
-        })
-        .collect();
-    Ok(PosynomialModel {
-        terms,
-        negated: false,
-        signomial: true,
         var_names: data.names().to_vec(),
     })
 }
@@ -166,18 +134,6 @@ mod tests {
         let model = fit_posynomial(&data, &TemplateSpec::order2()).unwrap();
         let err = model.relative_rms_error(&data, 0.0);
         assert!(err > 1e-4, "template bias should leave residual, err={err}");
-    }
-
-    #[test]
-    fn signomial_is_at_least_as_good_as_posynomial() {
-        // A target with a genuinely negative coefficient.
-        let data = grid_2d(|a, b| 5.0 + 2.0 * a - 3.0 / b);
-        let pos = fit_posynomial(&data, &TemplateSpec::order2()).unwrap();
-        let sig = fit_signomial(&data, &TemplateSpec::order2()).unwrap();
-        let pe = pos.relative_rms_error(&data, 0.0);
-        let se = sig.relative_rms_error(&data, 0.0);
-        assert!(se <= pe + 1e-9, "signomial {se} vs posynomial {pe}");
-        assert!(sig.signomial);
     }
 
     #[test]

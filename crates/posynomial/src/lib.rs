@@ -49,6 +49,6 @@ mod model;
 mod template;
 
 pub use error::PosynomialError;
-pub use fit::{fit_posynomial, fit_signomial};
+pub use fit::fit_posynomial;
 pub use model::{MonomialTerm, PosynomialModel};
 pub use template::TemplateSpec;

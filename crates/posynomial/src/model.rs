@@ -6,7 +6,7 @@ use caffeine_linalg::stats;
 /// One monomial term `c · Π x_i^{e_i}` with integer exponents.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MonomialTerm {
-    /// Coefficient (`> 0` for a posynomial; any sign for a signomial).
+    /// Coefficient (`> 0` in a fitted posynomial).
     pub coefficient: f64,
     /// One integer exponent per design variable.
     pub exponents: Vec<i32>,
@@ -26,7 +26,7 @@ impl MonomialTerm {
     }
 }
 
-/// A fitted posynomial (or signomial) model.
+/// A fitted posynomial model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PosynomialModel {
     /// The active terms (zero-coefficient template entries are dropped).
@@ -34,8 +34,6 @@ pub struct PosynomialModel {
     /// `true` when the model was fit on `−y` because the target is
     /// predominantly negative (posynomials are positive-valued).
     pub negated: bool,
-    /// `true` when coefficients were allowed to be negative (signomial).
-    pub signomial: bool,
     /// Variable names, for display.
     pub var_names: Vec<String>,
 }
@@ -125,7 +123,6 @@ mod tests {
                 },
             ],
             negated: false,
-            signomial: false,
             var_names: vec!["a".into(), "b".into()],
         }
     }

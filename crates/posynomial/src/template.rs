@@ -24,16 +24,6 @@ impl TemplateSpec {
         }
     }
 
-    /// A small order-1 template (constant plus `x^±1`), useful when the
-    /// sample budget is tight.
-    pub fn order1() -> TemplateSpec {
-        TemplateSpec {
-            max_single_exponent: 1,
-            cross_terms: false,
-            constant: true,
-        }
-    }
-
     /// Generates the exponent vectors of every template term for `n_vars`
     /// design variables.
     pub fn exponent_vectors(&self, n_vars: usize) -> Vec<Vec<i32>> {
@@ -94,12 +84,17 @@ mod tests {
 
     #[test]
     fn order1_has_no_cross_terms() {
-        let t = TemplateSpec::order1();
+        let t = TemplateSpec {
+            max_single_exponent: 1,
+            cross_terms: false,
+            constant: true,
+        };
         let vecs = t.exponent_vectors(3);
         assert!(vecs
             .iter()
             .all(|e| e.iter().filter(|&&v| v != 0).count() <= 1));
         assert_eq!(vecs.len(), 1 + 6);
+        assert_eq!(vecs.len(), t.n_terms(3));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`request`] is the one-shot convenience built on top. [`sse_tail`]
 //! consumes a chunked `text/event-stream` response event by event, and
 //! [`watch_job`] wraps it with reconnect-and-resume over the server's
-//! replay history. [`Connection::request_with_retry`] layers a
+//! replay history. [`Connection::request_traced_with_retry`] layers a
 //! [`RetryPolicy`] — capped exponential backoff with deterministic
 //! jitter, `Retry-After` honoring, per-request deadlines — over the
 //! basic request path.
@@ -161,7 +161,7 @@ impl Connection {
         }
     }
 
-    /// Like [`Connection::request`], but under a [`RetryPolicy`]:
+    /// Like [`Connection::request_traced`], but under a [`RetryPolicy`]:
     /// transport failures back off and retry when a repeat is provably
     /// safe, and overload answers (429/503) are retried after honoring
     /// the server's `Retry-After` (capped at the policy's
@@ -174,27 +174,13 @@ impl Connection {
     /// read-phase failure only idempotent ones (or any, when the policy
     /// opts into `assume_idempotent`).
     ///
+    /// Every attempt reuses the caller's trace context `ctx`, so the
+    /// server's trace shows the retries as siblings of one client span.
+    ///
     /// # Errors
     ///
     /// The final attempt's transport failure once attempts or the
     /// deadline run out, or immediately when a retry would be unsafe.
-    pub fn request_with_retry(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&[u8]>,
-        policy: &RetryPolicy,
-    ) -> std::io::Result<ClientResponse> {
-        self.request_traced_with_retry(method, path, body, TraceContext::mint(), policy)
-    }
-
-    /// [`Connection::request_with_retry`] propagating the caller's trace
-    /// context. Every attempt reuses the same context, so the server's
-    /// trace shows the retries as siblings of one client span.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::request_with_retry`].
     pub fn request_traced_with_retry(
         &mut self,
         method: &str,

@@ -46,11 +46,6 @@ impl ApiError {
         ApiError::new(405, "method_not_allowed", message)
     }
 
-    /// 409 — the request conflicts with current state.
-    pub fn conflict(message: impl Into<String>) -> ApiError {
-        ApiError::new(409, "conflict", message)
-    }
-
     /// 422 — syntactically fine, semantically unusable.
     pub fn unprocessable(message: impl Into<String>) -> ApiError {
         ApiError::new(422, "unprocessable", message)
@@ -64,11 +59,6 @@ impl ApiError {
     /// 500 — the server failed.
     pub fn internal(message: impl Into<String>) -> ApiError {
         ApiError::new(500, "internal", message)
-    }
-
-    /// 503 — the server is saturated or draining.
-    pub fn unavailable(message: impl Into<String>) -> ApiError {
-        ApiError::new(503, "unavailable", message)
     }
 
     /// Attaches a `Retry-After` hint in whole seconds (clamped to ≥ 1).
@@ -155,7 +145,7 @@ mod tests {
             .iter()
             .any(|(n, v)| n == "retry-after" && v == "4"));
         // Clamped to at least one second.
-        let r = ApiError::unavailable("busy")
+        let r = ApiError::too_many_jobs("busy")
             .with_retry_after(0)
             .into_response();
         assert!(r

@@ -1180,6 +1180,7 @@ impl JobManager {
     }
 
     /// The current admission-queue depth.
+    // lint: allow(test-only-api) — jobs' scheduler tests assert the pending queue's length
     pub fn queue_depth(&self) -> usize {
         self.scheduler.depth()
     }

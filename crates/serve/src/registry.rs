@@ -199,6 +199,7 @@ impl ModelRegistry {
     }
 
     /// Total artifacts across all ids.
+    // lint: allow(test-only-api) — registry's tests count versions across publish and reopen
     pub fn total_versions(&self) -> usize {
         let map = self.inner.pread();
         map.values().map(|s| s.versions.len()).sum()

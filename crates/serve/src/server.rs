@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use caffeine_obs::{
-    Level, LogFormat, Logger, SpanKind, TraceContext, TraceStore, TraceStoreConfig,
+    Level, LogFormat, Logger, SpanKind, TraceContext, TraceSpan, TraceStore, TraceStoreConfig,
 };
 
 use crate::error::ApiError;
@@ -352,7 +352,16 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     parent_ctx.map(|p| p.span_id),
                 );
                 root_span.attr("request.id", request_id.clone());
-                let bytes_in = request.body.len();
+                let access = |route, status, bytes_out| Access {
+                    request_id: &request_id,
+                    route,
+                    method: &request.method,
+                    path: &request.path,
+                    status,
+                    elapsed: started.elapsed(),
+                    bytes_in: request.body.len(),
+                    bytes_out,
+                };
                 match handlers::handle(shared, &request, &request_id, &mut root_span) {
                     (handlers::Outcome::Response(response), label) => {
                         let response = response
@@ -361,27 +370,10 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                         let status = response.status;
                         let bytes_out = response.body.len();
                         let write_ok = response.write_to(&mut stream, keep_alive).is_ok();
-                        let elapsed = started.elapsed();
-                        root_span.attr("http.route", label);
-                        root_span.attr("http.status", status.to_string());
                         if status >= 500 {
                             root_span.set_error(format!("http {status}"));
                         }
-                        root_span.finish();
-                        // A submit handler may have handed this trace to
-                        // a job; it then completes when the job does.
-                        shared.traces.finish_unless_held(ctx.trace_id);
-                        shared.metrics.observe(label, status, elapsed);
-                        log_access(
-                            shared,
-                            &request_id,
-                            label,
-                            &request,
-                            status,
-                            elapsed,
-                            bytes_in,
-                            bytes_out,
-                        );
+                        finish_request(shared, root_span, ctx, &access(label, status, bytes_out));
                         if !keep_alive || !write_ok {
                             break;
                         }
@@ -391,26 +383,9 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                         // this worker returns to the pool immediately —
                         // open streams must not occupy workers. Streamed
                         // responses always close when done.
-                        root_span.attr("http.route", label);
                         root_span.attr("job.id", entry.id.to_string());
-                        match shared.sse.adopt(stream, &entry, &request_id) {
-                            Ok(()) => {
-                                let elapsed = started.elapsed();
-                                root_span.attr("http.status", "200");
-                                root_span.finish();
-                                shared.traces.finish_unless_held(ctx.trace_id);
-                                shared.metrics.observe(label, 200, elapsed);
-                                log_access(
-                                    shared,
-                                    &request_id,
-                                    label,
-                                    &request,
-                                    200,
-                                    elapsed,
-                                    bytes_in,
-                                    0,
-                                );
-                            }
+                        let done = match shared.sse.adopt(stream, &entry, &request_id) {
+                            Ok(()) => access(label, 200, 0),
                             Err((mut returned, e)) => {
                                 // The client still deserves a response
                                 // (and the metrics the truth) when the
@@ -422,24 +397,11 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                                         .with_header("x-request-id", request_id.clone());
                                 let bytes_out = response.body.len();
                                 let _ = response.write_to(&mut returned, false);
-                                let elapsed = started.elapsed();
-                                root_span.attr("http.status", "500");
                                 root_span.set_error("cannot stream events");
-                                root_span.finish();
-                                shared.traces.finish_unless_held(ctx.trace_id);
-                                shared.metrics.observe(label, 500, elapsed);
-                                log_access(
-                                    shared,
-                                    &request_id,
-                                    label,
-                                    &request,
-                                    500,
-                                    elapsed,
-                                    bytes_in,
-                                    bytes_out,
-                                );
+                                access(label, 500, bytes_out)
                             }
-                        }
+                        };
+                        finish_request(shared, root_span, ctx, &done);
                         return;
                     }
                 }
@@ -469,21 +431,17 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 .with_header("x-request-id", request_id.clone());
                 let bytes_out = response.body.len();
                 let _ = response.write_to(&mut stream, false);
-                let elapsed = started.elapsed();
-                shared.metrics.observe("http_error", status, elapsed);
-                shared.logger().info(
-                    "http.access",
-                    &[
-                        ("request_id", request_id.as_str().into()),
-                        ("route", "http_error".into()),
-                        ("method", "-".into()),
-                        ("path", "-".into()),
-                        ("status", status.into()),
-                        ("latency_ms", (elapsed.as_secs_f64() * 1e3).into()),
-                        ("bytes_in", 0usize.into()),
-                        ("bytes_out", bytes_out.into()),
-                    ],
-                );
+                let access = Access {
+                    request_id: &request_id,
+                    route: "http_error",
+                    method: "-",
+                    path: "-",
+                    status,
+                    elapsed: started.elapsed(),
+                    bytes_in: 0,
+                    bytes_out,
+                };
+                log_access(shared, &access, false);
                 break; // parser state is unknowable; never reuse
             }
         }
@@ -491,33 +449,52 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
-/// Emits the one structured `http.access` line every served request gets,
-/// plus an `http.slow` warning when the request exceeded the configured
-/// slow-request threshold.
-#[allow(clippy::too_many_arguments)]
-fn log_access(
-    shared: &Arc<Shared>,
-    request_id: &str,
+/// One answered request, as the metrics and the access log record it.
+struct Access<'a> {
+    request_id: &'a str,
     route: &'static str,
-    request: &http::Request,
+    method: &'a str,
+    path: &'a str,
     status: u16,
     elapsed: Duration,
     bytes_in: usize,
     bytes_out: usize,
-) {
-    let latency_ms = elapsed.as_secs_f64() * 1e3;
+}
+
+/// The completion every parsed request shares: its root span takes the
+/// route and status and finishes, its trace completes unless a submit
+/// handler handed it to a job (it then completes when the job does), and
+/// the request is counted and logged.
+fn finish_request(shared: &Arc<Shared>, mut span: TraceSpan, ctx: TraceContext, access: &Access) {
+    span.attr("http.route", access.route);
+    span.attr("http.status", access.status.to_string());
+    span.finish();
+    shared.traces.finish_unless_held(ctx.trace_id);
+    log_access(shared, access, true);
+}
+
+/// Counts the request in the metrics and emits the one structured
+/// `http.access` line every answered request gets, plus an `http.slow`
+/// warning when `warn_slow` and it exceeded the configured slow-request
+/// threshold. A request that never parsed gets no warning: its slowness
+/// is the client's, and a 408 comes only after `io_timeout`, past any
+/// sensible threshold.
+fn log_access(shared: &Arc<Shared>, access: &Access, warn_slow: bool) {
+    shared
+        .metrics
+        .observe(access.route, access.status, access.elapsed);
     let fields = [
-        ("request_id", request_id.into()),
-        ("route", route.into()),
-        ("method", request.method.as_str().into()),
-        ("path", request.path.as_str().into()),
-        ("status", status.into()),
-        ("latency_ms", latency_ms.into()),
-        ("bytes_in", bytes_in.into()),
-        ("bytes_out", bytes_out.into()),
+        ("request_id", access.request_id.into()),
+        ("route", access.route.into()),
+        ("method", access.method.into()),
+        ("path", access.path.into()),
+        ("status", access.status.into()),
+        ("latency_ms", (access.elapsed.as_secs_f64() * 1e3).into()),
+        ("bytes_in", access.bytes_in.into()),
+        ("bytes_out", access.bytes_out.into()),
     ];
     shared.logger().info("http.access", &fields);
-    if elapsed >= shared.config.slow_request {
+    if warn_slow && access.elapsed >= shared.config.slow_request {
         shared.logger().warn("http.slow", &fields);
     }
 }

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use caffeine_core::expr::{BasisFunction, VarCombo, WeightConfig};
 use caffeine_core::{Model, ModelArtifact};
+use caffeine_obs::TraceContext;
 use caffeine_serve::client::{self, RetryPolicy, WatchOptions};
 use caffeine_serve::{ServeConfig, Server};
 use caffeine_testkit::{FaultClass, FaultPlan, FaultProxy, FAULT_CLASSES};
@@ -137,7 +138,13 @@ fn retry_after_is_honored_on_the_wire() {
     let mut conn = client::Connection::new(&addr, T);
     let started = Instant::now();
     let r = conn
-        .request_with_retry("POST", "/v1/jobs", Some(b"{}"), &RetryPolicy::default())
+        .request_traced_with_retry(
+            "POST",
+            "/v1/jobs",
+            Some(b"{}"),
+            TraceContext::mint(),
+            &RetryPolicy::default(),
+        )
         .expect("retry converges");
     assert_eq!(r.status, 200);
     assert_eq!(r.text(), "ok");
@@ -162,7 +169,13 @@ fn sustained_overload_backs_off_then_surfaces_the_answer() {
         ..RetryPolicy::default()
     };
     let r = conn
-        .request_with_retry("POST", "/v1/jobs", Some(b"{}"), &policy)
+        .request_traced_with_retry(
+            "POST",
+            "/v1/jobs",
+            Some(b"{}"),
+            TraceContext::mint(),
+            &policy,
+        )
         .expect("overload surfaces as a response");
     assert_eq!(r.status, 429);
     assert_eq!(count.load(Ordering::SeqCst), 3, "all attempts used");
@@ -182,12 +195,18 @@ fn read_phase_failures_retry_gets_but_never_posts() {
     };
 
     let mut conn = client::Connection::new(&addr, T);
-    conn.request_with_retry("POST", "/v1/jobs", Some(b"{}"), &policy)
-        .expect_err("a POST whose response never arrived must fail");
+    conn.request_traced_with_retry(
+        "POST",
+        "/v1/jobs",
+        Some(b"{}"),
+        TraceContext::mint(),
+        &policy,
+    )
+    .expect_err("a POST whose response never arrived must fail");
     assert_eq!(count.load(Ordering::SeqCst), 1, "POST must not be retried");
 
     let mut conn = client::Connection::new(&addr, T);
-    conn.request_with_retry("GET", "/v1/jobs", None, &policy)
+    conn.request_traced_with_retry("GET", "/v1/jobs", None, TraceContext::mint(), &policy)
         .expect_err("server never answers");
     assert_eq!(
         count.load(Ordering::SeqCst),
@@ -209,7 +228,13 @@ fn assume_idempotent_opts_posts_into_read_phase_retries() {
     };
     let mut conn = client::Connection::new(&addr, T);
     let r = conn
-        .request_with_retry("POST", "/v1/models/demo/predict", Some(b"{}"), &policy)
+        .request_traced_with_retry(
+            "POST",
+            "/v1/models/demo/predict",
+            Some(b"{}"),
+            TraceContext::mint(),
+            &policy,
+        )
         .expect("opt-in retry converges");
     assert_eq!(r.status, 200);
     assert_eq!(count.load(Ordering::SeqCst), 2);
@@ -241,7 +266,13 @@ fn connect_refused_is_retried_for_any_method() {
         ..RetryPolicy::default()
     };
     let r = conn
-        .request_with_retry("POST", "/v1/jobs", Some(b"{}"), &policy)
+        .request_traced_with_retry(
+            "POST",
+            "/v1/jobs",
+            Some(b"{}"),
+            TraceContext::mint(),
+            &policy,
+        )
         .expect("client rides out the refused dials");
     assert_eq!(r.status, 200);
     server.join().unwrap();
@@ -285,10 +316,11 @@ fn predictions_converge_through_every_fault_class() {
                 ..RetryPolicy::default()
             };
             let r = conn
-                .request_with_retry(
+                .request_traced_with_retry(
                     "POST",
                     "/v1/models/demo/predict",
                     Some(body.as_bytes()),
+                    TraceContext::mint(),
                     &policy,
                 )
                 .unwrap_or_else(|e| panic!("class {} seed {seed}: {e}", class.name()));

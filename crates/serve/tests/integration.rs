@@ -1235,7 +1235,8 @@ fn every_response_carries_request_id_with_matching_access_log_line() {
 }
 
 /// Satellite: slow requests get a `http.slow` warn line sharing the
-/// access-log field set, gated on the configured threshold.
+/// access-log field set, gated on the configured threshold; a request
+/// that never parses gets none.
 #[test]
 fn slow_request_threshold_emits_warn_line() {
     let (logger, capture) =
@@ -1245,6 +1246,27 @@ fn slow_request_threshold_emits_warn_line() {
         slow_request: Duration::from_millis(0), // everything is "slow"
         ..ServeConfig::default()
     });
+    // A request that never parses is logged, but its slowness is the
+    // client's: no warning.
+    let mut bad = TcpStream::connect(&addr).unwrap();
+    bad.write_all(b"BLURB\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    bad.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    let http_error = |event: &str| {
+        capture.lines().iter().any(|l| {
+            serde_json::from_str::<serde_json::Value>(l).is_ok_and(|v| {
+                v["event"].as_str() == Some(event) && v["route"].as_str() == Some("http_error")
+            })
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !http_error("http.access") {
+        assert!(Instant::now() < deadline, "{:?}", capture.lines());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(!http_error("http.slow"), "{:?}", capture.lines());
+
     let r = client::request(&addr, "GET", "/healthz", None, T).unwrap();
     assert_eq!(r.status, 200);
     let id = r.header("x-request-id").unwrap().to_string();

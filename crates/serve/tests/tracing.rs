@@ -139,7 +139,7 @@ fn completed_job_trace_links_http_accept_to_publish() {
         .iter()
         .map(|s| s["span_id"].as_str().unwrap())
         .collect();
-    let client_span_hex = client_ctx.span_id_hex();
+    let client_span_hex = format!("{:016x}", client_ctx.span_id);
     let mut external_parents = 0;
     for s in spans {
         match s["parent_span_id"].as_str() {

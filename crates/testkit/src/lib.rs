@@ -184,6 +184,7 @@ impl FaultPlan {
 
     /// A plan that rotates faulted connections through every class in
     /// [`FAULT_CLASSES`], with parameters drawn from `seed`'s stream.
+    // lint: allow(test-only-api) — dev-only crate; chaos and determinism tests build mixed plans
     pub fn mixed(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -193,6 +194,7 @@ impl FaultPlan {
 
     /// A plan whose every faulted connection uses `class`, with
     /// parameters drawn from `seed`'s stream.
+    // lint: allow(test-only-api) — dev-only crate; chaos, faults and determinism tests use it
     pub fn only(class: FaultClass, seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -264,6 +266,7 @@ impl FaultPlan {
 
     /// The profiles of the first `n` connections — the "schedule" the
     /// determinism proptest compares across plan constructions.
+    // lint: allow(test-only-api) — dev-only crate; chaos and determinism tests compare schedules
     pub fn schedule(&self, n: u64) -> Vec<ConnFaults> {
         (0..n).map(|i| self.conn(i)).collect()
     }
@@ -319,6 +322,7 @@ impl FaultProxy {
     }
 
     /// How many connections the proxy has accepted so far.
+    // lint: allow(test-only-api) — dev-only crate; chaos and faults tests check reconnects
     pub fn connections(&self) -> u64 {
         self.accepted.load(Ordering::SeqCst)
     }

@@ -12,6 +12,7 @@
 
 use std::time::{Duration, Instant};
 
+use caffeine_obs::TraceContext;
 use caffeine_serve::client::{self, RetryPolicy, WatchOptions};
 use caffeine_serve::{ServeConfig, Server};
 use caffeine_testkit::{FaultClass, FaultPlan, FaultProxy, FAULT_CLASSES};
@@ -98,7 +99,13 @@ fn submit_with_recovery(
 ) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        match conn.request_with_retry("POST", "/v1/jobs", Some(spec.as_bytes()), policy) {
+        match conn.request_traced_with_retry(
+            "POST",
+            "/v1/jobs",
+            Some(spec.as_bytes()),
+            TraceContext::mint(),
+            policy,
+        ) {
             Ok(r) if r.status == 201 => {
                 return r.json().unwrap()["id"].as_u64().expect("job id");
             }
@@ -107,7 +114,13 @@ fn submit_with_recovery(
                 // Did it land? Our model name is unique to this cell, so
                 // one listed job with it IS our submission.
                 let list = conn
-                    .request_with_retry("GET", "/v1/jobs", None, policy)
+                    .request_traced_with_retry(
+                        "GET",
+                        "/v1/jobs",
+                        None,
+                        TraceContext::mint(),
+                        policy,
+                    )
                     .unwrap_or_else(|e| panic!("{label}: job list failed: {e}"));
                 let jobs = list.json().unwrap()["jobs"].as_array().cloned().unwrap();
                 if let Some(job) = jobs.iter().find(|j| j["model_id"] == name) {
@@ -172,7 +185,13 @@ fn run_lifecycle(addr: &str, name: &str, seed: u64, label: &str) -> LifecycleRun
 
     // Terminal state + published version, via the same faulted path.
     let status = conn
-        .request_with_retry("GET", &format!("/v1/jobs/{id}"), None, &policy)
+        .request_traced_with_retry(
+            "GET",
+            &format!("/v1/jobs/{id}"),
+            None,
+            TraceContext::mint(),
+            &policy,
+        )
         .unwrap_or_else(|e| panic!("{label}: status fetch failed: {e}"));
     let status = status.json().unwrap();
     assert_eq!(
@@ -194,10 +213,11 @@ fn run_lifecycle(addr: &str, name: &str, seed: u64, label: &str) -> LifecycleRun
         ..policy
     };
     let r = conn
-        .request_with_retry(
+        .request_traced_with_retry(
             "POST",
             &format!("/v1/models/{name}/predict"),
             Some(body.as_bytes()),
+            TraceContext::mint(),
             &predict_policy,
         )
         .unwrap_or_else(|e| panic!("{label}: predict failed: {e}"));

@@ -148,9 +148,13 @@ fn paper_error_measure_matches_across_crates() {
     // The engine's ErrorMetric and the posynomial crate's quality measure
     // are the same q function.
     let data = grid(30, 0.0, |x| 5.0 + x[0]);
-    let model =
-        caffeine::posynomial::fit_posynomial(&data, &caffeine::posynomial::TemplateSpec::order1())
-            .unwrap();
+    // Order-1 template: constant plus x^±1.
+    let spec = caffeine::posynomial::TemplateSpec {
+        max_single_exponent: 1,
+        cross_terms: false,
+        constant: true,
+    };
+    let model = caffeine::posynomial::fit_posynomial(&data, &spec).unwrap();
     let q_posyn = model.relative_rms_error(&data, 0.0);
     let metric = caffeine::core::ErrorMetric::RelativeRms { c: 0.0 };
     let q_core = metric.compute(&model.predict(data.points()), data.targets());
